@@ -16,7 +16,6 @@ enters an exponential and noise there would not average out.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -191,7 +190,6 @@ class CharRecord:
     exit_point: np.ndarray | None = None
     exit_face: int | None = None
     truncation_exit: bool = False
-    E_path: np.ndarray | None = None
 
 
 def trace_back(v, t: float, x: np.ndarray, domain: Domain, substeps: int = 64,
@@ -230,6 +228,7 @@ def path_point(rec: CharRecord, s: float) -> np.ndarray:
 
 
 def _knots_between(rec: CharRecord, tau0: float, tau1: float) -> np.ndarray:
+    """Trace knots strictly inside (tau0, tau1), bracketed by tau1 and tau0, descending."""
     lo, hi = rec.times[-1], rec.times[0]
     eps = 1e-10 * max(1.0, abs(hi))
     if tau0 > tau1 + eps:
@@ -239,27 +238,34 @@ def _knots_between(rec: CharRecord, tau0: float, tau1: float) -> np.ndarray:
     tau0 = min(max(tau0, lo), hi)
     tau1 = min(max(tau1, lo), hi)
     inner = rec.times[(rec.times > tau0 + eps) & (rec.times < tau1 - eps)]
-    return np.concatenate([[tau0], inner[::-1], [tau1]])
+    return np.concatenate([[tau1], inner, [tau0]])
+
+
+def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Running composite-trapezoid integral of ``g`` back from ``ts[0]``.
+
+    ``ts`` descends; axis 0 of ``g`` runs along it, and the result has
+    the shape of ``g`` with 0 in its first row.
+    """
+    dt = (ts[:-1] - ts[1:]).reshape((-1,) + (1,) * (g.ndim - 1))
+    c = np.empty(g.shape)
+    c[0] = 0.0
+    np.cumsum(0.5 * (g[:-1] + g[1:]) * dt, axis=0, out=c[1:])
+    return c
 
 
 def growth_factor(rec: CharRecord, p_along, divv_along, tau0: float, tau1: float) -> float:
     """``exp(int_tau0^tau1 (p - div v) ds)`` along the traced path."""
     ts = _knots_between(rec, tau0, tau1)
     g = np.array([p_along(s) - divv_along(s) for s in ts], dtype=float)
-    return float(np.exp(np.trapezoid(g, ts)))
+    return float(np.exp(cumulative_trapezoid(g, ts)[-1]))
 
 
 def growth_profile(rec: CharRecord, p_along, divv_along) -> np.ndarray:
     """Growth factor at every trace knot, measured back from the origin time."""
     ts = rec.times
     g = np.array([p_along(s) - divv_along(s) for s in ts], dtype=float)
-    dt = ts[:-1] - ts[1:]
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * (g[:-1] + g[1:]) * dt)])
-    return np.exp(acc)
-
-
-def with_growth(rec: CharRecord, p_along, divv_along) -> CharRecord:
-    return dataclasses.replace(rec, E_path=growth_profile(rec, p_along, divv_along))
+    return np.exp(cumulative_trapezoid(g, ts))
 
 
 def exit_jacobian(rec: CharRecord, v, divv_along, v_floor: float = 0.0) -> float:
@@ -275,8 +281,6 @@ def exit_jacobian(rec: CharRecord, v, divv_along, v_floor: float = 0.0) -> float
     vi = float(np.atleast_2d(v(rec.exit_time, rec.exit_point[None, :]))[0, rec.exit_face])
     if vi <= v_floor:
         raise ValueError("inflow condition violated at exit: v_i <= floor")
-    ts = rec.times
-    g = np.array([divv_along(s) for s in ts], dtype=float)
-    dt = ts[:-1] - ts[1:]
-    integral = float(np.sum(0.5 * (g[:-1] + g[1:]) * dt))
+    g = np.array([divv_along(s) for s in rec.times], dtype=float)
+    integral = float(cumulative_trapezoid(g, rec.times)[-1])
     return float(np.exp(-integral) / vi)

@@ -11,7 +11,6 @@ which makes reruns byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys as _sys
 from pathlib import Path
 
@@ -27,7 +26,8 @@ from .analysis import (
     frozen_component,
     gronwall_certificate,
 )
-from .config import ConfigError, PRESETS, RunConfig, effective_config_dict, load_config
+from .config import (PRESETS, SIHR_DEFAULTS, ConfigError, RunConfig, effective_config_dict,
+                     load_config)
 from .control import ControlSpec, optimize, sihr_kappa_objective
 from .domain import Grid, truncation_mass_report
 from .models import SIHRParams
@@ -182,7 +182,7 @@ def run_certificates(sys_, traj: Trajectory, grid: Grid, cfg: RunConfig, oracle)
 
 def _run_control(cfg: RunConfig, outdir: Path) -> list[str]:
     cc = cfg.control
-    preset_params = dict(kappa=0.3, theta=0.1, eta=0.2, rho=0.08, mu_i=0.02, mu_h=0.01)
+    preset_params = dict(SIHR_DEFAULTS)
     preset_params.update(cfg.params)
     base = SIHRParams(**preset_params)
     spec = ControlSpec(bounds=[tuple(b) for b in cc.bounds], budget=cc.budget,
@@ -205,18 +205,16 @@ def run(cfg: RunConfig) -> int:
         yaml.safe_dump(effective_config_dict(cfg), sort_keys=True))
 
     preset = PRESETS[cfg.model]
-    built = preset.build(cfg.params)
-    sys_, oracle = built if isinstance(built, tuple) else (built, None)
+    sys_, oracle = preset.build(cfg.params)
     if len(cfg.cells) not in (1, sys_.domain.dim):
         raise ConfigError(f"field 'cells' needs 1 or {sys_.domain.dim} entries for '{cfg.model}'")
     cells = cfg.cells if len(cfg.cells) == sys_.domain.dim else cfg.cells * sys_.domain.dim
     grid = Grid(sys_.domain, cells)
-    picard_cfg = dataclasses.replace(cfg.picard, threads=cfg.threads)
 
     report_lines = [f"model: {cfg.model}", f"grid: {'x'.join(str(c) for c in cells)}",
                     f"horizon: {_fmt(cfg.horizon)}"]
     try:
-        traj = solve(sys_, grid, cfg.horizon, picard_cfg)
+        traj = solve(sys_, grid, cfg.horizon, cfg.picard)
     except LocalExistenceError as exc:
         lo, hi = exc.bracket
         report_lines += ["status: solver blow-up",
@@ -259,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute a YAML run configuration")
     p_run.add_argument("config", help="path to the run file")
     p_run.add_argument("--output", default=None, help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=None, help="worker cap for the k solves")
     p_run.add_argument("--seed", type=int, default=None, help="override the probe seed")
     sub.add_parser("list-presets", help="show the available model presets")
 
@@ -271,10 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.output is not None:
             cfg.output = Path(args.output)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.threads = args.threads
         if args.seed is not None:
             cfg.seed = args.seed
         return run(cfg)

@@ -42,8 +42,11 @@ class Preset:
     default_certificates: tuple[str, ...]
 
 
+SIHR_DEFAULTS = dict(kappa=0.3, theta=0.1, eta=0.2, rho=0.08, mu_i=0.02, mu_h=0.01)
+
+
 def _build_sihr_preset(overrides: dict):
-    base = dict(kappa=0.3, theta=0.1, eta=0.2, rho=0.08, mu_i=0.02, mu_h=0.01)
+    base = dict(SIHR_DEFAULTS)
     base.update(overrides)
     return build_sihr(SIHRParams(**base)), None
 
@@ -131,7 +134,6 @@ class RunConfig:
     control: ControlConfig | None = None
     output: Path = Path("out")
     seed: int = 0
-    threads: int = 1
     save_states: int = 5
     entropy_samples: int = 50
 
@@ -157,7 +159,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_from_dict(raw: dict) -> RunConfig:
     known = {"model", "params", "cells", "horizon", "picard", "certificates",
-             "control", "output", "seed", "threads", "save_states", "entropy_samples"}
+             "control", "output", "seed", "save_states", "entropy_samples"}
     for key in raw:
         _require(key in known, f"unknown config field: {key}")
     model = raw.get("model")
@@ -213,15 +215,13 @@ def config_from_dict(raw: dict) -> RunConfig:
                  "control.objective must be 'deaths' or 'peak'")
 
     seed = int(raw.get("seed", 0))
-    threads = int(raw.get("threads", 1))
-    _require(threads >= 1, "field 'threads' must be >= 1")
     save_states = int(raw.get("save_states", 5))
     _require(save_states >= 2, "field 'save_states' must be >= 2")
     entropy_samples = int(raw.get("entropy_samples", 50))
 
     return RunConfig(model=model, params=params, cells=cells, horizon=horizon,
                      picard=picard, certificates=certificates, control=control,
-                     output=Path(raw.get("output", "out")), seed=seed, threads=threads,
+                     output=Path(raw.get("output", "out")), seed=seed,
                      save_states=save_states, entropy_samples=entropy_samples)
 
 
@@ -237,7 +237,6 @@ def effective_config_dict(cfg: RunConfig) -> dict:
         "control": dataclasses.asdict(cfg.control) if cfg.control else None,
         "output": str(cfg.output),
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "save_states": cfg.save_states,
         "entropy_samples": cfg.entropy_samples,
     }

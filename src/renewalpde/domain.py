@@ -147,33 +147,43 @@ class FaceGrid:
     age axis (d=1) it degenerates to the single point 0 with measure 1.
     Face points are returned as full d-dimensional coordinates with the
     face coordinate pinned to 0, which is what every boundary callback
-    expects.
+    expects.  The nodes are those of ``lattice``, the grid over the
+    non-face axes (``None`` for the degenerate point face).
     """
 
     def __init__(self, grid: Grid, axis: int):
         self.grid = grid
         self.axis = axis
-        other = [grid.axes[i] for i in range(grid.dim) if i != axis]
-        if other:
-            mesh = np.meshgrid(*other, indexing="ij")
-            flat = [m.ravel() for m in mesh]
-            npts = flat[0].size
-            pts = np.zeros((npts, grid.dim))
-            j = 0
-            for i in range(grid.dim):
-                if i == axis:
-                    continue
-                pts[:, i] = flat[j]
-                j += 1
-            self.points = pts
-            self.weight = float(np.prod([grid.dx[i] for i in range(grid.dim) if i != axis]))
+        dom = grid.domain
+        keep = [i for i in range(grid.dim) if i != axis]
+        if keep:
+            bounds = dom.bounds()
+            sub = Domain(half_lengths=[dom.half_lengths[i] for i in keep if i < dom.m],
+                         full_bounds=[bounds[i] for i in keep if i >= dom.m])
+            self.lattice = Grid(sub, [grid.shape[i] for i in keep])
+            self.points = np.insert(self.lattice.points, axis, 0.0, axis=1)
+            self.weight = self.lattice.cell_volume
         else:
+            self.lattice = None
             self.points = np.zeros((1, grid.dim))
             self.weight = 1.0
 
     @property
     def measure(self) -> float:
         return self.weight * self.points.shape[0]
+
+    def interp(self, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation of face node values at points on the face.
+
+        The face coordinate of ``pts`` is ignored.  Points past the face's
+        edges take the edge values: a trace that left the box through a
+        truncation face can still exit through the inflow face.
+        """
+        pts = np.atleast_2d(pts)
+        if self.lattice is None:
+            return np.repeat(vals[:1], pts.shape[0], axis=0)
+        lo, hi = np.array(self.lattice.domain.bounds()).T
+        return interp_values(self.lattice, vals, np.clip(np.delete(pts, self.axis, axis=1), lo, hi))
 
 
 @dataclass(frozen=True)

@@ -233,11 +233,6 @@ def build_sihr(params: SIHRParams) -> SystemDef:
         B=b_const,
         C1=0.0,
         C2=0.0,
-        barP1=max(sup_mu_s, sup_mu_i + sup_k + sup_th, sup_mu_h + sup_eta, sup_mu_r),
-        barP2=1.0,
-        barQ1=max(sup_k, sup_eta + sup_th),
-        barQ3=1.0,
-        barB=b_const,
     )
 
     return SystemDef(k=4, domain=domain, velocities=vels, P=P, Q=Q, Ub=Ub,
@@ -311,8 +306,7 @@ def build_cell_growth(params: CellGrowthParams) -> SystemDef:
 
     constants = HypothesisConstants(
         P1=_sup_estimate(params.loss, domain), P2=0.0, Q1=0.0, Q3=0.0, Q2=0.0,
-        B=b_bound, C1=0.0, C2=0.0, barP1=_sup_estimate(params.loss, domain),
-        barP2=0.0, barB=b_bound)
+        B=b_bound, C1=0.0, C2=0.0)
 
     return SystemDef(
         k=1, domain=domain, velocities=(vel,),
@@ -403,8 +397,7 @@ def build_competitive(params: CompetitiveParams) -> SystemDef:
     p2_sup = _sup_estimate(params.mu2, domain) + _sup_estimate(params.f2, domain)
     constants = HypothesisConstants(
         P1=max(p1_sup, p2_sup), P2=max(c1_max, c2_max), Q1=0.0, Q3=0.0, Q2=0.0,
-        B=max(b1_max, b2_max), C1=0.0, C2=0.0,
-        barP1=max(p1_sup, p2_sup), barP2=1.0, barB=max(b1_max, b2_max))
+        B=max(b1_max, b2_max), C1=0.0, C2=0.0)
 
     return SystemDef(k=2, domain=domain, velocities=(AGE_VELOCITY, AGE_VELOCITY),
                      P=P, Q=(_zero_q, _zero_q), Ub=Ub,
@@ -427,7 +420,7 @@ def build_blowup(variant: str = "ode"):
         pts = np.atleast_2d(pts)
         return ((pts[:, 0] >= 0.0) & (pts[:, 0] <= 1.0)).astype(float)
 
-    constants = HypothesisConstants(P1=0.0, P2=1.0, barP1=0.0, barP2=1.0)
+    constants = HypothesisConstants(P1=0.0, P2=1.0)
 
     if variant == "ode":
         domain = Domain(full_lengths=(1.5,), full_bounds=((-0.5, 1.5),))

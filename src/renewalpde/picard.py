@@ -22,7 +22,6 @@ coefficients that are linear in the frozen state is exact.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,8 +36,9 @@ from .transport import LinearProblem, evaluate
 class LocalExistenceError(RuntimeError):
     """Slab halving cascade hit the minimum length: no local solution.
 
-    Carries the bracket (last solved time, last attempted end time);
-    for a model that genuinely blows up the singular time lies in it.
+    Carries the bracket (last solved time, end of the last rejected slab
+    attempt).  It records where the solver stopped; it is not a proof
+    that the singular time of a blowing-up model lies in it.
     """
 
     def __init__(self, t_lo: float, t_hi: float, msg: str = "local existence failure"):
@@ -60,7 +60,6 @@ class PicardConfig:
     substeps_per_interval: int = 4
     min_slab_factor: float = 1e-6
     max_slabs: int = 2000
-    threads: int = 1
 
     def __post_init__(self):
         if self.eps_fix <= 0:
@@ -160,30 +159,34 @@ class FrozenCoefficients:
         self._eta_u = self._freeze(sys.Ku[h], boundary=True)
 
     def _freeze(self, kernel, boundary: bool):
+        """Per-knot sampler ``sample(j, pts) -> (P, 1)`` of the kernel integral.
+
+        Returns None when the field is identically zero.
+        """
         if kernel is None:
-            return ("zero", None, None)
+            return None
         knots = range(self.K + 1)
         if kernel.x_independent:
-            vals = np.array([kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
-                                              self.states[j])[0, 0] for j in knots])
-            return ("const", vals, None)
-        if boundary:
-            if self.sys.domain.m == 0:
-                return ("zero", None, None)
-            if self.sys.domain.m > 1:
-                # exits can land on any face; integrate on demand
-                return ("direct", kernel, None)
-            fg = self.grid.face_grid(0)
-            if fg.points.shape[0] == 1:
-                vals = np.array([kernel.integrate(self.times[j], fg.points,
-                                                  self.states[j])[0, 0] for j in knots])
-                return ("const", vals, None)
-            vals = np.stack([kernel.integrate(self.times[j], fg.points, self.states[j])[:, 0]
-                             for j in knots])
-            return ("face", vals, fg)
-        vals = np.stack([kernel.integrate(self.times[j], self.grid.points, self.states[j])[:, 0]
-                         for j in knots])
-        return ("grid", vals, None)
+            vals = [kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
+                                     self.states[j])[0, 0] for j in knots]
+            return lambda j, pts: np.full((pts.shape[0], 1), vals[j])
+        if not boundary:
+            vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j])
+                    for j in knots]
+            return lambda j, pts: interp_values(self.grid, vals[j], pts)
+        if self.sys.domain.m == 0:
+            return None
+        if self.sys.domain.m > 1:
+            # exits can land on any face; integrate on demand.  The integral
+            # is linear in the state, so blending it equals integrating the
+            # blended state.
+            return lambda j, pts: kernel.integrate(float(self.times[j]), pts, self.states[j])
+        fg = self.grid.face_grid(0)
+        vals = [kernel.integrate(self.times[j], fg.points, self.states[j]) for j in knots]
+        return lambda j, pts: fg.interp(vals[j], pts)
+
+    def _sample_w(self, j: int, pts: np.ndarray) -> np.ndarray:
+        return interp_values(self.grid, self.states[j].values, pts)
 
     def _bracket(self, t):
         """Knot interval and interpolation weight; knots may be non-uniform."""
@@ -196,102 +199,48 @@ class FrozenCoefficients:
         lam = np.clip((t_arr - self.times[j]) / span, 0.0, 1.0)
         return j, lam
 
-    def _eval_knot_field(self, store, j: int, pts: np.ndarray) -> np.ndarray:
-        kind, vals, fg = store
-        if kind == "const":
-            return np.full(pts.shape[0], vals[j])
-        if kind == "grid":
-            return interp_values(self.grid, vals[j], pts)
-        return _face_interp(fg, vals[j], pts)
+    def _blend(self, sample, t, pts: np.ndarray, width: int = 1) -> np.ndarray:
+        """Mix the samples at the two knots bracketing ``t``, linearly in t.
 
-    def _combine(self, store, t, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        kind = store[0]
-        if kind == "zero":
-            return np.zeros((pts.shape[0], 1))
-        if kind == "direct":
-            # blend per-knot integrals: the integral is linear in the
-            # state, so this equals integrating the blended state
-            kernel = store[1]
-            j, lam = self._bracket(t)
-            j = np.broadcast_to(np.atleast_1d(j), (pts.shape[0],))
-            lam = np.broadcast_to(np.atleast_1d(lam), (pts.shape[0],))
-            out = np.empty((pts.shape[0], 1))
-            for jv in np.unique(j):
-                mask = j == jv
-                j1 = min(int(jv) + 1, self.K)
-                a = kernel.integrate(float(self.times[int(jv)]), pts[mask], self.states[int(jv)])
-                b = kernel.integrate(float(self.times[j1]), pts[mask], self.states[j1])
-                out[mask] = (1.0 - lam[mask])[:, None] * a + lam[mask][:, None] * b
-            return out
+        ``t`` is a scalar or one time per point; a None sampler is zero.
+        """
+        if sample is None:
+            return np.zeros((pts.shape[0], width))
         j, lam = self._bracket(t)
         if np.ndim(j) == 0:
             j = int(j)
-            a = self._eval_knot_field(store, j, pts)
-            b = self._eval_knot_field(store, min(j + 1, self.K), pts)
-            out = (1.0 - lam) * a + lam * b
-            return out[:, None]
-        out = np.empty(pts.shape[0])
+            return (1.0 - lam) * sample(j, pts) + lam * sample(min(j + 1, self.K), pts)
+        out = np.empty((pts.shape[0], width))
         for jv in np.unique(j):
             mask = j == jv
-            a = self._eval_knot_field(store, int(jv), pts[mask])
-            b = self._eval_knot_field(store, min(int(jv) + 1, self.K), pts[mask])
-            out[mask] = (1.0 - lam[mask]) * a + lam[mask] * b
-        return out[:, None]
-
-    def w_at(self, t, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        j, lam = self._bracket(t)
-        if np.ndim(j) == 0:
-            j = int(j)
-            a = interp_values(self.grid, self.states[j].values, pts)
-            b = interp_values(self.grid, self.states[min(j + 1, self.K)].values, pts)
-            return (1.0 - lam) * a + lam * b
-        out = np.empty((pts.shape[0], self.states[0].k))
-        for jv in np.unique(j):
-            mask = j == jv
-            a = interp_values(self.grid, self.states[int(jv)].values, pts[mask])
-            b = interp_values(self.grid, self.states[min(int(jv) + 1, self.K)].values, pts[mask])
+            a = sample(int(jv), pts[mask])
+            b = sample(min(int(jv) + 1, self.K), pts[mask])
             out[mask] = (1.0 - lam[mask])[:, None] * a + lam[mask][:, None] * b
         return out
 
+    def w_at(self, t, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(pts)
+        return self._blend(self._sample_w, t, pts, width=self.states[0].k)
+
     def p(self, t, pts):
         pts = np.atleast_2d(pts)
-        eta = self._combine(self._eta_p, t, pts)
+        eta = self._blend(self._eta_p, t, pts)
         return np.asarray(self.sys.P[self.h](t, pts, eta), dtype=float)
 
     def q(self, t, pts):
         pts = np.atleast_2d(pts)
-        eta = self._combine(self._eta_q, t, pts)
+        eta = self._blend(self._eta_q, t, pts)
         w_pt = self.w_at(t, pts)
         return np.asarray(self.sys.Q[self.h](t, pts, w_pt, eta), dtype=float)
 
     def ub(self, t, pts):
         pts = np.atleast_2d(pts)
-        eta = self._combine(self._eta_u, t, pts)
+        eta = self._blend(self._eta_u, t, pts)
         return np.asarray(self.sys.Ub[self.h](t, pts, eta), dtype=float)
 
     def linear_problem(self) -> LinearProblem:
         u0h = GridFn(self.grid, self.states[0].values[:, self.h])
         return LinearProblem(self.sys.velocities[self.h], self.p, self.q, self.ub, u0h)
-
-
-def _face_interp(fg, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Nearest/multilinear interpolation of face-sampled data.
-
-    The face lattice is the tensor grid of all non-face axes; queries
-    drop the face coordinate.  Kept simple: multilinear via the parent
-    grid machinery on a synthetic 1-row embedding is not worth it, so
-    this interpolates per axis with np.interp for the (single-axis)
-    shapes shipped models use, and falls back to nearest neighbour.
-    """
-    rest = pts[:, 1:]
-    if rest.shape[1] == 1:
-        # face is one-dimensional: plain linear interpolation
-        face_coords = fg.points[:, 1]
-        return np.interp(rest[:, 0], face_coords, vals)
-    d2 = ((fg.points[None, :, 1:] - rest[:, None, :]) ** 2).sum(axis=2)
-    return vals[np.argmin(d2, axis=1)]
 
 
 def apply_T(sys: SystemDef, w: Trajectory, cfg: PicardConfig) -> Trajectory:
@@ -307,24 +256,13 @@ def apply_T(sys: SystemDef, w: Trajectory, cfg: PicardConfig) -> Trajectory:
         tj = float(times[j])
         substeps = j * cfg.substeps_per_interval
         batches = {}
+        cols = np.empty((grid.n_nodes, sys.k))
         for h in range(sys.k):
             key = id(sys.velocities[h])
             if key not in batches:
                 batches[key] = trace_backward(sys.velocities[h], tj, grid.points,
                                               substeps, grid.domain, t_floor=t0)
-
-        def solve_component(h: int) -> np.ndarray:
-            return evaluate(lps[h], tj, grid, t0=t0,
-                            batch=batches[id(sys.velocities[h])]).values[:, 0]
-
-        cols = np.empty((grid.n_nodes, sys.k))
-        if cfg.threads > 1 and sys.k > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                for h, col in enumerate(pool.map(solve_component, range(sys.k))):
-                    cols[:, h] = col
-        else:
-            for h in range(sys.k):
-                cols[:, h] = solve_component(h)
+            cols[:, h] = evaluate(lps[h], tj, grid, t0=t0, batch=batches[key]).values[:, 0]
         out_states.append(GridFn(grid, cols))
     return Trajectory(times.copy(), out_states)
 
@@ -384,8 +322,8 @@ def solve(sys: SystemDef, grid: Grid, horizon: float, cfg: PicardConfig,
 
     Each slab restarts from the previous terminal state with a fresh
     ball sized off the current mass; a genuine blow-up surfaces as a
-    :class:`LocalExistenceError` whose bracket localizes the singular
-    time.
+    :class:`LocalExistenceError` carrying the last solved time and the
+    end of the last rejected slab attempt.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")

@@ -69,11 +69,6 @@ class HypothesisConstants:
     B: float | Callable = 0.0
     C1: float | Callable | None = None
     C2: float | Callable | None = None
-    barP1: float | None = None
-    barP2: float | None = None
-    barQ1: float | None = None
-    barQ3: float | None = None
-    barB: float | None = None
 
     def q2_at(self, pts: np.ndarray) -> np.ndarray:
         return _as_space_field(self.Q2)(pts)

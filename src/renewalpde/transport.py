@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import TraceBatch, VelocityField, trace_backward
+from .characteristics import TraceBatch, VelocityField, cumulative_trapezoid, trace_backward
 from .domain import BlowupError, Grid, GridFn, interp_values
 
 
@@ -81,9 +81,7 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
 
     with np.errstate(over="ignore", invalid="ignore"):
         dt = times[:-1] - times[1:]
-        c = np.empty((nknots, npts))
-        c[0] = 0.0
-        np.cumsum(0.5 * (g[:-1] + g[1:]) * dt[:, None], axis=0, out=c[1:])
+        c = cumulative_trapezoid(g, times)
         E = np.exp(c)
         fq = qv * E
 

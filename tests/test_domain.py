@@ -149,3 +149,18 @@ def test_interp_linear_in_between():
     f = GridFn(g, 3.0 * g.points[:, 0] + 1.0)
     pts = np.array([[0.5], [0.22], [0.91]])
     assert np.allclose(interp_gridfn(f, pts)[:, 0], 3.0 * pts[:, 0] + 1.0)
+
+
+def test_face_grid_nodes_and_interpolation():
+    g = Grid(Domain(half_lengths=(2.0, 1.0), full_lengths=(1.0,)), (4, 5, 8))
+    fg = g.face_grid(0)
+    assert fg.points.shape == (40, 3)
+    assert np.all(fg.points[:, 0] == 0.0)
+    assert np.isclose(fg.measure, 2.0)
+    vals = 1.0 + fg.points[:, 1] - 2.0 * fg.points[:, 2]
+    pts = np.array([[0.0, 0.3, 0.25], [0.0, 0.05, -0.95], [0.0, 0.5, 1.3]])
+    # affine data are exact inside the node hull; past it the edge node's value holds
+    edge = np.clip(pts, [0.0, g.axes[1][0], g.axes[2][0]], [0.0, g.axes[1][-1], g.axes[2][-1]])
+    assert np.allclose(fg.interp(vals, pts), 1.0 + edge[:, 1] - 2.0 * edge[:, 2])
+    point_face = Grid(Domain(half_lengths=(2.0,)), (8,)).face_grid(0)
+    assert np.array_equal(point_face.interp(np.array([3.0]), np.zeros((2, 1))), [3.0, 3.0])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from renewalpde.domain import Grid, GridFn, l1_norm
+from renewalpde.characteristics import VelocityField, trace_backward
+from renewalpde.domain import Domain, Grid, GridFn, l1_norm
+from renewalpde.kernels import ScalarComponentKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr
 from renewalpde.picard import (
+    FrozenCoefficients,
     LocalExistenceError,
     PicardConfig,
     Trajectory,
@@ -14,6 +17,7 @@ from renewalpde.picard import (
     solve,
     solve_slab,
 )
+from renewalpde.problem import SystemDef
 
 
 def constant_trajectory(sys_, grid, times):
@@ -182,12 +186,52 @@ def test_trajectory_state_interpolation():
     assert np.allclose(mid.values, expected)
 
 
-def test_apply_T_thread_determinism():
-    sys_ = build_sihr(SIHRParams(rho=0.3, kappa=0.2, theta=0.1))
-    grid = Grid(sys_.domain, (64,))
-    times = np.linspace(0.0, 0.5, 9)
-    w = constant_trajectory(sys_, grid, times)
-    serial = apply_T(sys_, w, PicardConfig(threads=1))
-    threaded = apply_T(sys_, w, PicardConfig(threads=3))
-    for a, b in zip(serial.states, threaded.states):
-        assert np.array_equal(a.values, b.values)
+@pytest.mark.parametrize("mode", ["face", "direct"])
+def test_frozen_boundary_integral_blends_knot_integrals(mode):
+    # the renewal datum Ub = int Ku w at exit points and times must equal
+    # the linear-in-t blend of the kernel integrals at the bracketing knots
+    if mode == "face":
+        # one inflow face, 2-D: sampled on the face lattice, interpolated
+        domain = Domain(half_lengths=(2.0,), full_lengths=(1.0, 1.0))
+        shape = (10, 7, 6)
+        vel = VelocityField.constant([1.0, 0.2, -0.1])
+    else:
+        # two inflow faces: integrated at the exit points themselves
+        domain = Domain(half_lengths=(2.0, 1.5))
+        shape = (10, 8)
+        vel = VelocityField.constant([1.0, 0.6])
+    # affine in the evaluation point, so multilinear face interpolation is exact
+    kernel = ScalarComponentKernel(
+        lambda t, x, xp: (1.0 + 0.3 * x[..., 1] - 0.2 * x[..., -1]) * np.exp(-xp[..., 0]))
+    sys_ = SystemDef(k=1, domain=domain, velocities=(vel,),
+                     P=(lambda t, pts, eta: np.zeros(pts.shape[0]),),
+                     Q=(lambda t, pts, u, eta: np.zeros(pts.shape[0]),),
+                     Ub=(lambda t, pts, eta: eta[:, 0],), Ku=(kernel,),
+                     u0=lambda pts: np.exp(-np.sum(pts ** 2, axis=1))[:, None])
+    grid = Grid(domain, shape)
+    times = np.linspace(0.0, 0.8, 5)
+    u0 = sys_.initial_state(grid).values
+    states = [GridFn(grid, u0 * (1.0 + 0.5 * j) + 0.1 * j * grid.points[:, :1])
+              for j in range(len(times))]
+    frozen = FrozenCoefficients(sys_, 0, times, states)
+
+    batch = trace_backward(vel, float(times[-1]), grid.points, 16, domain)
+    T, X = batch.exit_time[batch.exited], batch.exit_point[batch.exited]
+    if mode == "face":
+        # beyond the outermost face nodes interpolation extends the edge values
+        lo = np.array([ax[0] for ax in grid.axes[1:]])
+        hi = np.array([ax[-1] for ax in grid.axes[1:]])
+        keep = np.all((X[:, 1:] >= lo) & (X[:, 1:] <= hi), axis=1)
+        T, X = T[keep], X[keep]
+    else:
+        assert set(batch.exit_face[batch.exited]) == {0, 1}
+    assert len(T) >= 20
+
+    got = frozen.ub(T, X)
+    expected = np.empty(len(T))
+    for i, (t, x) in enumerate(zip(T, X)):
+        j = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+        lam = (t - times[j]) / (times[j + 1] - times[j])
+        a, b = (kernel.integrate(times[n], x[None, :], states[n])[0, 0] for n in (j, j + 1))
+        expected[i] = (1.0 - lam) * a + lam * b
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
