@@ -1,7 +1,7 @@
 """Characteristic-based solver and certificates for nonlocal renewal transport."""
 
-from .characteristics import CharRecord, VelocityField, exit_jacobian, growth_factor, trace_back
-from .domain import Domain, Grid, GridFn, integrate_kernel, l1_norm, linf_norm
+from .characteristics import TraceBatch, VelocityField, exit_jacobian, trace_backward
+from .domain import Domain, Grid, GridFn, l1_norm, linf_norm
 from .kernels import ScalarComponentKernel, WeightedMassKernel
 from .models import (
     CellGrowthParams,
@@ -17,8 +17,8 @@ from .problem import HypothesisConstants, SystemDef, check_hypotheses, eval_p, e
 from .transport import LinearProblem, evaluate, solve_series
 
 __all__ = [
-    "CharRecord", "VelocityField", "exit_jacobian", "growth_factor", "trace_back",
-    "Domain", "Grid", "GridFn", "integrate_kernel", "l1_norm", "linf_norm",
+    "TraceBatch", "VelocityField", "exit_jacobian", "trace_backward",
+    "Domain", "Grid", "GridFn", "l1_norm", "linf_norm",
     "ScalarComponentKernel", "WeightedMassKernel",
     "CellGrowthParams", "CompetitiveParams", "SIHRParams",
     "build_blowup", "build_cell_growth", "build_competitive", "build_sihr",

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .characteristics import trapezoid_weights
 from .domain import Grid, GridFn, l1_norm
 from .picard import FrozenCoefficients, Trajectory
 from .problem import HypothesisConstants, SystemDef
@@ -291,11 +292,7 @@ def entropy_residual(lp: LinearProblem, times: np.ndarray, states: Sequence[Grid
     grid = states[0].grid
     times = np.asarray(times, dtype=float)
     nt = len(times)
-    wts = np.zeros(nt)
-    if nt > 1:
-        dt = np.diff(times)
-        wts[:-1] += 0.5 * dt
-        wts[1:] += 0.5 * dt
+    wts = trapezoid_weights(times)
     vol = grid.cell_volume
     pts = grid.points
     total = 0.0

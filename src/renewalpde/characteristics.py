@@ -1,4 +1,4 @@
-"""Backward characteristic tracing, exit times and growth factors.
+"""Backward characteristic tracing, exit times and the exit-map Jacobian.
 
 A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 ``X(t) = x``.  Tracing backward either reaches ``s = t_floor`` at an
@@ -6,7 +6,8 @@ interior foot point, or crosses an inflow face ``x_i = 0`` of a
 half-line axis at the exit time ``T(t, x)``, refined here by bisection.
 Along the trace the solution of the frozen linear equation picks up the
 growth factor ``exp(int (p - div v) ds)`` and a source integral; both
-are computed by composite trapezoid on the trace knots.
+are computed by composite trapezoid on the trace knots (see
+``transport.evaluate``).
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
 ``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``.
@@ -70,7 +71,9 @@ class TraceBatch:
     ``path[j]`` holds positions at ``times[j]``; rows of exited points
     are frozen at their exit point for knots past the exit.  The exit
     time of point p lies in ``(times[j+1], times[j]]`` with
-    ``j = exit_interval[p]``.
+    ``j = exit_interval[p]``.  ``truncated`` marks traces that left the
+    box through a truncation face, whether they end at a foot or at an
+    exit point; their datum is 0.
     """
 
     times: np.ndarray
@@ -149,11 +152,12 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
 
     for j in range(substeps):
         x_new = rk4_step(v, times[j], x, times[j + 1] - times[j])
-        if not np.all(np.isfinite(x_new[~exited])):
+        active = ~exited
+        if not np.all(np.isfinite(x_new[active])):
             raise ValueError("non-finite velocity along characteristic")
         x_new[exited] = x[exited]
         if m > 0:
-            newly = (~exited) & (x_new[:, :m].min(axis=1) < 0.0)
+            newly = active & (x_new[:, :m].min(axis=1) < 0.0)
             if newly.any():
                 T, xT, face = _refine_exit(v, times[j], x[newly], times[j + 1], m, tol)
                 exit_time[newly] = T
@@ -162,83 +166,14 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
                 exit_interval[newly] = j
                 exited |= newly
                 x_new[newly] = xT
-        active = ~exited
+        # Exits of this substep are checked at their exit point: a trace can
+        # cross a truncation face and then the inflow face within one step.
         if active.any():
             truncated[active] |= _outside_box(domain, x_new[active])
         x = x_new
         path[j + 1] = x
     return TraceBatch(times, path, exited, exit_time, exit_point,
                       exit_face, exit_interval, truncated)
-
-
-@dataclass(frozen=True)
-class CharRecord:
-    """Single backward trace: either an interior foot or a boundary hit.
-
-    ``times`` descend from the origin time; for a boundary hit the last
-    knot is the refined exit time itself, so the knot range always
-    covers exactly the valid span of the trace.
-    """
-
-    t: float
-    x: np.ndarray
-    kind: str
-    times: np.ndarray
-    path: np.ndarray
-    foot: np.ndarray | None = None
-    exit_time: float | None = None
-    exit_point: np.ndarray | None = None
-    exit_face: int | None = None
-    truncation_exit: bool = False
-
-
-def trace_back(v, t: float, x: np.ndarray, domain: Domain, substeps: int = 64,
-               t_floor: float = 0.0) -> CharRecord:
-    """Trace one point backward; see :class:`CharRecord`."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    batch = trace_backward(v, t, x, substeps, domain, t_floor)
-    if batch.exited[0]:
-        j = int(batch.exit_interval[0])
-        times = np.append(batch.times[:j + 1], batch.exit_time[0])
-        path = np.concatenate([batch.path[:j + 1, 0, :], batch.exit_point[0:1]], axis=0)
-        return CharRecord(t=t, x=x[0], kind="boundary-hit", times=times, path=path,
-                          exit_time=float(batch.exit_time[0]),
-                          exit_point=batch.exit_point[0],
-                          exit_face=int(batch.exit_face[0]))
-    foot = batch.feet[0]
-    if batch.truncated[0]:
-        foot = foot.copy()
-        for ax, (lo, hi) in enumerate(domain.bounds()):
-            foot[ax] = min(max(foot[ax], lo), hi)
-    return CharRecord(t=t, x=x[0], kind="interior-foot", times=batch.times,
-                      path=batch.path[:, 0, :], foot=foot,
-                      truncation_exit=bool(batch.truncated[0]))
-
-
-def path_point(rec: CharRecord, s: float) -> np.ndarray:
-    """Position on the trace at time ``s``, linear between knots."""
-    ts = rec.times[::-1]
-    lo, hi = ts[0], ts[-1]
-    if s < lo - 1e-10 or s > hi + 1e-10:
-        raise ValueError("time outside the trace's knot range")
-    out = np.empty(rec.path.shape[1])
-    for ax in range(rec.path.shape[1]):
-        out[ax] = np.interp(s, ts, rec.path[::-1, ax])
-    return out
-
-
-def _knots_between(rec: CharRecord, tau0: float, tau1: float) -> np.ndarray:
-    """Trace knots strictly inside (tau0, tau1), bracketed by tau1 and tau0, descending."""
-    lo, hi = rec.times[-1], rec.times[0]
-    eps = 1e-10 * max(1.0, abs(hi))
-    if tau0 > tau1 + eps:
-        raise ValueError("need tau0 <= tau1")
-    if tau0 < lo - eps or tau1 > hi + eps:
-        raise ValueError("time outside the trace's knot range")
-    tau0 = min(max(tau0, lo), hi)
-    tau1 = min(max(tau1, lo), hi)
-    inner = rec.times[(rec.times > tau0 + eps) & (rec.times < tau1 - eps)]
-    return np.concatenate([[tau1], inner, [tau0]])
 
 
 def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -254,33 +189,32 @@ def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return c
 
 
-def growth_factor(rec: CharRecord, p_along, divv_along, tau0: float, tau1: float) -> float:
-    """``exp(int_tau0^tau1 (p - div v) ds)`` along the traced path."""
-    ts = _knots_between(rec, tau0, tau1)
-    g = np.array([p_along(s) - divv_along(s) for s in ts], dtype=float)
-    return float(np.exp(cumulative_trapezoid(g, ts)[-1]))
+def trapezoid_weights(ts) -> np.ndarray:
+    """Composite-trapezoid quadrature weights on the ascending knots ``ts``."""
+    w = np.zeros(len(ts))
+    if len(ts) > 1:
+        dt = np.diff(ts)
+        w[:-1] += 0.5 * dt
+        w[1:] += 0.5 * dt
+    return w
 
 
-def growth_profile(rec: CharRecord, p_along, divv_along) -> np.ndarray:
-    """Growth factor at every trace knot, measured back from the origin time."""
-    ts = rec.times
-    g = np.array([p_along(s) - divv_along(s) for s in ts], dtype=float)
-    return np.exp(cumulative_trapezoid(g, ts))
-
-
-def exit_jacobian(rec: CharRecord, v, divv_along, v_floor: float = 0.0) -> float:
-    """Change-of-variables factor ``|det DM_i|`` of the exit map.
+def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField, v_floor: float = 0.0) -> float:
+    """Change-of-variables factor ``|det DM_i|`` of the exit map for row ``i``.
 
     Equals ``(1 / v_i(T, X(T))) * exp(int_t^T div v ds)``; this is what
     converts a cell of hit points at time t into a (time x face) cell
-    of boundary data, and it feeds the boundary flux term of the L1
-    a-priori estimate.
+    of boundary data.  The divergence is integrated on the batch's knots
+    up to the exit interval, closed by the exit time itself.
     """
-    if rec.kind != "boundary-hit":
-        raise ValueError("exit_jacobian needs a boundary-hit record")
-    vi = float(np.atleast_2d(v(rec.exit_time, rec.exit_point[None, :]))[0, rec.exit_face])
+    if not batch.exited[i]:
+        raise ValueError("exit_jacobian needs a trace that exited through an inflow face")
+    T, xT, face = batch.exit_time[i], batch.exit_point[i], batch.exit_face[i]
+    vi = float(np.atleast_2d(v(T, xT[None, :]))[0, face])
     if vi <= v_floor:
         raise ValueError("inflow condition violated at exit: v_i <= floor")
-    g = np.array([divv_along(s) for s in rec.times], dtype=float)
-    integral = float(cumulative_trapezoid(g, rec.times)[-1])
+    j = int(batch.exit_interval[i])
+    times = np.append(batch.times[:j + 1], T)
+    path = np.concatenate([batch.path[:j + 1, i], xT[None, :]])
+    integral = float(cumulative_trapezoid(v.div(times, path), times)[-1])
     return float(np.exp(-integral) / vi)

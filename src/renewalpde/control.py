@@ -16,32 +16,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .characteristics import trapezoid_weights
 from .domain import Grid
 from .picard import LocalExistenceError, PicardConfig, Trajectory, solve
-from .models import SIHRParams, build_sihr
-
-
-def _as_rate(val) -> Callable:
-    if callable(val):
-        return val
-    c = float(val)
-    return lambda t, pts: np.full(np.atleast_2d(pts).shape[0], c)
-
-
-def _time_weights(times: np.ndarray) -> np.ndarray:
-    w = np.zeros(len(times))
-    if len(times) > 1:
-        dt = np.diff(times)
-        w[:-1] += 0.5 * dt
-        w[1:] += 0.5 * dt
-    return w
+from .models import SIHRParams, _rate, build_sihr
 
 
 def cost_deaths(traj: Trajectory, mu_i, mu_h) -> float:
     """Space-time integral of mu_I I + mu_H H over the whole run."""
-    mu_i, mu_h = _as_rate(mu_i), _as_rate(mu_h)
+    mu_i, mu_h = _rate(mu_i), _rate(mu_h)
     grid = traj.grid
-    wts = _time_weights(traj.times)
+    wts = trapezoid_weights(traj.times)
     total = 0.0
     for j, t in enumerate(traj.times):
         if wts[j] == 0.0:
@@ -60,10 +45,10 @@ def cost_peak_infection(traj: Trajectory) -> float:
 
 def profit(traj: Trajectory, f1, f2, K1=1.0, K2=1.0) -> float:
     """Harvest revenue: integral of K1 f1 u1 + K2 f2 u2."""
-    f1, f2 = _as_rate(f1), _as_rate(f2)
-    K1, K2 = _as_rate(K1), _as_rate(K2)
+    f1, f2 = _rate(f1), _rate(f2)
+    K1, K2 = _rate(K1), _rate(K2)
     grid = traj.grid
-    wts = _time_weights(traj.times)
+    wts = trapezoid_weights(traj.times)
     total = 0.0
     for j, t in enumerate(traj.times):
         if wts[j] == 0.0:
@@ -87,7 +72,6 @@ class ControlSpec:
 
     bounds: Sequence[tuple[float, float]]
     budget: int
-    target: str = "sihr-kappa"
     breakpoints: Sequence[float] | None = None
     age_bins: Sequence[float] | None = None
     step_fraction: float = 0.25

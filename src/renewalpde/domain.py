@@ -176,14 +176,12 @@ class FaceGrid:
         """Multilinear interpolation of face node values at points on the face.
 
         The face coordinate of ``pts`` is ignored.  Points past the face's
-        edges take the edge values: a trace that left the box through a
-        truncation face can still exit through the inflow face.
+        edges return 0, as in :func:`interp_values`.
         """
         pts = np.atleast_2d(pts)
         if self.lattice is None:
             return np.repeat(vals[:1], pts.shape[0], axis=0)
-        lo, hi = np.array(self.lattice.domain.bounds()).T
-        return interp_values(self.lattice, vals, np.clip(np.delete(pts, self.axis, axis=1), lo, hi))
+        return interp_values(self.lattice, vals, np.delete(pts, self.axis, axis=1))
 
 
 @dataclass(frozen=True)
@@ -251,40 +249,6 @@ def linf_norm(f: GridFn) -> float:
     return float(np.max(np.sum(np.abs(f.values), axis=1)))
 
 
-def integrate_kernel(kernel, f: GridFn, at: np.ndarray, t: float = 0.0):
-    """Midpoint quadrature of ``int K(t, at, x') f(x') dx'``.
-
-    ``kernel(t, x, xs)`` receives the evaluation point ``x`` of shape
-    (d,) and all grid nodes ``xs`` of shape (N, d).  It may return
-
-    * shape ``(N,)`` - a scalar kernel; requires ``f.k == 1``;
-    * shape ``(N, k)`` - one row, contracted against f's components;
-    * shape ``(N, k_out, k)`` - the general matrix kernel.
-
-    Returns a float when the output dimension is 1, else an array.
-    """
-    at = np.asarray(at, dtype=float).reshape(-1)
-    w = np.asarray(kernel(t, at, f.grid.points), dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("kernel returned non-finite values")
-    vol = f.grid.cell_volume
-    if w.ndim == 1:
-        if f.k != 1:
-            raise ValueError("scalar kernel needs a scalar grid function")
-        out = np.array([np.sum(w * f.values[:, 0]) * vol])
-    elif w.ndim == 2:
-        if w.shape != (f.grid.n_nodes, f.k):
-            raise ValueError("kernel dimension mismatch")
-        out = np.array([np.sum(w * f.values) * vol])
-    elif w.ndim == 3:
-        if w.shape[0] != f.grid.n_nodes or w.shape[2] != f.k:
-            raise ValueError("kernel dimension mismatch")
-        out = np.einsum("noh,nh->o", w, f.values) * vol
-    else:
-        raise ValueError("kernel dimension mismatch")
-    return float(out[0]) if out.size == 1 else out
-
-
 def interp_values(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of node values at arbitrary points.
 
@@ -327,10 +291,6 @@ def interp_values(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray
         out += w[:, None] * vals[flat]
     out[~inside] = 0.0
     return out[:, 0] if scalar else out
-
-
-def interp_gridfn(f: GridFn, pts: np.ndarray) -> np.ndarray:
-    return interp_values(f.grid, f.values, pts)
 
 
 def truncation_mass_report(f: GridFn, cells: int = 5) -> dict[str, float]:

@@ -21,6 +21,8 @@ import numpy as np
 
 from .domain import BlowupError, GridFn
 
+_CHUNK = 512  # evaluation points per dense (chunk x N) kernel block
+
 
 class WeightedMassKernel:
     """Kernel ``g(x')`` applied to a single component; x-independent integral."""
@@ -61,11 +63,10 @@ class ScalarComponentKernel:
 
     x_independent = False
 
-    def __init__(self, fn: Callable, comp: int = 0, bound: float = 1.0, chunk: int = 512):
+    def __init__(self, fn: Callable, comp: int = 0, bound: float = 1.0):
         self.fn = fn
         self.comp = comp
         self.bound = float(bound)
-        self.chunk = chunk
         self.k_out = 1
 
     def integrate(self, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
@@ -73,8 +74,8 @@ class ScalarComponentKernel:
         nodes = f.grid.points
         fw = f.values[:, self.comp] * f.grid.cell_volume
         out = np.empty((pts.shape[0], 1))
-        for lo in range(0, pts.shape[0], self.chunk):
-            hi = min(lo + self.chunk, pts.shape[0])
+        for lo in range(0, pts.shape[0], _CHUNK):
+            hi = min(lo + _CHUNK, pts.shape[0])
             g = np.asarray(self.fn(t, pts[lo:hi, None, :], nodes[None, :, :]), dtype=float)
             out[lo:hi, 0] = g @ fw
         return out

@@ -31,13 +31,6 @@ from .domain import Domain, Grid, GridFn, l1_norm
 from .kernels import Kernel, kernel_eta
 
 
-def _as_time_field(val) -> Callable:
-    if callable(val):
-        return val
-    c = float(val)
-    return lambda t: c
-
-
 def _as_space_field(val) -> Callable:
     if callable(val):
         return val
@@ -119,7 +112,6 @@ class SystemDef:
     u0: Callable = None
     constants: HypothesisConstants | None = None
     name: str = "system"
-    inflow_samples: int = 16
     labels: Sequence[str] | None = None
 
     def __post_init__(self):
@@ -134,11 +126,11 @@ class SystemDef:
             setattr(self, attr, row)
         if self.u0 is None:
             raise ValueError("initial datum callback is required")
-        if self.inflow_samples:
-            self._check_inflow(self.inflow_samples)
+        self._check_inflow()
 
-    def _check_inflow(self, samples: int) -> None:
+    def _check_inflow(self) -> None:
         """Sample the inflow faces: every v_i^h must point strictly inward."""
+        samples = 16
         rng = np.random.default_rng(0)
         d = self.domain.dim
         for ax in range(self.domain.m):
@@ -157,43 +149,28 @@ class SystemDef:
         return GridFn.from_callback(grid, self.u0, self.k)
 
 
-def eval_p_many(sys: SystemDef, h: int, t, pts: np.ndarray, w: GridFn) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    eta = kernel_eta(sys.Kp[h], t, pts, w)
-    return np.asarray(sys.P[h](t, pts, eta), dtype=float)
-
-
 def eval_p(sys: SystemDef, h: int, t: float, x: np.ndarray, w: GridFn) -> float:
     """Frozen multiplicative coefficient p^h(t, x, w) at one point."""
-    return float(eval_p_many(sys, h, t, np.asarray(x, dtype=float).reshape(1, -1), w)[0])
-
-
-def eval_q_many(sys: SystemDef, h: int, t, pts: np.ndarray, u: np.ndarray, w: GridFn) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    u = np.atleast_2d(u)
-    eta = kernel_eta(sys.Kq[h], t, pts, w)
-    return np.asarray(sys.Q[h](t, pts, u, eta), dtype=float)
+    pts = np.asarray(x, dtype=float).reshape(1, -1)
+    eta = kernel_eta(sys.Kp[h], t, pts, w)
+    return float(np.asarray(sys.P[h](t, pts, eta), dtype=float)[0])
 
 
 def eval_q(sys: SystemDef, h: int, t: float, x: np.ndarray, u: np.ndarray, w: GridFn) -> float:
     """Frozen additive source q^h(t, x, u, w) at one point."""
-    return float(eval_q_many(sys, h, t, np.asarray(x, dtype=float).reshape(1, -1),
-                             np.asarray(u, dtype=float).reshape(1, -1), w)[0])
-
-
-def eval_ub_many(sys: SystemDef, h: int, t, pts: np.ndarray, w: GridFn) -> np.ndarray:
-    pts = np.atleast_2d(pts)
-    eta = kernel_eta(sys.Ku[h], t, pts, w)
-    return np.asarray(sys.Ub[h](t, pts, eta), dtype=float)
+    pts = np.asarray(x, dtype=float).reshape(1, -1)
+    eta = kernel_eta(sys.Kq[h], t, pts, w)
+    u = np.asarray(u, dtype=float).reshape(1, -1)
+    return float(np.asarray(sys.Q[h](t, pts, u, eta), dtype=float)[0])
 
 
 def eval_ub(sys: SystemDef, h: int, t: float, xi: np.ndarray, w: GridFn) -> float:
     """Boundary datum ub^h(t, xi, w); xi must lie on an inflow face."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    on_face = any(abs(xi[ax]) <= 1e-12 for ax in range(sys.domain.m))
-    if not on_face:
+    xi = np.asarray(xi, dtype=float).reshape(1, -1)
+    if not any(abs(xi[0, ax]) <= 1e-12 for ax in range(sys.domain.m)):
         raise ValueError("boundary point is not on an inflow face")
-    return float(eval_ub_many(sys, h, t, xi.reshape(1, -1), w)[0])
+    eta = kernel_eta(sys.Ku[h], t, xi, w)
+    return float(np.asarray(sys.Ub[h](t, xi, eta), dtype=float)[0])
 
 
 @dataclass

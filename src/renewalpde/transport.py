@@ -107,7 +107,7 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
             span = times[jstar] - T
             cT = c[jstar, idx] + 0.5 * (g[jstar, idx] + gT) * span
             ET = np.exp(cT)
-            data[idx] = lp.ub(T, XT) * ET
+            data[idx] = np.where(batch.truncated[idx], 0.0, lp.ub(T, XT) * ET)
             source[idx] += 0.5 * (fq[jstar, idx] + lp.q(T, XT) * ET) * span
 
         vals = data + source

@@ -4,11 +4,7 @@ import pytest
 from renewalpde.characteristics import (
     VelocityField,
     exit_jacobian,
-    growth_factor,
-    growth_profile,
-    path_point,
     rk4_step,
-    trace_back,
     trace_backward,
 )
 from renewalpde.domain import Domain
@@ -36,75 +32,62 @@ def wiggly_velocity():
 
 def test_constant_velocity_boundary_hit():
     v = VelocityField.constant([1.0])
-    rec = trace_back(v, 1.0, np.array([0.5]), HALFLINE, substeps=32)
-    assert rec.kind == "boundary-hit"
-    assert abs(rec.exit_time - 0.5) <= 1e-10
-    assert rec.exit_face == 0
-    assert rec.exit_point[0] == 0.0
+    b = trace_backward(v, 1.0, [[0.5]], 32, HALFLINE)
+    assert b.exited[0]
+    assert abs(b.exit_time[0] - 0.5) <= 1e-10
+    assert b.exit_face[0] == 0
+    assert b.exit_point[0, 0] == 0.0
 
 
 def test_constant_velocity_interior_foot():
     v = VelocityField.constant([1.0])
-    rec = trace_back(v, 1.0, np.array([1.5]), HALFLINE, substeps=32)
-    assert rec.kind == "interior-foot"
-    assert abs(rec.foot[0] - 0.5) <= 1e-12
-    assert not rec.truncation_exit
+    b = trace_backward(v, 1.0, [[1.5]], 32, HALFLINE)
+    assert not b.exited[0]
+    assert abs(b.feet[0, 0] - 0.5) <= 1e-12
+    assert not b.truncated[0]
 
 
 def test_exponential_flow_foot():
     # dx/ds = x from (t=1, x=e) lands at x = 1 at s = 0
-    rec = trace_back(linear_velocity(), 1.0, np.array([np.e]), HALFLINE, substeps=200)
-    assert rec.kind == "interior-foot"
-    assert abs(rec.foot[0] - 1.0) <= 1e-8
+    b = trace_backward(linear_velocity(), 1.0, [[np.e]], 200, HALFLINE)
+    assert not b.exited[0]
+    assert abs(b.feet[0, 0] - 1.0) <= 1e-8
 
 
 def test_truncation_exit_flagged():
     # backward from small x with negative velocity walks out the far face
     v = VelocityField.constant([-3.0])
-    dom = Domain(half_lengths=(2.0,))
-    rec = trace_back(v, 1.0, np.array([0.5]), dom, substeps=32)
-    assert rec.kind == "interior-foot"
-    assert rec.truncation_exit
-    assert 0.0 <= rec.foot[0] <= 2.0
+    b = trace_backward(v, 1.0, [[0.5]], 32, Domain(half_lengths=(2.0,)))
+    assert not b.exited[0]
+    assert b.truncated[0]
 
 
-def test_growth_factor_trivial_and_constant():
-    v = VelocityField.constant([1.0])
-    rec = trace_back(v, 1.0, np.array([3.0]), HALFLINE, substeps=16)
-    one = growth_factor(rec, lambda s: 0.0, lambda s: 0.0, 0.0, 1.0)
-    assert one == 1.0
-    c = 0.8
-    val = growth_factor(rec, lambda s: c, lambda s: 0.0, 0.2, 0.9)
-    assert abs(val - np.exp(c * 0.7)) <= 1e-10
-
-
-def test_growth_factor_divergence():
-    rec = trace_back(linear_velocity(), 1.0, np.array([np.e]), HALFLINE, substeps=200)
-    val = growth_factor(rec, lambda s: 0.0, lambda s: 1.0, 0.0, 1.0)
-    assert abs(val - np.exp(-1.0)) <= 1e-8
-
-
-def test_growth_profile_starts_at_one():
-    rec = trace_back(wiggly_velocity(), 0.7, np.array([2.0]), HALFLINE, substeps=64)
-    prof = growth_profile(rec, lambda s: 0.3, lambda s: 0.0)
-    assert prof[0] == 1.0
-    assert np.all(prof > 0)
+def test_truncation_before_inflow_exit_flagged():
+    # (a, y) with velocity (1, 2): backward, y leaves [-1, 1] at s = t - (y + 1) / 2
+    # and a reaches 0 at s = t - a.  The second point crosses y = -1 at s = 0.325
+    # and a = 0 at s = 0.3, both inside the substep (0.375, 0.25].
+    v = VelocityField.constant([1.0, 2.0])
+    dom = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
+    pts = [[0.3, 0.5], [0.2, -0.65], [0.1, -0.7], [1.0, 0.2]]
+    b = trace_backward(v, 0.5, pts, 4, dom)
+    assert list(b.exited) == [True, True, True, False]
+    assert list(b.truncated) == [False, True, False, False]
 
 
 def test_exit_jacobian_constant_velocities():
     v1 = VelocityField.constant([1.0])
-    rec = trace_back(v1, 1.0, np.array([0.5]), HALFLINE, substeps=32)
-    assert abs(exit_jacobian(rec, v1, lambda s: 0.0) - 1.0) <= 1e-12
+    b = trace_backward(v1, 1.0, [[0.5]], 32, HALFLINE)
+    assert abs(exit_jacobian(b, 0, v1) - 1.0) <= 1e-12
     v2 = VelocityField.constant([2.0])
-    rec2 = trace_back(v2, 1.0, np.array([0.5]), HALFLINE, substeps=32)
-    assert abs(exit_jacobian(rec2, v2, lambda s: 0.0) - 0.5) <= 1e-12
+    b2 = trace_backward(v2, 1.0, [[0.5]], 32, HALFLINE)
+    assert abs(exit_jacobian(b2, 0, v2) - 0.5) <= 1e-12
 
 
 def test_exit_jacobian_interior_errors():
     v = VelocityField.constant([1.0])
-    rec = trace_back(v, 1.0, np.array([5.0]), HALFLINE, substeps=16)
+    b = trace_backward(v, 1.0, [[5.0]], 16, HALFLINE)
     with pytest.raises(ValueError):
-        exit_jacobian(rec, v, lambda s: 0.0)
+        exit_jacobian(b, 0, v)
 
 
 def test_exit_jacobian_against_finite_difference():
@@ -114,51 +97,29 @@ def test_exit_jacobian_against_finite_difference():
 
     v = VelocityField(fn, lambda t, x: np.ones(np.atleast_2d(x).shape[0]), sup=20.0)
     t, x = 1.0, float(np.exp(0.5) - 1.0)  # exit at T = 0.5
-    rec = trace_back(v, t, np.array([x]), HALFLINE, substeps=400)
-    assert rec.kind == "boundary-hit"
-    assert abs(rec.exit_time - 0.5) <= 1e-8
-
-    def divv_along(s):
-        return 1.0
-
-    jac = exit_jacobian(rec, v, divv_along)
     delta = 1e-5
-    T_hi = trace_back(v, t, np.array([x + delta]), HALFLINE, substeps=400).exit_time
-    T_lo = trace_back(v, t, np.array([x - delta]), HALFLINE, substeps=400).exit_time
-    fd = abs(T_hi - T_lo) / (2 * delta)
+    b = trace_backward(v, t, [[x], [x + delta], [x - delta]], 400, HALFLINE)
+    assert b.exited.all()
+    assert abs(b.exit_time[0] - 0.5) <= 1e-8
+    jac = exit_jacobian(b, 0, v)
+    fd = abs(b.exit_time[1] - b.exit_time[2]) / (2 * delta)
     assert abs(jac - fd) <= 1e-4
 
 
 def test_semigroup_property():
     v = wiggly_velocity()
     t, s, r = 0.9, 0.5, 0.2
-    x = np.array([4.0])
-    direct = trace_back(v, t, x, HALFLINE, substeps=512, t_floor=r).foot
-    mid = trace_back(v, t, x, HALFLINE, substeps=256, t_floor=s).foot
-    two_leg = trace_back(v, s, mid, HALFLINE, substeps=256, t_floor=r).foot
-    assert abs(direct[0] - two_leg[0]) <= 1e-7
-
-
-def test_growth_multiplicativity():
-    v = wiggly_velocity()
-    rec = trace_back(v, 1.0, np.array([4.0]), HALFLINE, substeps=128)
-
-    def p_along(s):
-        return 0.4 * np.sin(s)
-
-    def divv_along(s):
-        return float(v.div(s, path_point(rec, s)[None, :])[0])
-
-    full = growth_factor(rec, p_along, divv_along, 0.1, 0.9)
-    a = growth_factor(rec, p_along, divv_along, 0.1, 0.5)
-    b = growth_factor(rec, p_along, divv_along, 0.5, 0.9)
-    assert abs(full - a * b) <= 1e-10 * full
+    x = [[4.0]]
+    direct = trace_backward(v, t, x, 512, HALFLINE, t_floor=r).feet
+    mid = trace_backward(v, t, x, 256, HALFLINE, t_floor=s).feet
+    two_leg = trace_backward(v, s, mid, 256, HALFLINE, t_floor=r).feet
+    assert abs(direct[0, 0] - two_leg[0, 0]) <= 1e-7
 
 
 def test_time_derivative_matches_velocity():
     v = wiggly_velocity()
-    rec = trace_back(v, 1.0, np.array([5.0]), HALFLINE, substeps=64)
-    ts, path = rec.times, rec.path
+    b = trace_backward(v, 1.0, [[5.0]], 64, HALFLINE)
+    ts, path = b.times, b.path[:, 0]
     for j in range(0, len(ts) - 1, 7):
         dt = ts[j] - ts[j + 1]
         fd = (path[j, 0] - path[j + 1, 0]) / dt
@@ -169,39 +130,22 @@ def test_time_derivative_matches_velocity():
 
 def test_monotone_exit_constant_velocity():
     v = VelocityField.constant([1.0])
-    prev_hit = True
-    for x in np.linspace(0.05, 3.0, 24):
-        rec = trace_back(v, 1.0, np.array([x]), HALFLINE, substeps=32)
-        hit = rec.kind == "boundary-hit"
-        if not prev_hit:
-            assert not hit  # once interior, larger x stays interior
-        prev_hit = hit
+    b = trace_backward(v, 1.0, np.linspace(0.05, 3.0, 24)[:, None], 32, HALFLINE)
+    # once interior, larger x stays interior
+    assert b.exited[0] and not b.exited[-1]
+    assert np.all(np.diff(b.exited.astype(int)) <= 0)
 
 
 def test_exit_consistency_forward_retrace():
     v = wiggly_velocity()
-    x = np.array([0.4])
-    rec = trace_back(v, 1.0, x, HALFLINE, substeps=256)
-    assert rec.kind == "boundary-hit"
+    x = 0.4
+    b = trace_backward(v, 1.0, [[x]], 256, HALFLINE)
+    assert b.exited[0]
     # re-integrate forward with an independent fine RK4
-    y = rec.exit_point.copy()[None, :]
-    s = rec.exit_time
+    y = b.exit_point[:1].copy()
+    s = b.exit_time[0]
     nfwd = 2000
     dt = (1.0 - s) / nfwd
     for i in range(nfwd):
         y = rk4_step(v, s + i * dt, y, dt)
-    assert abs(y[0, 0] - x[0]) <= 1e-6
-
-
-def test_batch_matches_single_traces():
-    v = wiggly_velocity()
-    pts = np.array([[0.3], [1.7], [6.2]])
-    batch = trace_backward(v, 1.0, pts, 128, HALFLINE)
-    for i, x in enumerate(pts):
-        rec = trace_back(v, 1.0, x, HALFLINE, substeps=128)
-        if rec.kind == "boundary-hit":
-            assert batch.exited[i]
-            assert abs(batch.exit_time[i] - rec.exit_time) <= 1e-12
-        else:
-            assert not batch.exited[i]
-            assert abs(batch.feet[i, 0] - rec.foot[0]) <= 1e-12
+    assert abs(y[0, 0] - x) <= 1e-6

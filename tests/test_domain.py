@@ -6,8 +6,7 @@ from renewalpde.domain import (
     Domain,
     Grid,
     GridFn,
-    integrate_kernel,
-    interp_gridfn,
+    interp_values,
     l1_norm,
     linf_norm,
 )
@@ -73,35 +72,6 @@ def test_norm_errors_on_nan():
         linf_norm(GridFn(g, vals))
 
 
-def test_integrate_kernel_zero():
-    g = grid_1d(2.0, 100)
-    f = GridFn.from_callback(g, indicator(0.0, 1.0))
-    val = integrate_kernel(lambda t, x, xs: np.zeros(xs.shape[0]), f, np.array([1.0]))
-    assert val == 0.0
-
-
-def test_integrate_kernel_constant():
-    g = grid_1d(2.0, 400)
-    f = GridFn.from_callback(g, indicator(0.0, 1.0))
-    val = integrate_kernel(lambda t, x, xs: np.ones(xs.shape[0]), f, np.array([0.3]))
-    assert abs(val - 1.0) <= 0.005
-
-
-def test_integrate_kernel_window():
-    g = grid_1d(2.0, 400)
-    f = GridFn(g, np.ones(400))
-    ker = lambda t, x, xs: (np.abs(xs[:, 0] - x[0]) < 0.5).astype(float)
-    val = integrate_kernel(ker, f, np.array([1.0]))
-    assert abs(val - 1.0) <= 0.01
-
-
-def test_integrate_kernel_nonfinite_errors():
-    g = grid_1d(1.0, 16)
-    f = GridFn(g, np.ones(16))
-    with pytest.raises(ValueError):
-        integrate_kernel(lambda t, x, xs: np.full(xs.shape[0], np.inf), f, np.array([0.5]))
-
-
 def test_triangle_inequality_and_scaling():
     rng = np.random.default_rng(7)
     g = grid_1d(2.0, 64)
@@ -111,18 +81,6 @@ def test_triangle_inequality_and_scaling():
         assert l1_norm(a + b) <= l1_norm(a) + l1_norm(b) + 1e-12
         c = float(rng.normal())
         assert abs(l1_norm(c * a) - abs(c) * l1_norm(a)) <= 1e-12 * (1 + l1_norm(a))
-
-
-def test_kernel_linearity():
-    rng = np.random.default_rng(11)
-    g = grid_1d(2.0, 64)
-    ker = lambda t, x, xs: np.cos(xs[:, 0] - x[0])
-    a = GridFn(g, rng.normal(size=64))
-    b = GridFn(g, rng.normal(size=64))
-    at = np.array([0.7])
-    lhs = integrate_kernel(ker, GridFn(g, 2.0 * a.values + 3.0 * b.values), at)
-    rhs = 2.0 * integrate_kernel(ker, a, at) + 3.0 * integrate_kernel(ker, b, at)
-    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_refinement_stability():
@@ -138,17 +96,17 @@ def test_interp_exact_at_nodes_and_outside_zero():
     g = Grid(Domain(half_lengths=(1.0,), full_lengths=(1.0,)), (8, 6))
     rng = np.random.default_rng(3)
     f = GridFn(g, rng.normal(size=(48, 2)))
-    got = interp_gridfn(f, g.points)
+    got = interp_values(g, f.values, g.points)
     assert np.allclose(got, f.values)
     outside = np.array([[2.0, 0.0], [0.5, 5.0], [-0.1, 0.0]])
-    assert np.all(interp_gridfn(f, outside) == 0.0)
+    assert np.all(interp_values(g, f.values, outside) == 0.0)
 
 
 def test_interp_linear_in_between():
     g = Grid(Domain(half_lengths=(1.0,)), (10,))
     f = GridFn(g, 3.0 * g.points[:, 0] + 1.0)
     pts = np.array([[0.5], [0.22], [0.91]])
-    assert np.allclose(interp_gridfn(f, pts)[:, 0], 3.0 * pts[:, 0] + 1.0)
+    assert np.allclose(interp_values(g, f.values, pts)[:, 0], 3.0 * pts[:, 0] + 1.0)
 
 
 def test_face_grid_nodes_and_interpolation():
@@ -159,8 +117,11 @@ def test_face_grid_nodes_and_interpolation():
     assert np.isclose(fg.measure, 2.0)
     vals = 1.0 + fg.points[:, 1] - 2.0 * fg.points[:, 2]
     pts = np.array([[0.0, 0.3, 0.25], [0.0, 0.05, -0.95], [0.0, 0.5, 1.3]])
-    # affine data are exact inside the node hull; past it the edge node's value holds
+    # affine data are exact inside the node hull; past it, inside the box, the
+    # edge node's value holds; past the box (y = 1.3) the value is 0
     edge = np.clip(pts, [0.0, g.axes[1][0], g.axes[2][0]], [0.0, g.axes[1][-1], g.axes[2][-1]])
-    assert np.allclose(fg.interp(vals, pts), 1.0 + edge[:, 1] - 2.0 * edge[:, 2])
+    expected = 1.0 + edge[:, 1] - 2.0 * edge[:, 2]
+    expected[2] = 0.0
+    assert np.allclose(fg.interp(vals, pts), expected)
     point_face = Grid(Domain(half_lengths=(2.0,)), (8,)).face_grid(0)
     assert np.array_equal(point_face.interp(np.array([3.0]), np.zeros((2, 1))), [3.0, 3.0])

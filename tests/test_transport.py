@@ -67,6 +67,37 @@ def test_boundary_fill():
     assert err <= 2 * grid.dx[0]
 
 
+def test_divergence_growth_term():
+    # v = 1 + x has div v = 1; the foot of (t, x) is (1 + x) e^{-t} - 1 and the
+    # datum there is damped by exp(-int div v) = e^{-t}
+    grid = Grid(Domain(half_lengths=(8.0,)), (400,))
+    u0 = lambda x: np.exp(-((x - 2.0) / 0.4) ** 2)
+    v = VelocityField(lambda t, x: 1.0 + np.atleast_2d(x),
+                      lambda t, x: np.ones(np.atleast_2d(x).shape[0]), sup=9.0)
+    lp = LinearProblem(v, zero_field, zero_field, zero_field, GridFn(grid, u0(grid.points[:, 0])))
+    t = 0.5
+
+    def exact(x):
+        foot = (1.0 + x) * np.exp(-t) - 1.0
+        return np.where(foot >= 0.0, np.exp(-t) * u0(foot), 0.0)
+
+    err = exact_l1_distance(grid, evaluate(lp, t, grid, substeps=32), exact)
+    assert err <= 1e-3
+
+
+def test_truncated_trace_gets_no_boundary_datum():
+    # (a, y) with velocity (1, 2): a trace that leaves y >= -1 before it reaches
+    # a = 0 carries the truncation value 0, not ub = 1
+    grid = Grid(Domain(half_lengths=(2.0,), full_lengths=(1.0,)), (40, 20))
+    lp = LinearProblem(VelocityField.constant([1.0, 2.0]), zero_field, zero_field,
+                       const_field(1.0), GridFn.zeros(grid))
+    t = 0.5
+    u = evaluate(lp, t, grid)
+    a, y = grid.points.T
+    exact = ((a < t) & (y - 2.0 * a >= -1.0)).astype(float)
+    assert float(np.sum(np.abs(u.values[:, 0] - exact)) * grid.cell_volume) <= 0.06
+
+
 def test_boundary_time_profile():
     # ub(t) = t rides in along characteristics: u(1, x) = (1-x) for x < 1
     grid = make_grid(400, 4.0)
