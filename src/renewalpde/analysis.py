@@ -27,6 +27,8 @@ from .picard import FrozenCoefficients, Trajectory
 from .problem import HypothesisConstants, SystemDef
 from .transport import LinearProblem, evaluate
 
+_GRONWALL_STEPS = 2000  # RK4 steps of the scalar comparison ODE
+
 
 @dataclass
 class Certificate:
@@ -160,7 +162,7 @@ def linear_stability_certificate(lp1: LinearProblem, lp2: LinearProblem, grid: G
 
 
 def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants, traj: Trajectory,
-                         tol: float = 0.05, n_fine: int = 2000) -> Certificate:
+                         tol: float = 0.05) -> Certificate:
     """Mass inequality m' <= (||C1|| + k ||B||_1) + (||C2|| + ||B||_1) m.
 
     Integrates the scalar comparison ODE from the initial mass and
@@ -172,14 +174,14 @@ def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants, traj: Trajecto
     masses = traj.component_masses().sum(axis=1)
     if t_end <= 0:
         return _certificate("gronwall-mass", masses[0], masses[0], tol)
-    ts = np.linspace(0.0, t_end, n_fine + 1)
-    dt = t_end / n_fine
-    bound_vals = np.empty(n_fine + 1)
+    ts = np.linspace(0.0, t_end, _GRONWALL_STEPS + 1)
+    dt = t_end / _GRONWALL_STEPS
+    bound_vals = np.empty(_GRONWALL_STEPS + 1)
     m = masses[0]
     bound_vals[0] = m
     a_sup = hc.c1_l1(0.0, grid) + sys.k * b1
     b_sup = hc.c2_at(0.0) + b1
-    for i in range(n_fine):
+    for i in range(_GRONWALL_STEPS):
         a_sup = max(a_sup, hc.c1_l1(ts[i], grid) + sys.k * b1)
         b_sup = max(b_sup, hc.c2_at(ts[i]) + b1)
 
@@ -273,9 +275,6 @@ class TestFunction:
             prod_others = np.prod(bx[:, others], axis=1) if others else 1.0
             out[:, ax] = bt * dbx[:, ax] * prod_others
         return out
-
-    def support_measure(self) -> float:
-        return float(2.0 * self.t_radius * np.prod(2.0 * self.x_radius))
 
 
 _BUMP_D_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max of |4 s (1-s^2)| on [-1,1]

@@ -2,17 +2,19 @@
 
 A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 ``X(t) = x``.  Tracing backward either reaches ``s = t_floor`` at an
-interior foot point, or crosses an inflow face ``x_i = 0`` of a
-half-line axis at the exit time ``T(t, x)``, refined here by bisection.
-Along the trace the solution of the frozen linear equation picks up the
-growth factor ``exp(int (p - div v) ds)`` and a source integral; both
-are computed by composite trapezoid on the trace knots (see
+interior foot point, or leaves the box at the exit time ``T(t, x)``,
+refined here by bisection: through an inflow face ``x_i = 0`` of a
+half-line axis, where it picks up the boundary datum, or through a
+truncation face, where it carries 0.  Up to the foot or the exit the
+trace picks up the growth factor ``exp(int (p - div v) ds)`` and a
+source integral, both by composite trapezoid on the trace knots (see
 ``transport.evaluate``).
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
-``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``.
-The divergence is a required callback, never finite-differenced: it
-enters an exponential and noise there would not average out.
+``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``;
+``div(t, x)`` gets one time per point and returns ``(P,)``.  The
+divergence is a required callback, never finite-differenced: it enters
+an exponential and noise there would not average out.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ class TraceBatch:
     """All grid characteristics traced at once on shared time knots.
 
     ``path[j]`` holds positions at ``times[j]``; rows of exited points
-    are frozen at their exit point for knots past the exit.  The exit
-    time of point p lies in ``(times[j+1], times[j]]`` with
-    ``j = exit_interval[p]``.  ``truncated`` marks traces that left the
-    box through a truncation face, whether they end at a foot or at an
-    exit point; their datum is 0.
+    are frozen at their exit point for knots past the exit.  ``exited``
+    marks traces that left the box through any face; the exit time of
+    point p lies in ``(times[j+1], times[j]]`` with
+    ``j = exit_interval[p]``.  ``exit_face`` is the axis of an inflow
+    face, or -1 for a truncation face, which ``truncated`` also marks;
+    the datum there is 0.  Traces that did not exit end at a foot.
     """
 
     times: np.ndarray
@@ -90,35 +93,34 @@ class TraceBatch:
         return self.path[-1]
 
 
-def _outside_box(domain: Domain, x: np.ndarray) -> np.ndarray:
-    """Escape through an artificial truncation face (not an inflow face)."""
-    out = np.zeros(x.shape[0], dtype=bool)
-    bounds = domain.bounds()
-    for i in range(domain.m):
-        out |= x[:, i] > bounds[i][1]
-    for ax in range(domain.m, domain.dim):
-        lo, hi = bounds[ax]
-        out |= (x[:, ax] < lo) | (x[:, ax] > hi)
-    return out
+def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` that lie outside the box ``[lower, upper]``."""
+    return ((x < lower) | (x > upper)).any(axis=1)
 
 
-def _refine_exit(v, s_hi: float, x_hi: np.ndarray, s_lo: float, m: int, tol: float):
-    """Bisect the crossing time of ``min_i X_i`` in ``(s_lo, s_hi]``."""
+def _refine_exit(v, s_hi: float, x_hi: np.ndarray, s_lo: float,
+                 lower: np.ndarray, upper: np.ndarray, m: int, tol: float):
+    """Bisect the time in ``(s_lo, s_hi]`` at which each trace leaves the box.
+
+    The face is the bound nearest the exit point: the lower bound of half-line
+    axis ``i`` is inflow face ``i`` (coordinate pinned to 0), any other -1.
+    """
     npts = x_hi.shape[0]
     lo = np.full(npts, s_lo)
     hi = np.full(npts, s_hi)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
-        x_mid = rk4_step(v, s_hi, x_hi, mid - s_hi)
-        neg = x_mid[:, :m].min(axis=1) < 0.0
-        lo[neg] = mid[neg]
-        hi[~neg] = mid[~neg]
-        if np.max(hi - lo) < tol:
+        out = _outside(rk4_step(v, s_hi, x_hi, mid - s_hi), lower, upper)
+        lo[out] = mid[out]
+        hi[~out] = mid[~out]
+        if (hi - lo).max() < tol:
             break
     T = 0.5 * (lo + hi)
     xT = rk4_step(v, s_hi, x_hi, T - s_hi)
-    face = np.argmin(xT[:, :m], axis=1)
-    xT[np.arange(npts), face] = 0.0
+    nearest = np.argmin(np.abs(np.concatenate([xT - lower, xT - upper], axis=1)), axis=1)
+    face = np.where(nearest < m, nearest, -1)
+    inflow = np.nonzero(face >= 0)[0]
+    xT[inflow, face[inflow]] = 0.0
     return T, xT, face
 
 
@@ -127,7 +129,6 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
     """Trace every point of ``pts`` backward from ``t`` to ``t_floor``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts, d = pts.shape
-    m = domain.m
     if t < t_floor - 1e-15:
         raise ValueError("cannot trace to a floor above t")
     substeps = max(1, int(substeps))
@@ -147,7 +148,7 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
     exit_point = np.full((npts, d), np.nan)
     exit_face = np.full(npts, -1, dtype=int)
     exit_interval = np.full(npts, -1, dtype=int)
-    truncated = np.zeros(npts, dtype=bool)
+    lower, upper = np.array(domain.bounds()).T.copy()
     tol = 1e-12 * max(abs(t), 1e-6)
 
     for j in range(substeps):
@@ -156,24 +157,20 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
         if not np.all(np.isfinite(x_new[active])):
             raise ValueError("non-finite velocity along characteristic")
         x_new[exited] = x[exited]
-        if m > 0:
-            newly = active & (x_new[:, :m].min(axis=1) < 0.0)
-            if newly.any():
-                T, xT, face = _refine_exit(v, times[j], x[newly], times[j + 1], m, tol)
-                exit_time[newly] = T
-                exit_point[newly] = xT
-                exit_face[newly] = face
-                exit_interval[newly] = j
-                exited |= newly
-                x_new[newly] = xT
-        # Exits of this substep are checked at their exit point: a trace can
-        # cross a truncation face and then the inflow face within one step.
-        if active.any():
-            truncated[active] |= _outside_box(domain, x_new[active])
+        newly = active & _outside(x_new, lower, upper)
+        if newly.any():
+            T, xT, face = _refine_exit(v, times[j], x[newly], times[j + 1],
+                                       lower, upper, domain.m, tol)
+            exit_time[newly] = T
+            exit_point[newly] = xT
+            exit_face[newly] = face
+            exit_interval[newly] = j
+            exited |= newly
+            x_new[newly] = xT
         x = x_new
         path[j + 1] = x
     return TraceBatch(times, path, exited, exit_time, exit_point,
-                      exit_face, exit_interval, truncated)
+                      exit_face, exit_interval, exited & (exit_face < 0))
 
 
 def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -199,7 +196,7 @@ def trapezoid_weights(ts) -> np.ndarray:
     return w
 
 
-def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField, v_floor: float = 0.0) -> float:
+def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField) -> float:
     """Change-of-variables factor ``|det DM_i|`` of the exit map for row ``i``.
 
     Equals ``(1 / v_i(T, X(T))) * exp(int_t^T div v ds)``; this is what
@@ -207,12 +204,12 @@ def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField, v_floor: float = 
     of boundary data.  The divergence is integrated on the batch's knots
     up to the exit interval, closed by the exit time itself.
     """
-    if not batch.exited[i]:
+    if batch.exit_face[i] < 0:
         raise ValueError("exit_jacobian needs a trace that exited through an inflow face")
     T, xT, face = batch.exit_time[i], batch.exit_point[i], batch.exit_face[i]
     vi = float(np.atleast_2d(v(T, xT[None, :]))[0, face])
-    if vi <= v_floor:
-        raise ValueError("inflow condition violated at exit: v_i <= floor")
+    if vi <= 0.0:
+        raise ValueError("inflow condition violated at exit: v_i <= 0")
     j = int(batch.exit_interval[i])
     times = np.append(batch.times[:j + 1], T)
     path = np.concatenate([batch.path[:j + 1, i], xT[None, :]])

@@ -74,8 +74,6 @@ class ControlSpec:
     budget: int
     breakpoints: Sequence[float] | None = None
     age_bins: Sequence[float] | None = None
-    step_fraction: float = 0.25
-    min_step_fraction: float = 1e-3
 
     def __post_init__(self):
         if len(self.bounds) < 1:
@@ -125,17 +123,18 @@ class OptimizeResult:
 def optimize(evaluate_cost: Callable[[np.ndarray], float], spec: ControlSpec) -> OptimizeResult:
     """Deterministic coordinate pattern search within the control box.
 
-    Starts at the box midpoint, probes +/- step along one coordinate at
-    a time, accepts strict improvements immediately, halves every step
-    after a full sweep without improvement, and stops at the evaluation
-    budget or once all steps drop below 1e-3 of their ranges.  Probes
-    whose solve fails are discarded with a warning.
+    Starts at the box midpoint with steps of a quarter of each range,
+    probes +/- step along one coordinate at a time, accepts strict
+    improvements immediately, halves every step after a full sweep
+    without improvement, and stops at the evaluation budget or once all
+    steps drop below 1e-3 of their ranges.  Probes whose solve fails
+    are discarded with a warning.
     """
     lo = np.array([b[0] for b in spec.bounds])
     hi = np.array([b[1] for b in spec.bounds])
     rng = np.maximum(hi - lo, 1e-300)
     x = 0.5 * (lo + hi)
-    steps = spec.step_fraction * rng
+    steps = 0.25 * rng
 
     def safe_eval(pt: np.ndarray) -> float:
         try:
@@ -147,7 +146,7 @@ def optimize(evaluate_cost: Callable[[np.ndarray], float], spec: ControlSpec) ->
     best = safe_eval(x)
     evals = 1
     trace = [best]
-    while evals < spec.budget and np.max(steps / rng) >= spec.min_step_fraction:
+    while evals < spec.budget and np.max(steps / rng) >= 1e-3:
         improved = False
         for i in range(len(x)):
             if evals >= spec.budget:

@@ -3,9 +3,10 @@
 The state space is a product of ``m`` half-lines (each truncated to
 ``[0, L]``, with the genuine inflow boundary at coordinate 0) and ``n``
 full lines (truncated to ``[-L, L]``).  Axes are ordered half-line axes
-first.  Truncation faces are artificial: characteristics crossing them
-are treated as carrying value 0 inward, so runs must keep the
-interesting mass away from them.
+first.  Truncation faces are artificial: a characteristic that crosses
+one carries the value 0 from the crossing on, with no source or growth
+picked up outside the box, so runs must keep the interesting mass away
+from them.
 
 Grids are uniform and cell-centered; quadrature is the midpoint rule,
 i.e. every node carries the weight ``prod(dx)``.  That is second order

@@ -46,20 +46,22 @@ class LocalExistenceError(RuntimeError):
         self.bracket = (t_lo, t_hi)
 
 
+_MAX_ITERS = 40  # Picard sweeps per slab attempt
+_BALL_MARGIN = 2.0  # ball radius: mass + max(margin, rel_margin * mass)
+_BALL_REL_MARGIN = 0.5
+_DT_TARGET = 1.0 / 16.0  # knot spacing aimed for within a slab
+_SUBSTEPS_PER_INTERVAL = 4  # trace substeps per knot interval
+_MAX_SLABS = 2000
+
+
 @dataclass
 class PicardConfig:
     slab_length: float = 0.25
     eps_fix: float = 1e-7
-    max_iters: int = 40
     theta_max: float = 0.5
     ball_mass: float | None = None
-    ball_margin: float = 2.0
-    ball_rel_margin: float = 0.5
-    dt_target: float = 1.0 / 16.0
     min_knots: int = 8
-    substeps_per_interval: int = 4
     min_slab_factor: float = 1e-6
-    max_slabs: int = 2000
 
     def __post_init__(self):
         if self.eps_fix <= 0:
@@ -81,6 +83,17 @@ class SlabDiagnostics:
     ball: float
     halvings: int
     norm_X: float
+
+
+def _bracket(times: np.ndarray, t):
+    """Knot interval ``j`` and weight ``lam`` in [0, 1] of ``t``; knots may be non-uniform."""
+    t = np.asarray(t, dtype=float)
+    K = len(times) - 1
+    if K == 0:
+        return np.zeros(t.shape, dtype=int), np.zeros(t.shape)
+    j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, K - 1)
+    lam = np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)
+    return j, lam
 
 
 @dataclass
@@ -105,15 +118,9 @@ class Trajectory:
         return self.states[0].k
 
     def state_at(self, t: float) -> GridFn:
-        ts = self.times
-        if t <= ts[0]:
-            return self.states[0]
-        if t >= ts[-1]:
-            return self.states[-1]
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        j = min(j, len(ts) - 2)
-        lam = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return GridFn(self.grid, (1 - lam) * self.states[j].values + lam * self.states[j + 1].values)
+        j, lam = _bracket(self.times, t)
+        a, b = self.states[int(j)], self.states[min(int(j) + 1, len(self.states) - 1)]
+        return GridFn(self.grid, (1 - lam) * a.values + lam * b.values)
 
     def component_masses(self) -> np.ndarray:
         """Per-knot, per-component L1 masses, shape (n_knots, k)."""
@@ -143,7 +150,7 @@ class FrozenCoefficients:
     Nonlocal integrals are sampled once per knot (on the grid when they
     depend on the evaluation point) and interpolated linearly in time
     and multilinearly in space; the outer maps P/Q/Ub are then applied
-    at the exact query points.  Time arguments may be per-point vectors.
+    at the exact query points and times, one time per point.
     """
 
     def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn]):
@@ -153,7 +160,6 @@ class FrozenCoefficients:
         self.states = list(states)
         self.grid = states[0].grid
         self.K = len(times) - 1
-        self.t0 = float(times[0])
         self._eta_p = self._freeze(sys.Kp[h], boundary=False)
         self._eta_q = self._freeze(sys.Kq[h], boundary=False)
         self._eta_u = self._freeze(sys.Ku[h], boundary=True)
@@ -188,28 +194,14 @@ class FrozenCoefficients:
     def _sample_w(self, j: int, pts: np.ndarray) -> np.ndarray:
         return interp_values(self.grid, self.states[j].values, pts)
 
-    def _bracket(self, t):
-        """Knot interval and interpolation weight; knots may be non-uniform."""
-        t_arr = np.asarray(t, dtype=float)
-        if self.K == 0:
-            z = np.zeros_like(t_arr, dtype=int)
-            return z, np.zeros_like(t_arr)
-        j = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, self.K - 1)
-        span = self.times[j + 1] - self.times[j]
-        lam = np.clip((t_arr - self.times[j]) / span, 0.0, 1.0)
-        return j, lam
-
     def _blend(self, sample, t, pts: np.ndarray, width: int = 1) -> np.ndarray:
         """Mix the samples at the two knots bracketing ``t``, linearly in t.
 
-        ``t`` is a scalar or one time per point; a None sampler is zero.
+        ``t`` is one time per point or a scalar; a None sampler is zero.
         """
         if sample is None:
             return np.zeros((pts.shape[0], width))
-        j, lam = self._bracket(t)
-        if np.ndim(j) == 0:
-            j = int(j)
-            return (1.0 - lam) * sample(j, pts) + lam * sample(min(j + 1, self.K), pts)
+        j, lam = _bracket(self.times, np.broadcast_to(t, pts.shape[:1]))
         out = np.empty((pts.shape[0], width))
         for jv in np.unique(j):
             mask = j == jv
@@ -243,7 +235,7 @@ class FrozenCoefficients:
         return LinearProblem(self.sys.velocities[self.h], self.p, self.q, self.ub, u0h)
 
 
-def apply_T(sys: SystemDef, w: Trajectory, cfg: PicardConfig) -> Trajectory:
+def apply_T(sys: SystemDef, w: Trajectory) -> Trajectory:
     """One freeze-and-solve sweep: returns the slab trajectory u = T w."""
     grid = w.grid
     times = w.times
@@ -254,7 +246,7 @@ def apply_T(sys: SystemDef, w: Trajectory, cfg: PicardConfig) -> Trajectory:
     out_states = [w.states[0]]
     for j in range(1, K + 1):
         tj = float(times[j])
-        substeps = j * cfg.substeps_per_interval
+        substeps = j * _SUBSTEPS_PER_INTERVAL
         batches = {}
         cols = np.empty((grid.n_nodes, sys.k))
         for h in range(sys.k):
@@ -267,17 +259,13 @@ def apply_T(sys: SystemDef, w: Trajectory, cfg: PicardConfig) -> Trajectory:
     return Trajectory(times.copy(), out_states)
 
 
-def _effective_ball(cfg: PicardConfig, base_mass: float) -> float:
-    if cfg.ball_mass is not None:
-        return cfg.ball_mass
-    return base_mass + max(cfg.ball_margin, cfg.ball_rel_margin * base_mass)
-
-
 def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
                h_init: float | None = None) -> Trajectory:
     """Picard iteration on one slab, halving its length until it converges."""
     base_mass = l1_norm(u_init)
-    M = _effective_ball(cfg, base_mass)
+    M = cfg.ball_mass
+    if M is None:
+        M = base_mass + max(_BALL_MARGIN, _BALL_REL_MARGIN * base_mass)
     if base_mass + 1.0 >= M:
         raise ValueError("ball radius must exceed the slab's initial mass + 1")
     h = h_init if h_init is not None else cfg.slab_length
@@ -285,14 +273,14 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
     while True:
         if h < cfg.min_slab_factor * cfg.slab_length:
             raise LocalExistenceError(t0, t0 + 2 * h)
-        K = max(cfg.min_knots, int(math.ceil(h / cfg.dt_target)))
+        K = max(cfg.min_knots, int(math.ceil(h / _DT_TARGET)))
         times = t0 + np.linspace(0.0, h, K + 1)
         w = Trajectory(times, [u_init] * (K + 1))
         distances: list[float] = []
         ratios: list[float] = []
-        for _ in range(cfg.max_iters):
+        for _ in range(_MAX_ITERS):
             try:
-                u = apply_T(sys, w, cfg)
+                u = apply_T(sys, w)
             except BlowupError:
                 break
             d = dist_X(u.states, w.states)
@@ -336,7 +324,7 @@ def solve(sys: SystemDef, grid: Grid, horizon: float, cfg: PicardConfig,
     t = 0.0
     h_next = cfg.slab_length
     while t < horizon - 1e-12:
-        if len(diags) >= cfg.max_slabs:
+        if len(diags) >= _MAX_SLABS:
             raise LocalExistenceError(t, horizon, "slab budget exhausted before horizon")
         h_try = min(h_next, horizon - t)
         slab = solve_slab(sys, u, t, cfg, h_init=h_try)

@@ -16,7 +16,8 @@ declaring and auditing is the honest contract.
 
 Outer maps are vectorized over points: ``P(t, pts, eta)`` with pts of
 shape (P, d) and eta of shape (P, k_out) returns (P,); Q additionally
-receives the pointwise state u of shape (P, k).
+receives the pointwise state u of shape (P, k).  The solver passes one
+time per point, ``t`` of shape (P,), as it does to velocity callbacks.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ class HypothesisConstants:
 
     def q2_l1(self, grid: Grid) -> float:
         return float(np.sum(np.abs(self.q2_at(grid.points))) * grid.cell_volume)
-
-    def q2_sup(self, grid: Grid) -> float:
-        return float(np.max(np.abs(self.q2_at(grid.points)), initial=0.0))
 
     def b_at(self, pts: np.ndarray) -> np.ndarray:
         return _as_space_field(self.B)(pts)

@@ -11,10 +11,11 @@ pointwise per grid node, so there is no CFL restriction and no time
 stepping: the value at any t is obtained by a single trace from t back
 to the initial (or exit) time.
 
-Coefficient callbacks are evaluated in batch: ``p(t, pts)`` with pts of
-shape (P, d) returns (P,), and ``t`` may be a per-point vector (needed
-at per-point exit times).  Boundary callbacks receive face points as
-full d-dimensional coordinates with the face coordinate equal to 0.
+Coefficient callbacks are evaluated in batch, once per trace on all
+its knots and once at the exit points: ``p(t, pts)`` with pts of shape
+(P, d) returns (P,), and ``t`` is one time per point.  Boundary
+callbacks receive face points as full d-dimensional coordinates with
+the face coordinate equal to 0.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def zero_field(t, pts):
     return np.zeros(pts.shape[0])
 
 
-def auto_substeps(grid: Grid, span: float, vsup: float, floor: int = 16) -> int:
-    """Enough RK4 steps that one step moves at most one cell."""
+def auto_substeps(grid: Grid, span: float, vsup: float) -> int:
+    """Enough RK4 steps that one step moves at most one cell, and at least 16."""
     if span <= 0:
         return 1
-    return max(floor, int(math.ceil(span * max(vsup, 1e-12) / grid.min_dx)))
+    return max(16, int(math.ceil(span * max(vsup, 1e-12) / grid.min_dx)))
 
 
 def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = None,
@@ -73,11 +74,10 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
         return GridFn(grid, interp_values(grid, lp.u0.values[:, 0], grid.points))
 
     npts = grid.n_nodes
-    g = np.empty((nknots, npts))
-    qv = np.empty((nknots, npts))
-    for j in range(nknots):
-        g[j] = lp.p(times[j], path[j]) - lp.velocity.div(times[j], path[j])
-        qv[j] = lp.q(times[j], path[j])
+    tk = np.repeat(times, npts)
+    xk = path.reshape(nknots * npts, -1)
+    g = (lp.p(tk, xk) - lp.velocity.div(tk, xk)).reshape(nknots, npts)
+    qv = lp.q(tk, xk).reshape(nknots, npts)
 
     with np.errstate(over="ignore", invalid="ignore"):
         dt = times[:-1] - times[1:]
@@ -95,7 +95,6 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
         interior = ~batch.exited
         if interior.any():
             u0_feet = interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
-            u0_feet[batch.truncated[interior]] = 0.0
             data[interior] = u0_feet * E[-1, interior]
 
         if batch.exited.any():

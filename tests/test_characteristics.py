@@ -58,8 +58,10 @@ def test_truncation_exit_flagged():
     # backward from small x with negative velocity walks out the far face
     v = VelocityField.constant([-3.0])
     b = trace_backward(v, 1.0, [[0.5]], 32, Domain(half_lengths=(2.0,)))
-    assert not b.exited[0]
+    assert b.exited[0]
     assert b.truncated[0]
+    assert abs(b.exit_time[0] - 0.5) <= 1e-10
+    assert b.exit_face[0] == -1
 
 
 def test_truncation_before_inflow_exit_flagged():
@@ -86,6 +88,17 @@ def test_exit_jacobian_constant_velocities():
 def test_exit_jacobian_interior_errors():
     v = VelocityField.constant([1.0])
     b = trace_backward(v, 1.0, [[5.0]], 16, HALFLINE)
+    with pytest.raises(ValueError):
+        exit_jacobian(b, 0, v)
+
+
+def test_exit_jacobian_truncated_exit_errors():
+    # the second point of test_truncation_before_inflow_exit_flagged leaves
+    # through the truncation face y = -1, not through the inflow face a = 0
+    v = VelocityField.constant([1.0, 2.0])
+    dom = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
+    b = trace_backward(v, 0.5, [[0.2, -0.65]], 4, dom)
+    assert b.exited[0] and b.truncated[0]
     with pytest.raises(ValueError):
         exit_jacobian(b, 0, v)
 

@@ -31,12 +31,11 @@ def test_apply_T_constant_for_decoupled_system():
     sys_ = build_sihr(SIHRParams(mu_i=0.3, rho=0.0))
     grid = Grid(sys_.domain, (64,))
     times = np.linspace(0.0, 0.5, 9)
-    cfg = PicardConfig()
     w1 = constant_trajectory(sys_, grid, times)
     u0 = sys_.initial_state(grid)
     w2 = Trajectory(times, [u0 * (1.0 + 0.3 * j) for j in range(9)])
-    a = apply_T(sys_, w1, cfg)
-    b = apply_T(sys_, w2, cfg)
+    a = apply_T(sys_, w1)
+    b = apply_T(sys_, w2)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.values, sb.values)
 
@@ -46,7 +45,7 @@ def test_apply_T_blowup_frozen_exponential():
     grid = Grid(sys_.domain, (400,))
     times = np.linspace(0.0, 0.5, 9)
     w = constant_trajectory(sys_, grid, times)
-    u = apply_T(sys_, w, PicardConfig())
+    u = apply_T(sys_, w)
     # frozen coefficient is the constant initial window mass 1, so the
     # image evolves like e^t times the datum
     for j, t in enumerate(times):
@@ -59,7 +58,7 @@ def test_apply_T_single_sweep_solves_decoupled():
     sys_ = build_sihr(SIHRParams(mu_i=0.3, kappa=0.1, rho=0.0))
     grid = Grid(sys_.domain, (128,))
     times = np.linspace(0.0, 1.0, 17)
-    u = apply_T(sys_, constant_trajectory(sys_, grid, times), PicardConfig())
+    u = apply_T(sys_, constant_trajectory(sys_, grid, times))
     m0 = np.sum(np.abs(u.states[0].values[:, 1])) * grid.cell_volume
     mT = np.sum(np.abs(u.states[-1].values[:, 1])) * grid.cell_volume
     assert mT == pytest.approx(m0 * np.exp(-c), rel=0.02)
@@ -163,7 +162,7 @@ def test_fixed_point_residual():
     grid = Grid(sys_.domain, (96,))
     cfg = PicardConfig(slab_length=0.5)
     slab = solve_slab(sys_, sys_.initial_state(grid), 0.0, cfg)
-    again = apply_T(sys_, slab, cfg)
+    again = apply_T(sys_, slab)
     assert dist_X(again.states, slab.states) <= 2 * cfg.eps_fix
 
 
@@ -184,6 +183,10 @@ def test_trajectory_state_interpolation():
     mid = traj.state_at(0.5 * (traj.times[3] + traj.times[4]))
     expected = 0.5 * (traj.states[3].values + traj.states[4].values)
     assert np.allclose(mid.values, expected)
+    # at and beyond the end knots the end states come back exactly
+    for t, end in ((traj.times[0], 0), (traj.times[0] - 0.1, 0),
+                   (traj.times[-1], -1), (traj.times[-1] + 0.1, -1)):
+        assert np.array_equal(traj.state_at(t).values, traj.states[end].values)
 
 
 @pytest.mark.parametrize("mode", ["face", "direct"])

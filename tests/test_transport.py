@@ -3,6 +3,7 @@ import pytest
 
 from renewalpde.characteristics import VelocityField
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
+from renewalpde.models import bump
 from renewalpde.transport import LinearProblem, evaluate, solve_series, zero_field
 
 
@@ -96,6 +97,40 @@ def test_truncated_trace_gets_no_boundary_datum():
     a, y = grid.points.T
     exact = ((a < t) & (y - 2.0 * a >= -1.0)).astype(float)
     assert float(np.sum(np.abs(u.values[:, 0] - exact)) * grid.cell_volume) <= 0.06
+
+
+def test_truncation_stops_source_integral():
+    # q = 1 on [-1, 1] with velocity 2: a trace picks up the source only
+    # inside the box, from its truncation crossing at s = t - (y + 1) / 2 on
+    grid = Grid(Domain(full_lengths=(1.0,)), (40,))
+    lp = LinearProblem(VelocityField.constant([2.0]), zero_field, const_field(1.0),
+                       zero_field, GridFn.zeros(grid))
+    t = 0.5
+    u = evaluate(lp, t, grid)
+    assert exact_l1_distance(grid, u, lambda y: np.minimum(t, (y + 1.0) / 2.0)) <= 1e-9
+
+
+def test_time_dependent_coefficients_on_full_line():
+    # u_t + u_x = -2t u + exp(-t^2) on [-4, 4]: u = exp(-t^2) w with w_t + w_x = 1,
+    # so w is the datum at the foot plus the time spent inside the box
+    grid = Grid(Domain(full_lengths=(4.0,)), (400,))
+
+    def p(t, pts):
+        return -2.0 * np.asarray(t, dtype=float) + np.zeros(np.atleast_2d(pts).shape[0])
+
+    def q(t, pts):
+        return np.exp(-np.asarray(t, dtype=float) ** 2) + np.zeros(np.atleast_2d(pts).shape[0])
+
+    u0 = bump(0.0, 1.0)
+    lp = LinearProblem(VelocityField.constant([1.0]), p, q, zero_field,
+                       GridFn.from_callback(grid, u0))
+    t = 0.5
+    u = evaluate(lp, t, grid, substeps=64)
+
+    def exact(x):
+        return np.exp(-t * t) * (u0(x - t) + t - np.maximum(0.0, t - (x + 4.0)))
+
+    assert exact_l1_distance(grid, u, exact) <= 1e-10
 
 
 def test_boundary_time_profile():
