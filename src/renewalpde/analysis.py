@@ -28,6 +28,7 @@ from .problem import HypothesisConstants, SystemDef
 from .transport import LinearProblem, evaluate
 
 _GRONWALL_STEPS = 2000  # RK4 steps of the scalar comparison ODE
+_TOL = 0.05  # relative slack of measured against bound
 
 
 @dataclass
@@ -45,18 +46,10 @@ class Certificate:
                 f"margin {self.margin:+.3%}  {status}")
 
 
-def _certificate(name: str, bound: float, measured: float, tol: float, **params) -> Certificate:
-    ok = measured <= bound * (1.0 + tol) + 1e-14
+def _certificate(name: str, bound: float, measured: float, **params) -> Certificate:
+    ok = measured <= bound * (1.0 + _TOL) + 1e-14
     margin = (bound - measured) / max(abs(bound), 1e-300)
     return Certificate(name, float(bound), float(measured), bool(ok), float(margin), params)
-
-
-def _time_grid(t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.linspace(0.0, t, n)
-    w = np.full(n, t / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return ts, w
 
 
 def _space_l1(grid: Grid, vals: np.ndarray) -> float:
@@ -65,7 +58,8 @@ def _space_l1(grid: Grid, vals: np.ndarray) -> float:
 
 def _boundary_flux(lp: LinearProblem, grid: Grid, t: float, n_time: int) -> float:
     """Quadrature of |ub| v_i over every inflow face times [0, t]."""
-    ts, wts = _time_grid(t, n_time)
+    ts = np.linspace(0.0, t, n_time)
+    wts = trapezoid_weights(ts)
     total = 0.0
     for ax in range(grid.domain.m):
         fg = grid.face_grid(ax)
@@ -77,33 +71,31 @@ def _boundary_flux(lp: LinearProblem, grid: Grid, t: float, n_time: int) -> floa
 
 
 def apriori_l1_certificate(lp: LinearProblem, grid: Grid, t: float,
-                           u_t: GridFn | None = None, substeps: int | None = None,
-                           n_time: int = 33, tol: float = 0.05) -> Certificate:
+                           u_t: GridFn | None = None, n_time: int = 33) -> Certificate:
     """L1 bound: (||q||_L1 + ||u0||_L1 + boundary flux) * exp(||p||_inf t)."""
-    ts, wts = _time_grid(t, n_time)
+    ts = np.linspace(0.0, t, n_time)
     qnorm = 0.0
     pinf = 0.0
-    for tau, wt in zip(ts, wts):
+    for tau, wt in zip(ts, trapezoid_weights(ts)):
         qnorm += wt * _space_l1(grid, lp.q(tau, grid.points))
         pinf = max(pinf, float(np.max(np.abs(lp.p(tau, grid.points)))))
     flux = _boundary_flux(lp, grid, t, n_time)
     bound = (qnorm + l1_norm(lp.u0) + flux) * math.exp(pinf * t)
     if u_t is None:
-        u_t = evaluate(lp, t, grid, substeps=substeps)
+        u_t = evaluate(lp, t, grid)
     measured = l1_norm(u_t)
-    return _certificate("apriori-l1", bound, measured, tol,
+    return _certificate("apriori-l1", bound, measured,
                         q_l1=qnorm, u0_l1=l1_norm(lp.u0), flux=flux, p_sup=pinf, t=t)
 
 
 def apriori_linf_certificate(lp: LinearProblem, grid: Grid, t: float,
-                             u_t: GridFn | None = None, substeps: int | None = None,
-                             n_time: int = 33, tol: float = 0.05) -> Certificate:
+                             u_t: GridFn | None = None, n_time: int = 33) -> Certificate:
     """Sup bound: (||u0||_inf + ||ub||_inf + ||q||_L1(sup)) * exp(int ||p|| + ||div v||)."""
-    ts, wts = _time_grid(t, n_time)
+    ts = np.linspace(0.0, t, n_time)
     expo = 0.0
     q_l1_sup = 0.0
     ub_sup = 0.0
-    for tau, wt in zip(ts, wts):
+    for tau, wt in zip(ts, trapezoid_weights(ts)):
         psup = float(np.max(np.abs(lp.p(tau, grid.points))))
         dsup = float(np.max(np.abs(lp.velocity.div(tau, grid.points))))
         expo += wt * (psup + dsup)
@@ -114,18 +106,18 @@ def apriori_linf_certificate(lp: LinearProblem, grid: Grid, t: float,
     u0_sup = float(np.max(np.abs(lp.u0.values)))
     bound = (u0_sup + ub_sup + q_l1_sup) * math.exp(expo)
     if u_t is None:
-        u_t = evaluate(lp, t, grid, substeps=substeps)
+        u_t = evaluate(lp, t, grid)
     measured = float(np.max(np.abs(u_t.values)))
-    return _certificate("apriori-linf", bound, measured, tol, t=t)
+    return _certificate("apriori-linf", bound, measured, t=t)
 
 
 def linear_stability_certificate(lp1: LinearProblem, lp2: LinearProblem, grid: Grid,
-                                 t: float, substeps: int | None = None,
-                                 n_time: int = 33, tol: float = 0.05) -> Certificate:
+                                 t: float, n_time: int = 33) -> Certificate:
     """Five-term L1 stability bound for two problems sharing a velocity."""
     if lp1.velocity is not lp2.velocity:
         raise ValueError("stability estimate requires a common velocity")
-    ts, wts = _time_grid(t, n_time)
+    ts = np.linspace(0.0, t, n_time)
+    wts = trapezoid_weights(ts)
     pinf1 = pinf2 = 0.0
     dq = q2n = dp = 0.0
     for tau, wt in zip(ts, wts):
@@ -154,15 +146,15 @@ def linear_stability_certificate(lp1: LinearProblem, lp2: LinearProblem, grid: G
                     + dq
                     + (l1_norm(lp1.u0) + vsup * ub2) * dp
                     + q2n * dp)
-    u1 = evaluate(lp1, t, grid, substeps=substeps)
-    u2 = evaluate(lp2, t, grid, substeps=substeps)
+    u1 = evaluate(lp1, t, grid)
+    u2 = evaluate(lp2, t, grid)
     measured = l1_norm(u1 - u2)
-    return _certificate("linear-stability", bound, measured, tol,
+    return _certificate("linear-stability", bound, measured,
                         du0=l1_norm(lp1.u0 - lp2.u0), dq=dq, dub=dub, dp=dp, t=t)
 
 
-def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants, traj: Trajectory,
-                         tol: float = 0.05) -> Certificate:
+def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants,
+                         traj: Trajectory) -> Certificate:
     """Mass inequality m' <= (||C1|| + k ||B||_1) + (||C2|| + ||B||_1) m.
 
     Integrates the scalar comparison ODE from the initial mass and
@@ -173,7 +165,7 @@ def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants, traj: Trajecto
     t_end = float(traj.times[-1])
     masses = traj.component_masses().sum(axis=1)
     if t_end <= 0:
-        return _certificate("gronwall-mass", masses[0], masses[0], tol)
+        return _certificate("gronwall-mass", masses[0], masses[0])
     ts = np.linspace(0.0, t_end, _GRONWALL_STEPS + 1)
     dt = t_end / _GRONWALL_STEPS
     bound_vals = np.empty(_GRONWALL_STEPS + 1)
@@ -198,7 +190,7 @@ def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants, traj: Trajecto
     ratios = masses / np.maximum(bounds_at_knots, 1e-300)
     worst = int(np.argmax(ratios))
     return _certificate("gronwall-mass", float(bounds_at_knots[worst]),
-                        float(masses[worst]), tol, t_worst=float(traj.times[worst]))
+                        float(masses[worst]), t_worst=float(traj.times[worst]))
 
 
 def contraction_prediction(sys: SystemDef, hc: HypothesisConstants, M: float,

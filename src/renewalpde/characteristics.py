@@ -5,9 +5,11 @@ A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 interior foot point, or leaves the box at the exit time ``T(t, x)``,
 refined here by bisection: through an inflow face ``x_i = 0`` of a
 half-line axis, where it picks up the boundary datum, or through a
-truncation face, where it carries 0.  Up to the foot or the exit the
-trace picks up the growth factor ``exp(int (p - div v) ds)`` and a
-source integral, both by composite trapezoid on the trace knots (see
+truncation face, where it carries 0.  Each trace has its own knot
+times: the shared knots clamped from below at its exit time, so an
+exit ends the trace's integrals.  Up to the foot or the exit the trace
+picks up the growth factor ``exp(int (p - div v) ds)`` and a source
+integral, both by composite trapezoid on its knots (see
 ``transport.evaluate``).
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
@@ -68,15 +70,16 @@ def rk4_step(v, t0: float, x: np.ndarray, dt) -> np.ndarray:
 
 @dataclass
 class TraceBatch:
-    """All grid characteristics traced at once on shared time knots.
+    """All grid characteristics traced at once, each on its own knot times.
 
-    ``path[j]`` holds positions at ``times[j]``; rows of exited points
-    are frozen at their exit point for knots past the exit.  ``exited``
-    marks traces that left the box through any face; the exit time of
-    point p lies in ``(times[j+1], times[j]]`` with
-    ``j = exit_interval[p]``.  ``exit_face`` is the axis of an inflow
-    face, or -1 for a truncation face, which ``truncated`` also marks;
-    the datum there is 0.  Traces that did not exit end at a foot.
+    ``path[j, p]`` is the position of trace p at knot j, reached at
+    ``trace_times[j, p]``: the shared knot ``times[j]`` clamped from
+    below at the trace's exit time, so knots past an exit repeat the
+    exit point over zero-width intervals.  ``exited`` marks traces that
+    left the box through any face.  ``exit_face`` is the
+    axis of an inflow face, or -1 for a truncation face, which
+    ``truncated`` also marks; the datum there is 0.  Traces that did not
+    exit end at a foot.
     """
 
     times: np.ndarray
@@ -85,12 +88,19 @@ class TraceBatch:
     exit_time: np.ndarray
     exit_point: np.ndarray
     exit_face: np.ndarray
-    exit_interval: np.ndarray
-    truncated: np.ndarray
 
     @property
     def feet(self) -> np.ndarray:
         return self.path[-1]
+
+    @property
+    def truncated(self) -> np.ndarray:
+        return self.exited & (self.exit_face < 0)
+
+    @property
+    def trace_times(self) -> np.ndarray:
+        """Knot times of every trace, shape ``(len(times), npts)``."""
+        return np.fmax(self.times[:, None], self.exit_time)
 
 
 def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -136,8 +146,7 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
         times = np.array([t])
         return TraceBatch(times, pts[None, :, :].copy(),
                           np.zeros(npts, bool), np.full(npts, np.nan),
-                          np.full((npts, d), np.nan), np.full(npts, -1),
-                          np.full(npts, -1), np.zeros(npts, bool))
+                          np.full((npts, d), np.nan), np.full(npts, -1))
 
     times = np.linspace(t, t_floor, substeps + 1)
     path = np.empty((substeps + 1, npts, d))
@@ -147,7 +156,6 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
     exit_time = np.full(npts, np.nan)
     exit_point = np.full((npts, d), np.nan)
     exit_face = np.full(npts, -1, dtype=int)
-    exit_interval = np.full(npts, -1, dtype=int)
     lower, upper = np.array(domain.bounds()).T.copy()
     tol = 1e-12 * max(abs(t), 1e-6)
 
@@ -164,22 +172,21 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
             exit_time[newly] = T
             exit_point[newly] = xT
             exit_face[newly] = face
-            exit_interval[newly] = j
             exited |= newly
             x_new[newly] = xT
         x = x_new
         path[j + 1] = x
-    return TraceBatch(times, path, exited, exit_time, exit_point,
-                      exit_face, exit_interval, exited & (exit_face < 0))
+    return TraceBatch(times, path, exited, exit_time, exit_point, exit_face)
 
 
 def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Running composite-trapezoid integral of ``g`` back from ``ts[0]``.
 
-    ``ts`` descends; axis 0 of ``g`` runs along it, and the result has
-    the shape of ``g`` with 0 in its first row.
+    ``ts`` has the shape of ``g`` and descends along axis 0, one column
+    per trace for 2-D ``g``; the result has the shape of ``g`` with 0 in
+    its first row.
     """
-    dt = (ts[:-1] - ts[1:]).reshape((-1,) + (1,) * (g.ndim - 1))
+    dt = ts[:-1] - ts[1:]
     c = np.empty(g.shape)
     c[0] = 0.0
     np.cumsum(0.5 * (g[:-1] + g[1:]) * dt, axis=0, out=c[1:])
@@ -201,8 +208,8 @@ def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField) -> float:
 
     Equals ``(1 / v_i(T, X(T))) * exp(int_t^T div v ds)``; this is what
     converts a cell of hit points at time t into a (time x face) cell
-    of boundary data.  The divergence is integrated on the batch's knots
-    up to the exit interval, closed by the exit time itself.
+    of boundary data.  The divergence is integrated on the trace's own
+    knots, which end at the exit.
     """
     if batch.exit_face[i] < 0:
         raise ValueError("exit_jacobian needs a trace that exited through an inflow face")
@@ -210,8 +217,6 @@ def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField) -> float:
     vi = float(np.atleast_2d(v(T, xT[None, :]))[0, face])
     if vi <= 0.0:
         raise ValueError("inflow condition violated at exit: v_i <= 0")
-    j = int(batch.exit_interval[i])
-    times = np.append(batch.times[:j + 1], T)
-    path = np.concatenate([batch.path[:j + 1, i], xT[None, :]])
-    integral = float(cumulative_trapezoid(v.div(times, path), times)[-1])
+    ts = batch.trace_times[:, i]
+    integral = float(cumulative_trapezoid(v.div(ts, batch.path[:, i]), ts)[-1])
     return float(np.exp(-integral) / vi)

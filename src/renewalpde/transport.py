@@ -11,10 +11,14 @@ pointwise per grid node, so there is no CFL restriction and no time
 stepping: the value at any t is obtained by a single trace from t back
 to the initial (or exit) time.
 
-Coefficient callbacks are evaluated in batch, once per trace on all
-its knots and once at the exit points: ``p(t, pts)`` with pts of shape
-(P, d) returns (P,), and ``t`` is one time per point.  Boundary
-callbacks receive face points as full d-dimensional coordinates with
+Every trace runs on its own knot times (``TraceBatch.trace_times``),
+which stop at its exit time, so one composite trapezoid per trace
+gives both integrals and an exit is the last knot of its trace.
+Coefficient callbacks are evaluated in batch, once on the knots of all
+traces up to and including the exits:
+``p(t, pts)`` with pts of shape (P, d) returns (P,), and ``t`` is one
+time per point.  The boundary callback is evaluated once, at the inflow
+exits; it receives face points as full d-dimensional coordinates with
 the face coordinate equal to 0.
 """
 
@@ -68,48 +72,30 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
         if substeps is None:
             substeps = auto_substeps(grid, t - t0, lp.velocity.sup)
         batch = trace_backward(lp.velocity, t, grid.points, substeps, grid.domain, t_floor=t0)
-    times, path = batch.times, batch.path
-    nknots = len(times)
-    if nknots == 1:
+    if len(batch.times) == 1:
         return GridFn(grid, interp_values(grid, lp.u0.values[:, 0], grid.points))
 
-    npts = grid.n_nodes
-    tk = np.repeat(times, npts)
-    xk = path.reshape(nknots * npts, -1)
-    g = (lp.p(tk, xk) - lp.velocity.div(tk, xk)).reshape(nknots, npts)
-    qv = lp.q(tk, xk).reshape(nknots, npts)
+    # Knots past an exit repeat the exit knot over zero-width intervals;
+    # the coefficients there are never sampled and read as 0.
+    ts = batch.trace_times
+    live = np.ones(ts.shape, dtype=bool)
+    live[1:] = ts[1:] != ts[:-1]
+    tk, xk = ts[live], batch.path[live]
+    g = np.zeros(ts.shape)
+    g[live] = lp.p(tk, xk) - lp.velocity.div(tk, xk)
+    qv = np.zeros(ts.shape)
+    qv[live] = lp.q(tk, xk)
 
+    datum = np.zeros(grid.n_nodes)
+    interior = ~batch.exited
+    if interior.any():
+        datum[interior] = interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
+    inflow = batch.exit_face >= 0
+    if inflow.any():
+        datum[inflow] = lp.ub(batch.exit_time[inflow], batch.exit_point[inflow])
     with np.errstate(over="ignore", invalid="ignore"):
-        dt = times[:-1] - times[1:]
-        c = cumulative_trapezoid(g, times)
-        E = np.exp(c)
-        fq = qv * E
-
-        # Source integral over whole intervals that lie inside the trace's
-        # valid span; for exited points the interval containing T gets a
-        # partial contribution below.
-        include = (~batch.exited)[None, :] | (np.arange(nknots - 1)[:, None] < batch.exit_interval[None, :])
-        source = np.sum(0.5 * (fq[:-1] + fq[1:]) * dt[:, None] * include, axis=0)
-
-        data = np.zeros(npts)
-        interior = ~batch.exited
-        if interior.any():
-            u0_feet = interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
-            data[interior] = u0_feet * E[-1, interior]
-
-        if batch.exited.any():
-            idx = np.nonzero(batch.exited)[0]
-            jstar = batch.exit_interval[idx]
-            T = batch.exit_time[idx]
-            XT = batch.exit_point[idx]
-            gT = lp.p(T, XT) - lp.velocity.div(T, XT)
-            span = times[jstar] - T
-            cT = c[jstar, idx] + 0.5 * (g[jstar, idx] + gT) * span
-            ET = np.exp(cT)
-            data[idx] = np.where(batch.truncated[idx], 0.0, lp.ub(T, XT) * ET)
-            source[idx] += 0.5 * (fq[jstar, idx] + lp.q(T, XT) * ET) * span
-
-        vals = data + source
+        E = np.exp(cumulative_trapezoid(g, ts))
+        vals = datum * E[-1] + cumulative_trapezoid(qv * E, ts)[-1]
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
     return GridFn(grid, vals)

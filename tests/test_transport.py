@@ -133,6 +133,52 @@ def test_time_dependent_coefficients_on_full_line():
     assert exact_l1_distance(grid, u, exact) <= 1e-10
 
 
+def test_time_dependent_coefficients_with_inflow_exits():
+    # u_t + u_x = -2t u + exp(-t^2) on [0, 4] with ub = exp(-t^2): u = exp(-t^2) w
+    # with w_t + w_x = 1 and w = 1 on the inflow face, so w = 1 + x behind the front
+    grid = make_grid(400, 4.0)
+
+    def p(t, pts):
+        return -2.0 * np.asarray(t, dtype=float) + np.zeros(np.atleast_2d(pts).shape[0])
+
+    def q(t, pts):
+        return np.exp(-np.asarray(t, dtype=float) ** 2) + np.zeros(np.atleast_2d(pts).shape[0])
+
+    u0 = bump(2.0, 1.0)
+    lp = LinearProblem(VelocityField.constant([1.0]), p, q, q, GridFn.from_callback(grid, u0))
+    t = 0.5
+    u = evaluate(lp, t, grid, substeps=64)
+
+    def exact(x):
+        return np.exp(-t * t) * np.where(x < t, 1.0 + x, u0(x - t) + t)
+
+    assert exact_l1_distance(grid, u, exact) <= 1e-10
+
+
+def test_growth_rate_sampled_on_live_knots_only():
+    # v = 1 on [0, 4]: the trace from x exits at s = t - x, so its knots are
+    # the shared knots above the exit time plus the exit itself; knots past
+    # the exit are not sampled.  Exit times lie halfway between knots.
+    grid = make_grid(40, 4.0)
+    t, substeps = 1.0, 10
+    calls = []
+
+    def p(s, pts):
+        calls.append(np.atleast_2d(pts).shape[0])
+        return np.zeros(np.atleast_2d(pts).shape[0])
+
+    lp = LinearProblem(VelocityField.constant([1.0]), p, zero_field, const_field(1.0),
+                       GridFn.zeros(grid))
+    evaluate(lp, t, grid, substeps=substeps)
+    knots = np.linspace(t, 0.0, substeps + 1)
+    x = grid.points[:, 0]
+    exited = x < t
+    live = np.where(exited, np.sum(knots[:, None] > (t - x)[None, :], axis=0) + 1, len(knots))
+    assert exited.any() and not exited.all()
+    assert calls == [int(live.sum())]
+    assert calls[0] < len(knots) * grid.n_nodes
+
+
 def test_boundary_time_profile():
     # ub(t) = t rides in along characteristics: u(1, x) = (1-x) for x < 1
     grid = make_grid(400, 4.0)
