@@ -56,6 +56,11 @@ def _space_l1(grid: Grid, vals: np.ndarray) -> float:
     return float(np.sum(np.abs(vals)) * grid.cell_volume)
 
 
+def _times(tau: float, pts: np.ndarray) -> np.ndarray:
+    """``tau`` once per point: callbacks get one time per point."""
+    return np.full(pts.shape[0], tau)
+
+
 def _boundary_flux(lp: LinearProblem, grid: Grid, t: float, n_time: int) -> float:
     """Quadrature of |ub| v_i over every inflow face times [0, t]."""
     ts = np.linspace(0.0, t, n_time)
@@ -64,8 +69,9 @@ def _boundary_flux(lp: LinearProblem, grid: Grid, t: float, n_time: int) -> floa
     for ax in range(grid.domain.m):
         fg = grid.face_grid(ax)
         for tau, wt in zip(ts, wts):
-            ub = np.abs(np.asarray(lp.ub(tau, fg.points)))
-            vi = np.atleast_2d(lp.velocity(tau, fg.points))[:, ax]
+            tp = _times(tau, fg.points)
+            ub = np.abs(np.asarray(lp.ub(tp, fg.points)))
+            vi = np.atleast_2d(lp.velocity(tp, fg.points))[:, ax]
             total += wt * float(np.sum(ub * vi)) * fg.weight
     return total
 
@@ -77,8 +83,9 @@ def apriori_l1_certificate(lp: LinearProblem, grid: Grid, t: float,
     qnorm = 0.0
     pinf = 0.0
     for tau, wt in zip(ts, trapezoid_weights(ts)):
-        qnorm += wt * _space_l1(grid, lp.q(tau, grid.points))
-        pinf = max(pinf, float(np.max(np.abs(lp.p(tau, grid.points)))))
+        tp = _times(tau, grid.points)
+        qnorm += wt * _space_l1(grid, lp.q(tp, grid.points))
+        pinf = max(pinf, float(np.max(np.abs(lp.p(tp, grid.points)))))
     flux = _boundary_flux(lp, grid, t, n_time)
     bound = (qnorm + l1_norm(lp.u0) + flux) * math.exp(pinf * t)
     if u_t is None:
@@ -96,13 +103,15 @@ def apriori_linf_certificate(lp: LinearProblem, grid: Grid, t: float,
     q_l1_sup = 0.0
     ub_sup = 0.0
     for tau, wt in zip(ts, trapezoid_weights(ts)):
-        psup = float(np.max(np.abs(lp.p(tau, grid.points))))
-        dsup = float(np.max(np.abs(lp.velocity.div(tau, grid.points))))
+        tp = _times(tau, grid.points)
+        psup = float(np.max(np.abs(lp.p(tp, grid.points))))
+        dsup = float(np.max(np.abs(lp.velocity.div(tp, grid.points))))
         expo += wt * (psup + dsup)
-        q_l1_sup += wt * float(np.max(np.abs(lp.q(tau, grid.points))))
+        q_l1_sup += wt * float(np.max(np.abs(lp.q(tp, grid.points))))
         for ax in range(grid.domain.m):
             fg = grid.face_grid(ax)
-            ub_sup = max(ub_sup, float(np.max(np.abs(lp.ub(tau, fg.points)), initial=0.0)))
+            ub = lp.ub(_times(tau, fg.points), fg.points)
+            ub_sup = max(ub_sup, float(np.max(np.abs(ub), initial=0.0)))
     u0_sup = float(np.max(np.abs(lp.u0.values)))
     bound = (u0_sup + ub_sup + q_l1_sup) * math.exp(expo)
     if u_t is None:
@@ -121,13 +130,14 @@ def linear_stability_certificate(lp1: LinearProblem, lp2: LinearProblem, grid: G
     pinf1 = pinf2 = 0.0
     dq = q2n = dp = 0.0
     for tau, wt in zip(ts, wts):
-        p1v = lp1.p(tau, grid.points)
-        p2v = lp2.p(tau, grid.points)
+        tp = _times(tau, grid.points)
+        p1v = lp1.p(tp, grid.points)
+        p2v = lp2.p(tp, grid.points)
         pinf1 = max(pinf1, float(np.max(np.abs(p1v))))
         pinf2 = max(pinf2, float(np.max(np.abs(p2v))))
         dp += wt * float(np.max(np.abs(p1v - p2v)))
-        q1v = lp1.q(tau, grid.points)
-        q2v = lp2.q(tau, grid.points)
+        q1v = lp1.q(tp, grid.points)
+        q2v = lp2.q(tp, grid.points)
         dq += wt * _space_l1(grid, q1v - q2v)
         q2n += wt * _space_l1(grid, q2v)
     dub = 0.0
@@ -135,8 +145,9 @@ def linear_stability_certificate(lp1: LinearProblem, lp2: LinearProblem, grid: G
     for ax in range(grid.domain.m):
         fg = grid.face_grid(ax)
         for tau, wt in zip(ts, wts):
-            b1 = np.asarray(lp1.ub(tau, fg.points))
-            b2 = np.asarray(lp2.ub(tau, fg.points))
+            tp = _times(tau, fg.points)
+            b1 = np.asarray(lp1.ub(tp, fg.points))
+            b2 = np.asarray(lp2.ub(tp, fg.points))
             dub += wt * float(np.sum(np.abs(b1 - b2))) * fg.weight
             ub2 += wt * float(np.sum(np.abs(b2))) * fg.weight
     grow = math.exp(t * max(pinf1, pinf2))
@@ -301,11 +312,12 @@ def entropy_residual(lp: LinearProblem, times: np.ndarray, states: Sequence[Grid
         if not np.any(phi_v):
             continue
         term_t = np.sum(up * phi.dt(t, pts)) * vol
-        vel = np.atleast_2d(lp.velocity(t, pts))
+        tp = _times(t, pts)
+        vel = np.atleast_2d(lp.velocity(tp, pts))
         grad = phi.grad(t, pts)
         term_x = np.sum(up * np.sum(vel * grad, axis=1)) * vol
-        gval = lp.p(t, pts) * u + lp.q(t, pts)
-        divv = lp.velocity.div(t, pts)
+        gval = lp.p(tp, pts) * u + lp.q(tp, pts)
+        divv = lp.velocity.div(tp, pts)
         term_g = np.sum(sg * (gval - kappa * divv) * phi_v) * vol
         total += wts[j] * (term_t + term_x + term_g)
     # initial layer
@@ -319,7 +331,7 @@ def entropy_residual(lp: LinearProblem, times: np.ndarray, states: Sequence[Grid
         fg = grid.face_grid(ax)
         for j in range(nt):
             t = float(times[j])
-            ub = np.asarray(lp.ub(t, fg.points))
+            ub = np.asarray(lp.ub(_times(t, fg.points), fg.points))
             db = ub - kappa
             upb = np.maximum(db, 0.0) if sign > 0 else np.maximum(-db, 0.0)
             total += wts[j] * lip * float(np.sum(upb * phi.value(t, fg.points))) * fg.weight
@@ -339,9 +351,10 @@ def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
     umax = max(float(np.max(np.abs(s.values))) for s in states)
     pinf = qsup = divsup = 0.0
     for tq in (float(times[0]), float(times[len(times) // 2]), float(times[-1])):
-        pinf = max(pinf, float(np.max(np.abs(lp.p(tq, grid.points)))))
-        qsup = max(qsup, float(np.max(np.abs(lp.q(tq, grid.points)))))
-        divsup = max(divsup, float(np.max(np.abs(lp.velocity.div(tq, grid.points)))))
+        tp = _times(tq, grid.points)
+        pinf = max(pinf, float(np.max(np.abs(lp.p(tp, grid.points)))))
+        qsup = max(qsup, float(np.max(np.abs(lp.q(tp, grid.points)))))
+        divsup = max(divsup, float(np.max(np.abs(lp.velocity.div(tp, grid.points)))))
     amp = umax + abs(kappa)
     scale = amp * (1.0 + lp.velocity.sup) + pinf * umax + qsup + abs(kappa) * divsup
     dx = float(np.mean(grid.dx))

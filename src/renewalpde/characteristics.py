@@ -2,10 +2,12 @@
 
 A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 ``X(t) = x``.  Tracing backward either reaches ``s = t_floor`` at an
-interior foot point, or leaves the box at the exit time ``T(t, x)``,
-refined here by bisection: through an inflow face ``x_i = 0`` of a
-half-line axis, where it picks up the boundary datum, or through a
-truncation face, where it carries 0.  Each trace has its own knot
+interior foot point, or leaves the box at the exit time ``T(t, x)``:
+through an inflow face ``x_i = 0`` of a half-line axis, where it picks
+up the boundary datum, or through a truncation face, where it carries
+0.  RK4 steps only the live traces; a trace that lands outside stops,
+and after the last substep one batched bisection refines every exit
+of the call, each within its own substep.  Each trace has its own knot
 times: the shared knots clamped from below at its exit time, so an
 exit ends the trace's integrals.  Up to the foot or the exit the trace
 picks up the growth factor ``exp(int (p - div v) ds)`` and a source
@@ -57,8 +59,8 @@ class VelocityField:
         return VelocityField(fn, div, float(np.linalg.norm(vec)))
 
 
-def rk4_step(v, t0: float, x: np.ndarray, dt) -> np.ndarray:
-    """One classical RK4 step; ``dt`` may vary per point."""
+def rk4_step(v, t0, x: np.ndarray, dt) -> np.ndarray:
+    """One classical RK4 step; ``t0`` and ``dt`` may each be one per point."""
     dt = np.asarray(dt, dtype=float)
     dtc = dt[:, None] if dt.ndim == 1 else dt
     k1 = v(t0, x)
@@ -108,22 +110,29 @@ def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return ((x < lower) | (x > upper)).any(axis=1)
 
 
-def _refine_exit(v, s_hi: float, x_hi: np.ndarray, s_lo: float,
+def _refine_exit(v, s_hi: np.ndarray, x_hi: np.ndarray, s_lo: np.ndarray,
                  lower: np.ndarray, upper: np.ndarray, m: int, tol: float):
     """Bisect the time in ``(s_lo, s_hi]`` at which each trace leaves the box.
 
-    The face is the bound nearest the exit point: the lower bound of half-line
-    axis ``i`` is inflow face ``i`` (coordinate pinned to 0), any other -1.
+    Every trace has its own bracket, the substep in which it left: it is
+    at ``x_hi`` at ``s_hi`` and outside at ``s_lo``.  Traces that share a
+    bracket stop halving together, once the widest of them is below
+    ``tol``.  The face is the bound nearest the exit point: the lower
+    bound of half-line axis ``i`` is inflow face ``i`` (coordinate pinned
+    to 0), any other -1.
     """
-    npts = x_hi.shape[0]
-    lo = np.full(npts, s_lo)
-    hi = np.full(npts, s_hi)
+    lo, hi = s_lo.copy(), s_hi.copy()
+    starts, group = np.unique(s_hi, return_inverse=True)
+    todo = np.arange(len(lo))
     for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        out = _outside(rk4_step(v, s_hi, x_hi, mid - s_hi), lower, upper)
-        lo[out] = mid[out]
-        hi[~out] = mid[~out]
-        if (hi - lo).max() < tol:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        out = _outside(rk4_step(v, s_hi[todo], x_hi[todo], mid - s_hi[todo]), lower, upper)
+        lo[todo[out]] = mid[out]
+        hi[todo[~out]] = mid[~out]
+        widest = np.zeros(len(starts))
+        np.maximum.at(widest, group[todo], hi[todo] - lo[todo])
+        todo = todo[widest[group[todo]] >= tol]
+        if not todo.size:
             break
     T = 0.5 * (lo + hi)
     xT = rk4_step(v, s_hi, x_hi, T - s_hi)
@@ -136,7 +145,10 @@ def _refine_exit(v, s_hi: float, x_hi: np.ndarray, s_lo: float,
 
 def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
                    t_floor: float = 0.0) -> TraceBatch:
-    """Trace every point of ``pts`` backward from ``t`` to ``t_floor``."""
+    """Trace every point of ``pts`` backward from ``t`` to ``t_floor``.
+
+    Only live traces are stepped; one :func:`_refine_exit` call locates all exits.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts, d = pts.shape
     if t < t_floor - 1e-15:
@@ -152,30 +164,34 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
     path = np.empty((substeps + 1, npts, d))
     path[0] = pts
     x = pts.copy()
-    exited = np.zeros(npts, dtype=bool)
+    live = np.arange(npts)
+    exit_step = np.full(npts, substeps)  # substep in which a trace leaves; substeps if never
+    lower, upper = np.array(domain.bounds()).T.copy()
+
+    for j in range(substeps):
+        x_new = rk4_step(v, times[j], x[live], times[j + 1] - times[j])
+        if not np.all(np.isfinite(x_new)):
+            raise ValueError("non-finite velocity along characteristic")
+        out = _outside(x_new, lower, upper)
+        exit_step[live[out]] = j
+        live = live[~out]
+        x[live] = x_new[~out]
+        path[j + 1] = x
+        if not live.size:
+            break
+
+    exited = exit_step < substeps
     exit_time = np.full(npts, np.nan)
     exit_point = np.full((npts, d), np.nan)
     exit_face = np.full(npts, -1, dtype=int)
-    lower, upper = np.array(domain.bounds()).T.copy()
-    tol = 1e-12 * max(abs(t), 1e-6)
-
-    for j in range(substeps):
-        x_new = rk4_step(v, times[j], x, times[j + 1] - times[j])
-        active = ~exited
-        if not np.all(np.isfinite(x_new[active])):
-            raise ValueError("non-finite velocity along characteristic")
-        x_new[exited] = x[exited]
-        newly = active & _outside(x_new, lower, upper)
-        if newly.any():
-            T, xT, face = _refine_exit(v, times[j], x[newly], times[j + 1],
-                                       lower, upper, domain.m, tol)
-            exit_time[newly] = T
-            exit_point[newly] = xT
-            exit_face[newly] = face
-            exited |= newly
-            x_new[newly] = xT
-        x = x_new
-        path[j + 1] = x
+    if exited.any():
+        # x still holds each exited trace where it was at the start of its exit substep
+        e = np.nonzero(exited)[0]
+        tol = 1e-12 * max(abs(t), 1e-6)
+        exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
+            v, times[exit_step[e]], x[e], times[exit_step[e] + 1], lower, upper, domain.m, tol)
+        past = np.arange(substeps + 1)[:, None] > exit_step
+        path[past] = np.broadcast_to(exit_point, path.shape)[past]
     return TraceBatch(times, path, exited, exit_time, exit_point, exit_face)
 
 

@@ -16,7 +16,10 @@ cascade shrinking below the minimum length.
 Within a slab the iterate is stored at uniform time knots and
 interpolated linearly in t between them; the per-knot linear solves
 use trace substeps aligned with the knots, so time quadrature of
-coefficients that are linear in the frozen state is exact.
+coefficients that are linear in the frozen state is exact.  The
+velocity never reads the iterate, so each slab attempt traces every
+grid node once per knot and distinct velocity (:func:`slab_traces`),
+and all sweeps of the attempt reuse those traces.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characteristics import trace_backward
+from .characteristics import TraceBatch, trace_backward
 from .domain import BlowupError, Grid, GridFn, interp_values, l1_norm
 from .problem import SystemDef
 from .transport import LinearProblem, evaluate
@@ -235,26 +238,44 @@ class FrozenCoefficients:
         return LinearProblem(self.sys.velocities[self.h], self.p, self.q, self.ub, u0h)
 
 
-def apply_T(sys: SystemDef, w: Trajectory) -> Trajectory:
-    """One freeze-and-solve sweep: returns the slab trajectory u = T w."""
+def slab_traces(sys: SystemDef, grid: Grid, times: np.ndarray) -> list[list[TraceBatch]]:
+    """Backward traces of every grid node from each knot ``times[j]``, j >= 1, to ``times[0]``.
+
+    ``traces[j - 1][h]`` serves component h at knot j; components on one
+    velocity share one batch.  The velocity never reads the iterate, so
+    one set serves every sweep of a slab attempt.
+    """
+    t0 = float(times[0])
+    traces = []
+    for j in range(1, len(times)):
+        by_velocity = {}
+        for v in sys.velocities:
+            if id(v) not in by_velocity:
+                by_velocity[id(v)] = trace_backward(v, float(times[j]), grid.points,
+                                                    j * _SUBSTEPS_PER_INTERVAL, grid.domain,
+                                                    t_floor=t0)
+        traces.append([by_velocity[id(v)] for v in sys.velocities])
+    return traces
+
+
+def apply_T(sys: SystemDef, w: Trajectory,
+            traces: list[list[TraceBatch]] | None = None) -> Trajectory:
+    """One freeze-and-solve sweep: returns the slab trajectory u = T w.
+
+    ``traces`` are the slab's :func:`slab_traces`, built here when not given.
+    """
     grid = w.grid
     times = w.times
-    K = len(times) - 1
     t0 = float(times[0])
+    if traces is None:
+        traces = slab_traces(sys, grid, times)
     frozen = [FrozenCoefficients(sys, h, times, w.states) for h in range(sys.k)]
     lps = [fr.linear_problem() for fr in frozen]
     out_states = [w.states[0]]
-    for j in range(1, K + 1):
-        tj = float(times[j])
-        substeps = j * _SUBSTEPS_PER_INTERVAL
-        batches = {}
+    for tj, batches in zip(times[1:], traces):
         cols = np.empty((grid.n_nodes, sys.k))
         for h in range(sys.k):
-            key = id(sys.velocities[h])
-            if key not in batches:
-                batches[key] = trace_backward(sys.velocities[h], tj, grid.points,
-                                              substeps, grid.domain, t_floor=t0)
-            cols[:, h] = evaluate(lps[h], tj, grid, t0=t0, batch=batches[key]).values[:, 0]
+            cols[:, h] = evaluate(lps[h], float(tj), grid, t0=t0, batch=batches[h]).values[:, 0]
         out_states.append(GridFn(grid, cols))
     return Trajectory(times.copy(), out_states)
 
@@ -276,11 +297,12 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
         K = max(cfg.min_knots, int(math.ceil(h / _DT_TARGET)))
         times = t0 + np.linspace(0.0, h, K + 1)
         w = Trajectory(times, [u_init] * (K + 1))
+        traces = slab_traces(sys, u_init.grid, times)
         distances: list[float] = []
         ratios: list[float] = []
         for _ in range(_MAX_ITERS):
             try:
-                u = apply_T(sys, w)
+                u = apply_T(sys, w, traces)
             except BlowupError:
                 break
             d = dist_X(u.states, w.states)

@@ -302,3 +302,27 @@ def test_frozen_component_matches_states():
     assert len(states) == len(traj.times)
     assert np.array_equal(states[3].values[:, 0], traj.states[3].values[:, 1])
     assert np.array_equal(lp.u0.values[:, 0], traj.states[0].values[:, 1])
+
+
+def test_certificates_pass_one_time_per_point(grid6):
+    # the callback contract: t has one entry per point, never a scalar
+    def per_point(fn):
+        def checked(t, pts):
+            assert np.shape(t) == (np.atleast_2d(pts).shape[0],)
+            return fn(t, pts)
+
+        return checked
+
+    vel = VelocityField(V1.fn, per_point(V1.div), V1.sup)
+    lp1 = LinearProblem(vel, per_point(const_field(0.2)), per_point(const_field(0.1)),
+                        per_point(const_field(1.0)), smooth_u0(grid6))
+    lp2 = LinearProblem(vel, per_point(const_field(0.3)), per_point(const_field(0.1)),
+                        per_point(const_field(0.5)), smooth_u0(grid6))
+    assert apriori_l1_certificate(lp1, grid6, 0.5).passed
+    assert apriori_linf_certificate(lp1, grid6, 0.5).passed
+    assert linear_stability_certificate(lp1, lp2, grid6, 0.5).passed
+    times = np.linspace(0.0, 0.5, 9)
+    states = solve_series(lp1, times, grid6)
+    phi = TestFunction(0.25, 0.2, np.array([1.0]), np.array([0.8]))
+    res = entropy_residual(lp1, times, states, phi, 0.3, 1)
+    assert res >= -entropy_tolerance(lp1, grid6, times, states, phi, 0.3)

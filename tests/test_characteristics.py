@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from renewalpde import characteristics
 from renewalpde.characteristics import (
     VelocityField,
     exit_jacobian,
@@ -162,3 +163,49 @@ def test_exit_consistency_forward_retrace():
     for i in range(nfwd):
         y = rk4_step(v, s + i * dt, y, dt)
     assert abs(y[0, 0] - x) <= 1e-6
+
+
+def test_batched_exits_time_dependent_velocity(monkeypatch):
+    # v = (1 + t, t / 2) on [0, 8] x [-5, 5]: back from (t, x, y) the trace is
+    # X(s) = x - (t - s) - (t^2 - s^2) / 2 and Y(s) = y - (t^2 - s^2) / 4, so it
+    # leaves through the age face at T = t - a with a = (1 + t) - sqrt((1 + t)^2 - 2x)
+    # when x < t + t^2 / 2, and RK4 is exact for a velocity linear in t
+    calls = []
+    refine = characteristics._refine_exit
+    monkeypatch.setattr(characteristics, "_refine_exit",
+                        lambda *a, **k: calls.append(1) or refine(*a, **k))
+
+    def fn(t, x):
+        x = np.atleast_2d(x)
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+        return np.stack([1.0 + t, 0.5 * t], axis=1)
+
+    v = VelocityField(fn, lambda t, x: np.zeros(np.atleast_2d(x).shape[0]), sup=4.0)
+    domain = Domain(half_lengths=(8.0,), full_lengths=(5.0,))
+    t, substeps = 2.0, 16
+    x = np.linspace(0.05, 7.95, 80)
+    pts = np.column_stack([x, np.linspace(-1.0, 1.0, 80)])
+    b = trace_backward(v, t, pts, substeps, domain)
+    assert len(calls) == 1
+
+    exits = x < t + t * t / 2
+    assert np.array_equal(b.exited, exits)
+    a = (1.0 + t) - np.sqrt((1.0 + t) ** 2 - 2.0 * x[exits])
+    T = t - a
+    # exits fall in many different substeps
+    assert len(np.unique(np.floor((t - T) / (t / substeps)))) >= 8
+    assert np.allclose(b.exit_time[exits], T, rtol=0.0, atol=1e-10)
+    assert np.array_equal(b.exit_face[exits], np.zeros(exits.sum(), dtype=int))
+    assert np.all(b.exit_point[exits, 0] == 0.0)
+    y_exit = pts[exits, 1] - (t * t - T * T) / 4.0
+    assert np.allclose(b.exit_point[exits, 1], y_exit, rtol=0.0, atol=1e-10)
+    # rows past an exit hold the exit point; interior traces end at their feet
+    past = b.times[:, None] < b.exit_time[None, exits]
+    assert np.array_equal(b.path[:, exits][past], np.broadcast_to(
+        b.exit_point[exits], b.path[:, exits].shape)[past])
+    feet = pts[~exits] - np.column_stack([np.full((~exits).sum(), t + t * t / 2),
+                                          np.full((~exits).sum(), t * t / 4)])
+    assert np.allclose(b.feet[~exits], feet, rtol=0.0, atol=1e-10)
+
+    trace_backward(v, 0.5, pts[x > 2.0], substeps, domain)
+    assert len(calls) == 1

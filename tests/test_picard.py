@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from renewalpde import picard
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
-from renewalpde.kernels import ScalarComponentKernel
+from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr
 from renewalpde.picard import (
     FrozenCoefficients,
@@ -14,6 +15,7 @@ from renewalpde.picard import (
     dist_X,
     lipschitz_probe,
     norm_X,
+    slab_traces,
     solve,
     solve_slab,
 )
@@ -238,3 +240,36 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
         a, b = (kernel.integrate(times[n], x[None, :], states[n])[0, 0] for n in (j, j + 1))
         expected[i] = (1.0 - lam) * a + lam * b
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_traces_built_once_per_slab_attempt(monkeypatch):
+    # three components on two velocity objects, coupled through the mass of
+    # component 0, so the slab takes several sweeps
+    va, vb = VelocityField.constant([1.0]), VelocityField.constant([0.5])
+    mass = WeightedMassKernel(1.0, comp=0)
+    sys_ = SystemDef(k=3, domain=Domain(half_lengths=(3.0,)), velocities=(va, vb, va),
+                     P=(lambda t, pts, eta: -0.3 * eta[:, 0],) * 3,
+                     Q=(lambda t, pts, u, eta: np.zeros(pts.shape[0]),) * 3,
+                     Ub=(lambda t, pts, eta: 0.2 * eta[:, 0],) * 3, Kp=(mass,) * 3,
+                     Ku=(mass,) * 3,
+                     u0=lambda pts: np.exp(-(pts - 1.0) ** 2)[:, :1] * np.ones(3))
+    grid = Grid(sys_.domain, (60,))
+    traces, sweeps = [], []
+    trace = picard.trace_backward
+    sweep = picard.apply_T
+    monkeypatch.setattr(picard, "trace_backward",
+                        lambda *a, **k: traces.append(1) or trace(*a, **k))
+    monkeypatch.setattr(picard, "apply_T", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    cfg = PicardConfig()
+    traj = solve_slab(sys_, sys_.initial_state(grid), 0.0, cfg)
+    assert traj.diagnostics[0].halvings == 0
+    assert len(sweeps) >= 3
+    assert len(traces) == (len(traj.times) - 1) * 2
+
+    # prebuilt traces give the same sweep as traces built inside it
+    times = traj.times
+    w = Trajectory(times, [s * (1.0 + 0.1 * j) for j, s in enumerate(traj.states)])
+    a = sweep(sys_, w, slab_traces(sys_, grid, times))
+    b = sweep(sys_, w)
+    for sa, sb in zip(a.states, b.states):
+        assert np.array_equal(sa.values, sb.values)
