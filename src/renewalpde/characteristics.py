@@ -24,6 +24,7 @@ an exponential and noise there would not average out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,7 +82,8 @@ class TraceBatch:
     left the box through any face.  ``exit_face`` is the
     axis of an inflow face, or -1 for a truncation face, which
     ``truncated`` also marks; the datum there is 0.  Traces that did not
-    exit end at a foot.
+    exit end at a foot.  A batch is not changed once built: its derived
+    knot arrays are computed once and shared by every reader.
     """
 
     times: np.ndarray
@@ -99,10 +101,22 @@ class TraceBatch:
     def truncated(self) -> np.ndarray:
         return self.exited & (self.exit_face < 0)
 
-    @property
+    @cached_property
     def trace_times(self) -> np.ndarray:
         """Knot times of every trace, shape ``(len(times), npts)``."""
         return np.fmax(self.times[:, None], self.exit_time)
+
+    @cached_property
+    def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live knots: their mask over ``trace_times``, their times and their points.
+
+        A knot past a trace's exit repeats the exit knot over a zero-width
+        interval and is not live; the first knot always is.
+        """
+        ts = self.trace_times
+        mask = np.ones(ts.shape, dtype=bool)
+        mask[1:] = ts[1:] != ts[:-1]
+        return mask, ts[mask], self.path[mask]
 
 
 def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

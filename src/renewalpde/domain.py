@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,6 +90,18 @@ class Domain:
         return ok
 
 
+class Stencil(NamedTuple):
+    """Multilinear interpolation weights of some points on a grid.
+
+    ``flat[c]`` and ``weight[c]`` are the node index and weight of corner
+    c of every point's cell; ``inside`` marks the points in the box.
+    """
+
+    flat: np.ndarray
+    weight: np.ndarray
+    inside: np.ndarray
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered uniform tensor grid on a :class:`Domain`.
@@ -134,6 +146,39 @@ class Grid:
     def min_dx(self) -> float:
         return min(self.dx)
 
+    def stencil(self, pts: np.ndarray) -> Stencil:
+        """Corner nodes and weights of multilinear interpolation at ``pts``.
+
+        Inside the box the coordinates are clamped to the node hull, which
+        extends the outermost cells as constants over the half-cell margin.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        d = self.dim
+        idx0 = []
+        frac = []
+        for ax in range(d):
+            centers = self.axes[ax]
+            nc = len(centers)
+            if nc == 1:
+                idx0.append(np.zeros(pts.shape[0], dtype=int))
+                frac.append(np.zeros(pts.shape[0]))
+                continue
+            u = (pts[:, ax] - centers[0]) / self.dx[ax]
+            u = np.clip(u, 0.0, nc - 1.0)
+            i0 = np.minimum(u.astype(int), nc - 2)
+            idx0.append(i0)
+            frac.append(u - i0)
+
+        strides = np.array([int(np.prod(self.shape[ax + 1:], dtype=np.int64)) for ax in range(d)])
+        corners = list(itertools.product((0, 1), repeat=d))
+        flat = np.zeros((len(corners), pts.shape[0]), dtype=np.int64)
+        weight = np.ones((len(corners), pts.shape[0]))
+        for n, corner in enumerate(corners):
+            for ax, c in enumerate(corner):
+                weight[n] = weight[n] * (frac[ax] if c else 1.0 - frac[ax])
+                flat[n] = flat[n] + (idx0[ax] + c) * strides[ax]
+        return Stencil(flat, weight, self.domain.contains(pts))
+
     def face_grid(self, axis: int) -> "FaceGrid":
         """Quadrature lattice on the inflow face ``x[axis] = 0``."""
         if axis >= self.domain.m:
@@ -173,16 +218,24 @@ class FaceGrid:
     def measure(self) -> float:
         return self.weight * self.points.shape[0]
 
-    def interp(self, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of face node values at points on the face.
+    def stencil(self, pts: np.ndarray) -> Stencil:
+        """Interpolation stencil of points on the face, on ``lattice``.
 
-        The face coordinate of ``pts`` is ignored.  Points past the face's
-        edges return 0, as in :func:`interp_values`.
+        The face coordinate of ``pts`` is ignored.  The point face reads
+        its one node everywhere.
         """
         pts = np.atleast_2d(pts)
         if self.lattice is None:
-            return np.repeat(vals[:1], pts.shape[0], axis=0)
-        return interp_values(self.lattice, vals, np.delete(pts, self.axis, axis=1))
+            n = pts.shape[0]
+            return Stencil(np.zeros((1, n), dtype=np.int64), np.ones((1, n)), np.ones(n, dtype=bool))
+        return self.lattice.stencil(np.delete(pts, self.axis, axis=1))
+
+    def interp(self, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation of face node values at points on the face.
+
+        Points past the face's edges return 0, as in :func:`interp_values`.
+        """
+        return interp_gather(self.stencil(pts), vals)
 
 
 @dataclass(frozen=True)
@@ -250,48 +303,31 @@ def linf_norm(f: GridFn) -> float:
     return float(np.max(np.sum(np.abs(f.values), axis=1)))
 
 
-def interp_values(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of node values at arbitrary points.
+def interp_gather(stencil: Stencil, values: np.ndarray) -> np.ndarray:
+    """Node values interpolated with a :meth:`Grid.stencil`; 0 outside the box.
 
-    Inside the box the coordinates are clamped to the node hull, which
-    extends the outermost cells as constants over the half-cell margin.
-    Points outside the truncated box return 0 (truncation carries no
-    data in).  ``values`` is (N,) or (N, k); the result matches.
+    ``values`` is (N,) or (N, k); the result matches.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     vals = np.asarray(values, dtype=float)
     scalar = vals.ndim == 1
     if scalar:
         vals = vals[:, None]
-    d = grid.dim
-    inside = grid.domain.contains(pts)
-
-    idx0 = []
-    frac = []
-    for ax in range(d):
-        centers = grid.axes[ax]
-        nc = len(centers)
-        if nc == 1:
-            idx0.append(np.zeros(pts.shape[0], dtype=int))
-            frac.append(np.zeros(pts.shape[0]))
-            continue
-        u = (pts[:, ax] - centers[0]) / grid.dx[ax]
-        u = np.clip(u, 0.0, nc - 1.0)
-        i0 = np.minimum(u.astype(int), nc - 2)
-        idx0.append(i0)
-        frac.append(u - i0)
-
-    strides = np.array([int(np.prod(grid.shape[ax + 1:], dtype=np.int64)) for ax in range(d)])
-    out = np.zeros((pts.shape[0], vals.shape[1]))
-    for corner in itertools.product((0, 1), repeat=d):
-        w = np.ones(pts.shape[0])
-        flat = np.zeros(pts.shape[0], dtype=np.int64)
-        for ax, c in enumerate(corner):
-            w = w * (frac[ax] if c else 1.0 - frac[ax])
-            flat = flat + (idx0[ax] + c) * strides[ax]
-        out += w[:, None] * vals[flat]
-    out[~inside] = 0.0
+    out = np.zeros((len(stencil.inside), vals.shape[1]))
+    for flat, w in zip(stencil.flat, stencil.weight):
+        corner = np.take(vals, flat, axis=0)
+        corner *= w[:, None]
+        out += corner
+    out[~stencil.inside] = 0.0
     return out[:, 0] if scalar else out
+
+
+def interp_values(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of node values at arbitrary points.
+
+    Points outside the truncated box return 0 (truncation carries no
+    data in).  ``values`` is (N,) or (N, k); the result matches.
+    """
+    return interp_gather(grid.stencil(pts), values)
 
 
 def truncation_mass_report(f: GridFn, cells: int = 5) -> dict[str, float]:

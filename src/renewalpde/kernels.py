@@ -1,16 +1,21 @@
-"""Nonlocal kernels: quadrature-backed evaluation of ``int K(t,x,x') w(x') dx'``.
+"""Nonlocal kernels: quadrature-backed evaluation of ``int K(x,x') w(x') dx'``.
 
 Every coefficient map in kernel form reads the unknown through such an
-integral.  Two concrete layouts cover all shipped models:
+integral.  Kernels do not depend on time; a coefficient that changes
+in time does so through its outer map ``P``/``Q``/``Ub``, which gets
+``t``.  Two concrete layouts cover all shipped models:
 
-* :class:`WeightedMassKernel` - ``K(t, x, x') = g(x') e_c``: the integral
+* :class:`WeightedMassKernel` - ``K(x, x') = g(x') e_c``: the integral
   is a weighted mass of one component and does not depend on the
   evaluation point.  This is the fast path (O(N) per state).
-* :class:`ScalarComponentKernel` - ``K(t, x, x') = g(t, x, x') e_c``:
-  dense (P x N) evaluation, chunked to bound memory.
+* :class:`ScalarComponentKernel` - ``K(x, x') = g(x, x') e_c``: a dense
+  (P x N) kernel matrix times the state.  The Picard solver builds the
+  matrix on the grid nodes once per slab attempt and applies it every
+  sweep (``picard.SlabPlan``); ``integrate`` builds it blockwise.
 
 Both expose ``integrate(t, pts, f) -> (P, k_out)`` plus a declared sup
-bound used by the quantitative estimates.
+bound used by the quantitative estimates.  ``t`` is accepted for the
+common call signature and not read.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .domain import BlowupError, GridFn
 
-_CHUNK = 512  # evaluation points per dense (chunk x N) kernel block
+_CHUNK = 512  # rows per dense (chunk x N) kernel block
 
 
 class WeightedMassKernel:
@@ -55,10 +60,10 @@ class WeightedMassKernel:
 
 
 class ScalarComponentKernel:
-    """Scalar kernel ``g(t, x, x')`` applied to one component of w.
+    """Scalar kernel ``g(x, x')`` applied to one component of w.
 
-    ``fn`` must broadcast: it is called with x of shape (P, 1, d) and
-    x' of shape (1, N, d) and must return (P, N).
+    ``fn(x, xp)`` must broadcast: it is called with x of shape (P, 1, d)
+    and x' of shape (1, N, d) and must return (P, N).
     """
 
     x_independent = False
@@ -69,15 +74,30 @@ class ScalarComponentKernel:
         self.bound = float(bound)
         self.k_out = 1
 
+    def matrix(self, pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """``g(x_p, x'_n)`` for every pair, shape (P, N), built ``_CHUNK`` rows at a time."""
+        G = np.empty((pts.shape[0], nodes.shape[0]))
+        for lo in range(0, pts.shape[0], _CHUNK):
+            G[lo:lo + _CHUNK] = self.fn(pts[lo:lo + _CHUNK, None, :], nodes[None, :, :])
+        return G
+
+    def apply(self, G: np.ndarray, f: GridFn) -> np.ndarray:
+        """The integral at the rows of a :meth:`matrix` ``G`` on f's nodes, shape (P, 1).
+
+        ``G`` is applied ``_CHUNK`` rows at a time, as in :meth:`integrate`:
+        BLAS may sum a row differently in blocks of other heights.
+        """
+        fw = f.values[:, self.comp] * f.grid.cell_volume
+        out = np.empty((G.shape[0], 1))
+        for lo in range(0, G.shape[0], _CHUNK):
+            out[lo:lo + _CHUNK, 0] = G[lo:lo + _CHUNK] @ fw
+        return out
+
     def integrate(self, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        nodes = f.grid.points
-        fw = f.values[:, self.comp] * f.grid.cell_volume
         out = np.empty((pts.shape[0], 1))
         for lo in range(0, pts.shape[0], _CHUNK):
-            hi = min(lo + _CHUNK, pts.shape[0])
-            g = np.asarray(self.fn(t, pts[lo:hi, None, :], nodes[None, :, :]), dtype=float)
-            out[lo:hi, 0] = g @ fw
+            out[lo:lo + _CHUNK] = self.apply(self.matrix(pts[lo:lo + _CHUNK], f.grid.points), f)
         return out
 
 

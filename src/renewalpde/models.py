@@ -47,7 +47,7 @@ def _sup_estimate(val, domain: Domain, t_max: float = 10.0, samples: int = 256) 
     pts = np.column_stack([rng.uniform(lo, hi, samples) for lo, hi in domain.bounds()])
     worst = 0.0
     for t in np.linspace(0.0, t_max, 9):
-        worst = max(worst, float(np.max(np.abs(np.asarray(val(t, pts))))))
+        worst = max(worst, float(np.max(np.abs(np.asarray(val(np.full(samples, t), pts))))))
     return worst
 
 
@@ -182,7 +182,7 @@ def build_sihr(params: SIHRParams) -> SystemDef:
         if params.rho_bound is None:
             raise ValueError("structured contact kernel needs rho_bound")
         rho_max = float(params.rho_bound)
-        contact = ScalarComponentKernel(lambda t, x, xp: params.rho(x, xp), comp=1, bound=rho_max)
+        contact = ScalarComponentKernel(params.rho, comp=1, bound=rho_max)
     else:
         rho_max = abs(float(params.rho))
         contact = WeightedMassKernel(float(params.rho), comp=1) if params.rho else None
@@ -351,7 +351,7 @@ def _competition_kernel(c, bound, other_comp: int):
         if bound is None:
             raise ValueError("competition kernel callback needs a sup bound")
         return ScalarComponentKernel(
-            lambda t, x, xp: c(xp[..., 0], x[..., 0]), comp=other_comp, bound=bound), float(bound)
+            lambda x, xp: c(xp[..., 0], x[..., 0]), comp=other_comp, bound=bound), float(bound)
     if float(c) == 0.0:
         return None, 0.0
     return WeightedMassKernel(float(c), comp=other_comp), abs(float(c))

@@ -16,22 +16,28 @@ cascade shrinking below the minimum length.
 Within a slab the iterate is stored at uniform time knots and
 interpolated linearly in t between them; the per-knot linear solves
 use trace substeps aligned with the knots, so time quadrature of
-coefficients that are linear in the frozen state is exact.  The
-velocity never reads the iterate, so each slab attempt traces every
-grid node once per knot and distinct velocity (:func:`slab_traces`),
-and all sweeps of the attempt reuse those traces.
+coefficients that are linear in the frozen state is exact.  Only the
+iterate changes from one sweep to the next: the velocity and the
+kernels never read it.  So each slab attempt builds one
+:class:`SlabPlan` (the traces of every grid node from every knot, the
+knot brackets and interpolation stencils of their live knots and
+exits, and one dense kernel matrix per kernel object), and every sweep
+of the attempt reads it.  A sweep interpolates the iterate along each
+trace batch once, for all components on that velocity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .characteristics import TraceBatch, trace_backward
-from .domain import BlowupError, Grid, GridFn, interp_values, l1_norm
+from .domain import BlowupError, FaceGrid, Grid, GridFn, Stencil, interp_gather, l1_norm
+from .kernels import ScalarComponentKernel
 from .problem import SystemDef
 from .transport import LinearProblem, evaluate
 
@@ -55,6 +61,7 @@ _BALL_REL_MARGIN = 0.5
 _DT_TARGET = 1.0 / 16.0  # knot spacing aimed for within a slab
 _SUBSTEPS_PER_INTERVAL = 4  # trace substeps per knot interval
 _MAX_SLABS = 2000
+_MATRIX_BUDGET = 256 * 2**20  # bytes of one dense kernel matrix a slab plan may keep
 
 
 @dataclass
@@ -147,28 +154,121 @@ def dist_X(a: Sequence[GridFn], b: Sequence[GridFn]) -> float:
     return float(np.sum(np.max(per, axis=0)))
 
 
+@dataclass(eq=False)
+class _KnotGroup:
+    """Query points whose times lie in knot interval ``j``, with their weights ``lam``.
+
+    ``rows`` places the group in the query.  ``stencil`` interpolates at
+    its points on ``where``, the grid or an inflow face; it is made on
+    first use.
+    """
+
+    j: int
+    rows: np.ndarray
+    lam: np.ndarray
+    pts: np.ndarray
+    where: Grid | FaceGrid | None
+
+    @cached_property
+    def stencil(self) -> Stencil:
+        return self.where.stencil(self.pts)
+
+
+def _knot_groups(times: np.ndarray, t, pts: np.ndarray,
+                 where: Grid | FaceGrid | None) -> list[_KnotGroup]:
+    """Group query points by the knot interval of their time (one per point, or a scalar)."""
+    j, lam = _bracket(times, np.broadcast_to(t, pts.shape[:1]))
+    groups = []
+    for jv in np.unique(j):
+        rows = np.nonzero(j == jv)[0]
+        groups.append(_KnotGroup(int(jv), rows, lam[rows], pts[rows], where))
+    return groups
+
+
+def _exit_face(grid: Grid) -> FaceGrid | None:
+    """The face that boundary integrals are interpolated on.
+
+    None without an inflow face, or with several: exits can then land on
+    any face, and the integrals are taken at the exit points themselves.
+    """
+    return grid.face_grid(0) if grid.domain.m == 1 else None
+
+
+@dataclass(eq=False)
+class _Site:
+    """One trace batch with the knot groups of its live knots and of its inflow exits."""
+
+    batch: TraceBatch
+    knots: list[_KnotGroup]
+    exits: list[_KnotGroup]
+
+
+class SlabPlan:
+    """The work of one slab attempt that does not depend on the iterate.
+
+    Built once per attempt and read by each of its sweeps:
+
+    * ``sites[j - 1][h]``: the backward traces of every grid node from
+      knot j to ``times[0]`` for component h, with the knot groups of
+      their live knots and inflow exits.  Components on one velocity
+      share one site.
+    * ``matrices[kernel]``: ``g(x_p, x'_n)`` on the grid nodes for every
+      dense kernel of ``Kp`` and ``Kq``, while N^2 doubles fit
+      ``_MATRIX_BUDGET``.  Above that a sweep integrates per knot.
+    """
+
+    def __init__(self, sys: SystemDef, grid: Grid, times: np.ndarray):
+        times = np.asarray(times, dtype=float)
+        t0 = float(times[0])
+        face = _exit_face(grid)
+        self.sites: list[list[_Site]] = []
+        for j in range(1, len(times)):
+            by_velocity = {}
+            for v in sys.velocities:
+                if id(v) not in by_velocity:
+                    batch = trace_backward(v, float(times[j]), grid.points,
+                                           j * _SUBSTEPS_PER_INTERVAL, grid.domain, t_floor=t0)
+                    _, tk, xk = batch.live
+                    inflow = batch.exit_face >= 0
+                    by_velocity[id(v)] = _Site(
+                        batch, _knot_groups(times, tk, xk, grid),
+                        _knot_groups(times, batch.exit_time[inflow],
+                                     batch.exit_point[inflow], face))
+            self.sites.append([by_velocity[id(v)] for v in sys.velocities])
+        self.matrices: dict[ScalarComponentKernel, np.ndarray] = {}
+        if grid.n_nodes ** 2 * 8 <= _MATRIX_BUDGET:
+            for kernel in (*sys.Kp, *sys.Kq):
+                if isinstance(kernel, ScalarComponentKernel) and kernel not in self.matrices:
+                    self.matrices[kernel] = kernel.matrix(grid.points, grid.points)
+
+
 class FrozenCoefficients:
     """Coefficient fields of one component with the state frozen at w.
 
     Nonlocal integrals are sampled once per knot (on the grid when they
     depend on the evaluation point) and interpolated linearly in time
     and multilinearly in space; the outer maps P/Q/Ub are then applied
-    at the exact query points and times, one time per point.
+    at the exact query points and times, one time per point.  With a
+    :class:`SlabPlan`, grid integrals apply its kernel matrices.  Queries
+    may pass the knot groups of their points (a plan site's); otherwise
+    they group the points themselves.
     """
 
-    def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn]):
+    def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn],
+                 plan: SlabPlan | None = None):
         self.sys = sys
         self.h = h
         self.times = np.asarray(times, dtype=float)
         self.states = list(states)
         self.grid = states[0].grid
         self.K = len(times) - 1
-        self._eta_p = self._freeze(sys.Kp[h], boundary=False)
-        self._eta_q = self._freeze(sys.Kq[h], boundary=False)
-        self._eta_u = self._freeze(sys.Ku[h], boundary=True)
+        self._face = _exit_face(self.grid)
+        self._eta_p = self._freeze(sys.Kp[h], plan, boundary=False)
+        self._eta_q = self._freeze(sys.Kq[h], plan, boundary=False)
+        self._eta_u = self._freeze(sys.Ku[h], plan, boundary=True)
 
-    def _freeze(self, kernel, boundary: bool):
-        """Per-knot sampler ``sample(j, pts) -> (P, 1)`` of the kernel integral.
+    def _freeze(self, kernel, plan: SlabPlan | None, boundary: bool):
+        """Per-knot sampler ``sample(j, group) -> (n, 1)`` of the kernel integral.
 
         Returns None when the field is identically zero.
         """
@@ -178,104 +278,105 @@ class FrozenCoefficients:
         if kernel.x_independent:
             vals = [kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
                                      self.states[j])[0, 0] for j in knots]
-            return lambda j, pts: np.full((pts.shape[0], 1), vals[j])
+            return lambda j, g: np.full((len(g.rows), 1), vals[j])
         if not boundary:
-            vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j])
-                    for j in knots]
-            return lambda j, pts: interp_values(self.grid, vals[j], pts)
-        if self.sys.domain.m == 0:
+            G = plan.matrices.get(kernel) if plan is not None else None
+            if G is None:
+                vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j])
+                        for j in knots]
+            else:
+                vals = [kernel.apply(G, s) for s in self.states]
+        elif self.sys.domain.m == 0:
             return None
-        if self.sys.domain.m > 1:
-            # exits can land on any face; integrate on demand.  The integral
-            # is linear in the state, so blending it equals integrating the
-            # blended state.
-            return lambda j, pts: kernel.integrate(float(self.times[j]), pts, self.states[j])
-        fg = self.grid.face_grid(0)
-        vals = [kernel.integrate(self.times[j], fg.points, self.states[j]) for j in knots]
-        return lambda j, pts: fg.interp(vals[j], pts)
+        elif self._face is None:
+            # integrate at the exits themselves.  The integral is linear in
+            # the state, so blending it equals integrating the blended state.
+            return lambda j, g: kernel.integrate(float(self.times[j]), g.pts, self.states[j])
+        else:
+            vals = [kernel.integrate(self.times[j], self._face.points, self.states[j])
+                    for j in knots]
+        return lambda j, g: interp_gather(g.stencil, vals[j])
 
-    def _sample_w(self, j: int, pts: np.ndarray) -> np.ndarray:
-        return interp_values(self.grid, self.states[j].values, pts)
+    def _blend(self, sample, t, pts: np.ndarray, groups: list[_KnotGroup] | None,
+               where: Grid | FaceGrid | None, width: int = 1) -> np.ndarray:
+        """Mix each group's samples at the two knots around it, linearly in t.
 
-    def _blend(self, sample, t, pts: np.ndarray, width: int = 1) -> np.ndarray:
-        """Mix the samples at the two knots bracketing ``t``, linearly in t.
-
-        ``t`` is one time per point or a scalar; a None sampler is zero.
+        ``groups`` are the points' knot groups on ``where``, made here when
+        None.  A None sampler is zero.
         """
         if sample is None:
             return np.zeros((pts.shape[0], width))
-        j, lam = _bracket(self.times, np.broadcast_to(t, pts.shape[:1]))
+        if groups is None:
+            groups = _knot_groups(self.times, t, pts, where)
         out = np.empty((pts.shape[0], width))
-        for jv in np.unique(j):
-            mask = j == jv
-            a = sample(int(jv), pts[mask])
-            b = sample(min(int(jv) + 1, self.K), pts[mask])
-            out[mask] = (1.0 - lam[mask])[:, None] * a + lam[mask][:, None] * b
+        for g in groups:
+            a = sample(g.j, g)
+            b = sample(min(g.j + 1, self.K), g)
+            out[g.rows] = (1.0 - g.lam)[:, None] * a + g.lam[:, None] * b
         return out
 
-    def w_at(self, t, pts: np.ndarray) -> np.ndarray:
+    def w_at(self, t, pts: np.ndarray, groups: list[_KnotGroup] | None = None) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return self._blend(self._sample_w, t, pts, width=self.states[0].k)
+        return self._blend(lambda j, g: interp_gather(g.stencil, self.states[j].values),
+                           t, pts, groups, self.grid, width=self.states[0].k)
 
-    def p(self, t, pts):
+    def p(self, t, pts, groups: list[_KnotGroup] | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_p, t, pts)
+        eta = self._blend(self._eta_p, t, pts, groups, self.grid)
         return np.asarray(self.sys.P[self.h](t, pts, eta), dtype=float)
 
-    def q(self, t, pts):
+    def q(self, t, pts, groups: list[_KnotGroup] | None = None, w_pt: np.ndarray | None = None):
+        """``w_pt`` is the frozen state at the points, interpolated here when not given."""
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_q, t, pts)
-        w_pt = self.w_at(t, pts)
+        if groups is None:
+            groups = _knot_groups(self.times, t, pts, self.grid)
+        eta = self._blend(self._eta_q, t, pts, groups, self.grid)
+        if w_pt is None:
+            w_pt = self.w_at(t, pts, groups)
         return np.asarray(self.sys.Q[self.h](t, pts, w_pt, eta), dtype=float)
 
-    def ub(self, t, pts):
+    def ub(self, t, pts, groups: list[_KnotGroup] | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_u, t, pts)
+        eta = self._blend(self._eta_u, t, pts, groups, self._face)
         return np.asarray(self.sys.Ub[self.h](t, pts, eta), dtype=float)
 
-    def linear_problem(self) -> LinearProblem:
+    def linear_problem(self, site: _Site | None = None,
+                       w_pt: np.ndarray | None = None) -> LinearProblem:
+        """The frozen scalar problem of component h.
+
+        Given a plan site, its callbacks read the site's knot groups and
+        ``w_pt``, the frozen state at the site's live knots.
+        """
         u0h = GridFn(self.grid, self.states[0].values[:, self.h])
-        return LinearProblem(self.sys.velocities[self.h], self.p, self.q, self.ub, u0h)
+        vel = self.sys.velocities[self.h]
+        if site is None:
+            return LinearProblem(vel, self.p, self.q, self.ub, u0h)
+        return LinearProblem(vel, lambda t, pts: self.p(t, pts, site.knots),
+                             lambda t, pts: self.q(t, pts, site.knots, w_pt),
+                             lambda t, pts: self.ub(t, pts, site.exits), u0h)
 
 
-def slab_traces(sys: SystemDef, grid: Grid, times: np.ndarray) -> list[list[TraceBatch]]:
-    """Backward traces of every grid node from each knot ``times[j]``, j >= 1, to ``times[0]``.
-
-    ``traces[j - 1][h]`` serves component h at knot j; components on one
-    velocity share one batch.  The velocity never reads the iterate, so
-    one set serves every sweep of a slab attempt.
-    """
-    t0 = float(times[0])
-    traces = []
-    for j in range(1, len(times)):
-        by_velocity = {}
-        for v in sys.velocities:
-            if id(v) not in by_velocity:
-                by_velocity[id(v)] = trace_backward(v, float(times[j]), grid.points,
-                                                    j * _SUBSTEPS_PER_INTERVAL, grid.domain,
-                                                    t_floor=t0)
-        traces.append([by_velocity[id(v)] for v in sys.velocities])
-    return traces
-
-
-def apply_T(sys: SystemDef, w: Trajectory,
-            traces: list[list[TraceBatch]] | None = None) -> Trajectory:
+def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Trajectory:
     """One freeze-and-solve sweep: returns the slab trajectory u = T w.
 
-    ``traces`` are the slab's :func:`slab_traces`, built here when not given.
+    ``plan`` is the slab attempt's :class:`SlabPlan`, built here when not given.
     """
     grid = w.grid
     times = w.times
     t0 = float(times[0])
-    if traces is None:
-        traces = slab_traces(sys, grid, times)
-    frozen = [FrozenCoefficients(sys, h, times, w.states) for h in range(sys.k)]
-    lps = [fr.linear_problem() for fr in frozen]
+    if plan is None:
+        plan = SlabPlan(sys, grid, times)
+    frozen = [FrozenCoefficients(sys, h, times, w.states, plan) for h in range(sys.k)]
     out_states = [w.states[0]]
-    for tj, batches in zip(times[1:], traces):
+    for tj, sites in zip(times[1:], plan.sites):
         cols = np.empty((grid.n_nodes, sys.k))
-        for h in range(sys.k):
-            cols[:, h] = evaluate(lps[h], float(tj), grid, t0=t0, batch=batches[h]).values[:, 0]
+        w_along = {}  # the frozen state at each site's live knots, shared by its components
+        for h, site in enumerate(sites):
+            if site not in w_along:
+                _, tk, xk = site.batch.live
+                w_along[site] = frozen[h].w_at(tk, xk, site.knots)
+            lp = frozen[h].linear_problem(site, w_along[site])
+            cols[:, h] = evaluate(lp, float(tj), grid, t0=t0, batch=site.batch).values[:, 0]
         out_states.append(GridFn(grid, cols))
     return Trajectory(times.copy(), out_states)
 
@@ -297,12 +398,12 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
         K = max(cfg.min_knots, int(math.ceil(h / _DT_TARGET)))
         times = t0 + np.linspace(0.0, h, K + 1)
         w = Trajectory(times, [u_init] * (K + 1))
-        traces = slab_traces(sys, u_init.grid, times)
+        plan = SlabPlan(sys, u_init.grid, times)
         distances: list[float] = []
         ratios: list[float] = []
         for _ in range(_MAX_ITERS):
             try:
-                u = apply_T(sys, w, traces)
+                u = apply_T(sys, w, plan)
             except BlowupError:
                 break
             d = dist_X(u.states, w.states)

@@ -4,9 +4,12 @@ A k-component system couples scalar transport equations through three
 coefficient maps per component, each reading the full state only via a
 bounded kernel integral:
 
-    p^h(t, x, w)     = P^h(t, x, int Kp^h(t,x,x') w(x') dx')
-    q^h(t, x, u, w)  = Q^h(t, x, u, int Kq^h(t,x,x') w(x') dx')
-    ub^h(t, xi, w)   = Ub^h(t, xi, int Ku^h(t,xi,x') w(x') dx')
+    p^h(t, x, w)     = P^h(t, x, int Kp^h(x,x') w(x') dx')
+    q^h(t, x, u, w)  = Q^h(t, x, u, int Kq^h(x,x') w(x') dx')
+    ub^h(t, xi, w)   = Ub^h(t, xi, int Ku^h(xi,x') w(x') dx')
+
+The kernels do not depend on time; a coefficient changes in time
+through its outer map, which receives ``t``.
 
 This is exactly the class whose growth and Lipschitz bounds drive every
 quantitative estimate, so the declared constants live next to the
@@ -151,7 +154,7 @@ def eval_p(sys: SystemDef, h: int, t: float, x: np.ndarray, w: GridFn) -> float:
     """Frozen multiplicative coefficient p^h(t, x, w) at one point."""
     pts = np.asarray(x, dtype=float).reshape(1, -1)
     eta = kernel_eta(sys.Kp[h], t, pts, w)
-    return float(np.asarray(sys.P[h](t, pts, eta), dtype=float)[0])
+    return float(np.asarray(sys.P[h](np.full(1, t), pts, eta), dtype=float)[0])
 
 
 def eval_q(sys: SystemDef, h: int, t: float, x: np.ndarray, u: np.ndarray, w: GridFn) -> float:
@@ -159,7 +162,7 @@ def eval_q(sys: SystemDef, h: int, t: float, x: np.ndarray, u: np.ndarray, w: Gr
     pts = np.asarray(x, dtype=float).reshape(1, -1)
     eta = kernel_eta(sys.Kq[h], t, pts, w)
     u = np.asarray(u, dtype=float).reshape(1, -1)
-    return float(np.asarray(sys.Q[h](t, pts, u, eta), dtype=float)[0])
+    return float(np.asarray(sys.Q[h](np.full(1, t), pts, u, eta), dtype=float)[0])
 
 
 def eval_ub(sys: SystemDef, h: int, t: float, xi: np.ndarray, w: GridFn) -> float:
@@ -168,7 +171,7 @@ def eval_ub(sys: SystemDef, h: int, t: float, xi: np.ndarray, w: GridFn) -> floa
     if not any(abs(xi[0, ax]) <= 1e-12 for ax in range(sys.domain.m)):
         raise ValueError("boundary point is not on an inflow face")
     eta = kernel_eta(sys.Ku[h], t, xi, w)
-    return float(np.asarray(sys.Ub[h](t, xi, eta), dtype=float)[0])
+    return float(np.asarray(sys.Ub[h](np.full(1, t), xi, eta), dtype=float)[0])
 
 
 @dataclass

@@ -78,9 +78,7 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
     # Knots past an exit repeat the exit knot over zero-width intervals;
     # the coefficients there are never sampled and read as 0.
     ts = batch.trace_times
-    live = np.ones(ts.shape, dtype=bool)
-    live[1:] = ts[1:] != ts[:-1]
-    tk, xk = ts[live], batch.path[live]
+    live, tk, xk = batch.live
     g = np.zeros(ts.shape)
     g[live] = lp.p(tk, xk) - lp.velocity.div(tk, xk)
     qv = np.zeros(ts.shape)

@@ -249,3 +249,14 @@ def test_truncation_mass_report():
     centered = sys_.initial_state(grid)
     rep2 = truncation_mass_report(centered)
     assert rep2["axis0-upper"] == 0.0
+
+
+def test_sup_estimate_passes_one_time_per_point():
+    # the sampled sup bound calls user rates as the solver does: t of shape (P,)
+    def mu_i(t, pts):
+        n = np.atleast_2d(pts).shape[0]
+        assert np.shape(t) == (n,)
+        return np.full(n, 0.1)
+
+    sys_ = build_sihr(SIHRParams(mu_i=mu_i))
+    assert sys_.constants.P1 == pytest.approx(0.1)

@@ -10,16 +10,17 @@ from renewalpde.picard import (
     FrozenCoefficients,
     LocalExistenceError,
     PicardConfig,
+    SlabPlan,
     Trajectory,
     apply_T,
     dist_X,
     lipschitz_probe,
     norm_X,
-    slab_traces,
     solve,
     solve_slab,
 )
 from renewalpde.problem import SystemDef
+from renewalpde.transport import evaluate
 
 
 def constant_trajectory(sys_, grid, times):
@@ -207,7 +208,7 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
         vel = VelocityField.constant([1.0, 0.6])
     # affine in the evaluation point, so multilinear face interpolation is exact
     kernel = ScalarComponentKernel(
-        lambda t, x, xp: (1.0 + 0.3 * x[..., 1] - 0.2 * x[..., -1]) * np.exp(-xp[..., 0]))
+        lambda x, xp: (1.0 + 0.3 * x[..., 1] - 0.2 * x[..., -1]) * np.exp(-xp[..., 0]))
     sys_ = SystemDef(k=1, domain=domain, velocities=(vel,),
                      P=(lambda t, pts, eta: np.zeros(pts.shape[0]),),
                      Q=(lambda t, pts, u, eta: np.zeros(pts.shape[0]),),
@@ -266,10 +267,95 @@ def test_traces_built_once_per_slab_attempt(monkeypatch):
     assert len(sweeps) >= 3
     assert len(traces) == (len(traj.times) - 1) * 2
 
-    # prebuilt traces give the same sweep as traces built inside it
+    # a prebuilt plan gives the same sweep as a plan built inside it
     times = traj.times
     w = Trajectory(times, [s * (1.0 + 0.1 * j) for j, s in enumerate(traj.states)])
-    a = sweep(sys_, w, slab_traces(sys_, grid, times))
+    a = sweep(sys_, w, SlabPlan(sys_, grid, times))
     b = sweep(sys_, w)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.values, sb.values)
+
+
+def contact_sihr(fn=None):
+    """Age x 2-D space SIHR with a dense structured contact kernel frozen on the grid."""
+    def drift(t, pts):
+        return np.broadcast_to([0.3, 0.0], (np.atleast_2d(pts).shape[0], 2))
+
+    def contact(x, xp):
+        dy = x[..., 1:] - xp[..., 1:]
+        return 0.08 * np.exp(-np.sum(dy * dy, axis=-1))
+
+    params = SIHRParams(kappa=0.3, theta=0.1, eta=0.2, rho=fn or contact, rho_bound=0.08,
+                        spatial=True, vel_s=drift, vel_i=drift, vel_r=drift, age_max=4.0,
+                        natality_weight=0.3)
+    return build_sihr(params)
+
+
+def test_plan_sweep_equals_planless_coefficients():
+    # 756 nodes: the kernel matrix spans two row blocks
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, (12, 9, 7))
+    times = np.linspace(0.0, 0.5, 5)
+    u0 = sys_.initial_state(grid)
+    states = [GridFn(grid, u0.values * (1.0 + 0.2 * j) + 0.01 * j) for j in range(len(times))]
+    w = Trajectory(times, states)
+    plan = SlabPlan(sys_, grid, times)
+    assert len(plan.matrices) == 1
+
+    t0 = float(times[0])
+    for h in range(sys_.k):
+        with_plan = FrozenCoefficients(sys_, h, times, states, plan)
+        planless = FrozenCoefficients(sys_, h, times, states)
+        for site in plan.sites[-1], plan.sites[1]:
+            site = site[h]
+            _, tk, xk = site.batch.live
+            assert np.array_equal(with_plan.p(tk, xk, site.knots), planless.p(tk, xk))
+            assert np.array_equal(with_plan.q(tk, xk, site.knots), planless.q(tk, xk))
+            assert np.array_equal(with_plan.w_at(tk, xk, site.knots), planless.w_at(tk, xk))
+            inflow = site.batch.exit_face >= 0
+            T, X = site.batch.exit_time[inflow], site.batch.exit_point[inflow]
+            assert len(T) > 0
+            assert np.array_equal(with_plan.ub(T, X, site.exits), planless.ub(T, X))
+
+    swept = apply_T(sys_, w, plan)
+    planless = [FrozenCoefficients(sys_, h, times, states).linear_problem()
+                for h in range(sys_.k)]
+    for j, sites in enumerate(plan.sites, start=1):
+        for h, site in enumerate(sites):
+            u = evaluate(planless[h], float(times[j]), grid, t0=t0, batch=site.batch)
+            assert np.array_equal(swept.states[j].values[:, h], u.values[:, 0])
+
+
+def test_kernel_matrix_built_once_per_slab_attempt(monkeypatch):
+    calls = []
+
+    def contact(x, xp):
+        calls.append(1)
+        dy = x[..., 1:] - xp[..., 1:]
+        return 0.08 * np.exp(-np.sum(dy * dy, axis=-1))
+
+    sys_ = contact_sihr(contact)
+    # fewer nodes than one block of kernel rows: one call builds the matrix
+    grid = Grid(sys_.domain, (6, 5, 4))
+    sweeps = []
+    sweep = picard.apply_T
+    monkeypatch.setattr(picard, "apply_T", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    traj = solve_slab(sys_, sys_.initial_state(grid), 0.0, PicardConfig(min_knots=4))
+    assert len(sweeps) >= 3
+    # Kp[S] and Kq[I] are one kernel object: one matrix per attempt
+    assert len(calls) == traj.diagnostics[0].halvings + 1
+
+
+def test_kernel_matrix_budget_fallback_is_bitwise_equal(monkeypatch):
+    # past the budget each sweep integrates the kernel per knot instead;
+    # 756 nodes, so both paths apply two row blocks
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, (12, 9, 7))
+    cfg = PicardConfig(slab_length=0.125, min_knots=4)
+    dense = solve(sys_, grid, 0.125, cfg)
+    monkeypatch.setattr(picard, "_MATRIX_BUDGET", 0)
+    assert not SlabPlan(sys_, grid, dense.times[:2]).matrices
+    fallback = solve(sys_, grid, 0.125, cfg)
+    assert np.array_equal(dense.times, fallback.times)
+    for a, b in zip(dense.states, fallback.states):
+        assert np.array_equal(a.values, b.values)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ def test_eval_ub_cell_growth_total_mass():
 def test_check_hypotheses_sihr_passes(sihr_grid):
     sys_, grid = sihr_grid
     report = check_hypotheses(sys_, sys_.constants, grid, samples=40, seed=0)
+    assert report.passed, report.format()
+
+
+def test_check_hypotheses_passes_one_time_per_point(sihr_grid):
+    sys_, grid = sihr_grid
+
+    def one_time_per_point(fn):
+        def checked(t, pts, *rest):
+            assert np.shape(t) == (np.atleast_2d(pts).shape[0],)
+            return fn(t, pts, *rest)
+
+        return checked
+
+    strict = dataclasses.replace(sys_, P=[one_time_per_point(f) for f in sys_.P],
+                                 Q=[one_time_per_point(f) for f in sys_.Q],
+                                 Ub=[one_time_per_point(f) for f in sys_.Ub])
+    report = check_hypotheses(strict, strict.constants, grid, samples=10, seed=0)
     assert report.passed, report.format()
 
 
