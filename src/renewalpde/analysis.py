@@ -6,7 +6,9 @@ compares the solution against it: L1 and Linf a-priori bounds of the
 frozen linear problem, the five-term linear stability estimate, the
 Gronwall mass bound behind global existence, the predicted contraction
 factor of the fixed-point operator, and the one-sided entropy
-inequality that characterizes the solution class.
+inequality that characterizes the solution class.  The randomized
+entropy audit samples each component's frozen coefficients once per
+knot, into one table that all its samples read.
 
 Boundary flux terms integrate |ub| v_i over the whole (face x time)
 rectangle rather than the exact exit-map image, which can only enlarge
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -229,8 +232,24 @@ def contraction_prediction(sys: SystemDef, hc: HypothesisConstants, M: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _SpaceFactor:
+    """A bump's spatial factor at fixed points: the product ``prod`` of the axis
+    factors, their derivatives ``dbx`` and, per axis, the product of the others."""
+
+    prod: np.ndarray
+    dbx: np.ndarray
+    others: tuple
+
+    def grad(self, bt) -> np.ndarray:
+        out = np.empty_like(self.dbx)
+        for ax, prod_others in enumerate(self.others):
+            out[:, ax] = bt * self.dbx[:, ax] * prod_others
+        return out
+
+
+@dataclass(frozen=True)
 class TestFunction:
-    """Nonnegative C1 tensor bump ``prod (1 - s^2)^2`` in time and space."""
+    """Nonnegative C1 tensor bump ``prod (1 - s^2)^2``: a time factor times a spatial one."""
 
     __test__ = False  # not a pytest item
 
@@ -239,48 +258,119 @@ class TestFunction:
     x_center: np.ndarray
     x_radius: np.ndarray
 
-    def _axis(self, s):
-        out = np.zeros_like(s)
+    @staticmethod
+    def _axis(s):
+        """``(1 - s^2)^2`` and its derivative in s, both 0 outside |s| < 1."""
+        b, db = np.zeros_like(s), np.zeros_like(s)
         mask = np.abs(s) < 1.0
-        out[mask] = (1.0 - s[mask] ** 2) ** 2
-        return out
+        b[mask] = (1.0 - s[mask] ** 2) ** 2
+        db[mask] = -4.0 * s[mask] * (1.0 - s[mask] ** 2)
+        return b, db
 
-    def _axis_d(self, s):
-        out = np.zeros_like(s)
-        mask = np.abs(s) < 1.0
-        out[mask] = -4.0 * s[mask] * (1.0 - s[mask] ** 2)
-        return out
+    def time(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The time factor and its derivative at each of the times ``ts``."""
+        bt, dbt = self._axis((np.asarray(ts, dtype=float) - self.t_center) / self.t_radius)
+        return bt, dbt / self.t_radius
 
-    def _parts(self, t: float, pts: np.ndarray):
-        pts = np.atleast_2d(pts)
-        st = (t - self.t_center) / self.t_radius
-        bt = self._axis(np.array([st]))[0]
-        dbt = self._axis_d(np.array([st]))[0] / self.t_radius
-        sx = (pts - self.x_center) / self.x_radius
-        bx = self._axis(sx)
-        dbx = self._axis_d(sx) / self.x_radius
-        return bt, dbt, bx, dbx
+    def space(self, pts: np.ndarray) -> _SpaceFactor:
+        bx, dbx = self._axis((np.atleast_2d(pts) - self.x_center) / self.x_radius)
+        d = bx.shape[1]
+        others = tuple(np.prod(bx[:, [j for j in range(d) if j != ax]], axis=1) if d > 1
+                       else 1.0 for ax in range(d))
+        return _SpaceFactor(np.prod(bx, axis=1), dbx / self.x_radius, others)
 
     def value(self, t: float, pts: np.ndarray) -> np.ndarray:
-        bt, _, bx, _ = self._parts(t, pts)
-        return bt * np.prod(bx, axis=1)
+        return self.time([t])[0][0] * self.space(pts).prod
 
     def dt(self, t: float, pts: np.ndarray) -> np.ndarray:
-        bt, dbt, bx, _ = self._parts(t, pts)
-        return dbt * np.prod(bx, axis=1)
+        return self.time([t])[1][0] * self.space(pts).prod
 
     def grad(self, t: float, pts: np.ndarray) -> np.ndarray:
-        bt, _, bx, dbx = self._parts(t, pts)
-        d = bx.shape[1]
-        out = np.empty_like(bx)
-        for ax in range(d):
-            others = [j for j in range(d) if j != ax]
-            prod_others = np.prod(bx[:, others], axis=1) if others else 1.0
-            out[:, ax] = bt * dbx[:, ax] * prod_others
-        return out
+        return self.space(pts).grad(self.time([t])[0][0])
 
 
-_BUMP_D_MAX = 8.0 / (3.0 * math.sqrt(3.0))  # max of |4 s (1-s^2)| on [-1,1]
+class _KnotSamples:
+    """One component's frozen problem sampled at the knots; with ``keep``, each row once."""
+
+    def __init__(self, lp: LinearProblem, grid: Grid, times, states: Sequence[GridFn],
+                 keep: bool):
+        self.lp, self.grid, self.states, self.keep = lp, grid, states, keep
+        self.times = np.asarray(times, dtype=float)
+        self.faces = [grid.face_grid(ax) for ax in range(grid.domain.m)]
+        self._rows: dict = {}
+
+    def row(self, j: int, ax: int | None = None):
+        """``(p, q, velocity, div v)`` on the grid nodes at knot j, or ``ub`` on face ``ax``."""
+        row = self._rows.get((j, ax))
+        if row is None:
+            lp, t = self.lp, float(self.times[j])
+            if ax is None:
+                pts = self.grid.points
+                tp = _times(t, pts)
+                row = (lp.p(tp, pts), lp.q(tp, pts), np.atleast_2d(lp.velocity(tp, pts)),
+                       lp.velocity.div(tp, pts))
+            else:
+                pts = self.faces[ax].points
+                row = np.asarray(lp.ub(_times(t, pts), pts))
+            if self.keep:
+                self._rows[(j, ax)] = row
+        return row
+
+    def residual(self, phi: TestFunction, kappa: float, sign: int) -> float:
+        """See :func:`entropy_residual`; rows are read only where phi's time factor is not 0."""
+        vol = self.grid.cell_volume
+        wts = trapezoid_weights(self.times)
+        bt, dbt = phi.time(self.times)
+        support = np.flatnonzero(bt)
+        sp = phi.space(self.grid.points)
+        total = 0.0
+        for j in support:
+            phi_v = bt[j] * sp.prod
+            if not np.any(phi_v):
+                continue
+            u = self.states[j].values[:, 0]
+            diff = u - kappa
+            if sign > 0:
+                up = np.maximum(diff, 0.0)
+                sg = (diff > 0).astype(float)
+            else:
+                up = np.maximum(-diff, 0.0)
+                sg = -(diff < 0).astype(float)
+            p, q, vel, divv = self.row(j)
+            term_t = np.sum(up * (dbt[j] * sp.prod)) * vol
+            term_x = np.sum(up * np.sum(vel * sp.grad(bt[j]), axis=1)) * vol
+            term_g = np.sum(sg * (p * u + q - kappa * divv) * phi_v) * vol
+            total += wts[j] * (term_t + term_x + term_g)
+        # initial layer
+        d0 = self.lp.u0.values[:, 0] - kappa
+        up0 = np.maximum(d0, 0.0) if sign > 0 else np.maximum(-d0, 0.0)
+        total += float(np.sum(up0 * (phi.time([0.0])[0][0] * sp.prod)) * vol)
+        # boundary layer with the flux Lipschitz constant; knots where phi is 0 add 0
+        lip = self.lp.velocity.sup
+        for ax, fg in enumerate(self.faces):
+            fp = phi.space(fg.points)
+            for j in support:
+                db = self.row(j, ax) - kappa
+                upb = np.maximum(db, 0.0) if sign > 0 else np.maximum(-db, 0.0)
+                total += wts[j] * lip * float(np.sum(upb * (bt[j] * fp.prod))) * fg.weight
+        return float(total)
+
+    @cached_property
+    def sups(self) -> tuple[float, ...]:
+        """Sup of |u| over the knots; sups of |p|, |q|, |div v| at the first, middle and last."""
+        rows = [self.row(j) for j in (0, len(self.times) // 2, len(self.times) - 1)]
+        umax = max(float(np.max(np.abs(s.values))) for s in self.states)
+        pinf, qsup, divsup = (max(0.0, *(float(np.max(np.abs(r[i]))) for r in rows))
+                              for i in (0, 1, 3))
+        return umax, pinf, qsup, divsup
+
+    def tolerance(self, kappa: float) -> float:
+        umax, pinf, qsup, divsup = self.sups
+        amp = umax + abs(kappa)
+        scale = amp * (1.0 + self.lp.velocity.sup) + pinf * umax + qsup + abs(kappa) * divsup
+        dx = float(np.mean(self.grid.dx))
+        dt = float(np.mean(np.diff(self.times))) if len(self.times) > 1 else dx
+        return 10.0 * (dx + dt) * scale
 
 
 def entropy_residual(lp: LinearProblem, times: np.ndarray, states: Sequence[GridFn],
@@ -289,57 +379,13 @@ def entropy_residual(lp: LinearProblem, times: np.ndarray, states: Sequence[Grid
 
     ``sign=+1`` tests the (u - kappa)^+ family, ``sign=-1`` the negative
     one; the flux is affine (v u), so its Lipschitz constant is ||v||_inf
-    and div f(t,x,kappa) = kappa div v.
+    and div f(t,x,kappa) = kappa div v.  No knot's samples are kept.
     """
-    grid = states[0].grid
-    times = np.asarray(times, dtype=float)
-    nt = len(times)
-    wts = trapezoid_weights(times)
-    vol = grid.cell_volume
-    pts = grid.points
-    total = 0.0
-    for j in range(nt):
-        t = float(times[j])
-        u = states[j].values[:, 0]
-        diff = u - kappa
-        if sign > 0:
-            up = np.maximum(diff, 0.0)
-            sg = (diff > 0).astype(float)
-        else:
-            up = np.maximum(-diff, 0.0)
-            sg = -(diff < 0).astype(float)
-        phi_v = phi.value(t, pts)
-        if not np.any(phi_v):
-            continue
-        term_t = np.sum(up * phi.dt(t, pts)) * vol
-        tp = _times(t, pts)
-        vel = np.atleast_2d(lp.velocity(tp, pts))
-        grad = phi.grad(t, pts)
-        term_x = np.sum(up * np.sum(vel * grad, axis=1)) * vol
-        gval = lp.p(tp, pts) * u + lp.q(tp, pts)
-        divv = lp.velocity.div(tp, pts)
-        term_g = np.sum(sg * (gval - kappa * divv) * phi_v) * vol
-        total += wts[j] * (term_t + term_x + term_g)
-    # initial layer
-    u0 = lp.u0.values[:, 0]
-    d0 = u0 - kappa
-    up0 = np.maximum(d0, 0.0) if sign > 0 else np.maximum(-d0, 0.0)
-    total += float(np.sum(up0 * phi.value(0.0, pts)) * vol)
-    # boundary layer with the flux Lipschitz constant
-    lip = lp.velocity.sup
-    for ax in range(grid.domain.m):
-        fg = grid.face_grid(ax)
-        for j in range(nt):
-            t = float(times[j])
-            ub = np.asarray(lp.ub(_times(t, fg.points), fg.points))
-            db = ub - kappa
-            upb = np.maximum(db, 0.0) if sign > 0 else np.maximum(-db, 0.0)
-            total += wts[j] * lip * float(np.sum(upb * phi.value(t, fg.points))) * fg.weight
-    return float(total)
+    return _KnotSamples(lp, states[0].grid, times, states, keep=False).residual(phi, kappa, sign)
 
 
 def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
-                      states: Sequence[GridFn], phi: TestFunction, kappa: float) -> float:
+                      states: Sequence[GridFn], kappa: float) -> float:
     """Resolution-scaled residual tolerance: 10 (dx + dt) x problem scale.
 
     The inequality is exact only in the continuum.  Quadrature error
@@ -348,18 +394,7 @@ def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
     the source size; the test function's steepness cancels against its
     shrinking support and is deliberately left out.
     """
-    umax = max(float(np.max(np.abs(s.values))) for s in states)
-    pinf = qsup = divsup = 0.0
-    for tq in (float(times[0]), float(times[len(times) // 2]), float(times[-1])):
-        tp = _times(tq, grid.points)
-        pinf = max(pinf, float(np.max(np.abs(lp.p(tp, grid.points)))))
-        qsup = max(qsup, float(np.max(np.abs(lp.q(tp, grid.points)))))
-        divsup = max(divsup, float(np.max(np.abs(lp.velocity.div(tp, grid.points)))))
-    amp = umax + abs(kappa)
-    scale = amp * (1.0 + lp.velocity.sup) + pinf * umax + qsup + abs(kappa) * divsup
-    dx = float(np.mean(grid.dx))
-    dt = float(np.mean(np.diff(times))) if len(times) > 1 else dx
-    return 10.0 * (dx + dt) * scale
+    return _KnotSamples(lp, grid, times, states, keep=False).tolerance(kappa)
 
 
 def frozen_component(sys: SystemDef, traj: Trajectory, h: int) -> tuple[LinearProblem, list[GridFn]]:
@@ -378,12 +413,13 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
     t_end = float(traj.times[-1])
     bounds = grid.domain.bounds()
     results = []
-    frozen = [frozen_component(sys, traj, h) for h in range(sys.k)]
+    tables = [_KnotSamples(lp, grid, traj.times, states, keep=True)
+              for lp, states in (frozen_component(sys, traj, h) for h in range(sys.k))]
+    levels = [(min(float(np.min(s.values)) for s in ks.states),
+               max(float(np.max(s.values)) for s in ks.states)) for ks in tables]
     for _ in range(n_samples):
         h = int(rng.integers(0, sys.k))
-        lp, states = frozen[h]
-        lo = min(float(np.min(s.values)) for s in states)
-        hi = max(float(np.max(s.values)) for s in states)
+        lo, hi = levels[h]
         kappa = float(rng.uniform(lo - 0.1 * (hi - lo + 1e-6), hi + 0.1 * (hi - lo + 1e-6)))
         t_rad = float(rng.uniform(0.1, 0.45)) * max(t_end, 1e-6)
         t_c = float(rng.uniform(0.0, max(t_end - t_rad, 1e-9)))
@@ -391,8 +427,8 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
         x_r = np.array([rng.uniform(0.1, 0.5) * (hi_ax - lo_ax) for lo_ax, hi_ax in bounds])
         sign = 1 if rng.uniform() < 0.5 else -1
         phi = TestFunction(t_c, t_rad, x_c, x_r)
-        res = entropy_residual(lp, traj.times, states, phi, kappa, sign)
-        tol = entropy_tolerance(lp, grid, traj.times, states, phi, kappa)
+        res = tables[h].residual(phi, kappa, sign)
+        tol = tables[h].tolerance(kappa)
         results.append({"component": h, "kappa": kappa, "sign": sign,
                         "residual": res, "tol": tol, "ok": res >= -tol})
     return results

@@ -44,11 +44,15 @@ class WeightedMassKernel:
             bound = abs(float(weight))
         self.bound = float(bound)
         self.k_out = 1
+        self._weights_grid = None
 
     def _node_weights(self, grid) -> np.ndarray:
-        if np.isscalar(self.weight):
-            return np.full(grid.n_nodes, float(self.weight))
-        return np.asarray(self.weight(grid.points), dtype=float)
+        """The weight on the grid's nodes, kept until the kernel is used on another grid."""
+        if self._weights_grid is not grid:
+            self._weights = (np.full(grid.n_nodes, float(self.weight)) if np.isscalar(self.weight)
+                             else np.asarray(self.weight(grid.points), dtype=float))
+            self._weights_grid = grid
+        return self._weights
 
     def mass(self, f: GridFn) -> float:
         w = self._node_weights(f.grid)

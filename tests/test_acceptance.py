@@ -297,7 +297,7 @@ def test_c09_entropy_sweep(blowup_ode_run, blowup_transport_run, sihr_conservati
     lp = LinearProblem(V1, zero_field, zero_field, zero_field, jump)
     phi = TestFunction(1.0, 0.9, np.array([0.5]), np.array([0.3]))
     res = entropy_residual(lp, times, states, phi, 0.5, +1)
-    tol = entropy_tolerance(lp, grid, times, states, phi, 0.5)
+    tol = entropy_tolerance(lp, grid, times, states, 0.5)
     detector = res < -10.0 * tol
     report("criterion 9: entropy residual sweep", ok and detector,
            f"5 presets x 50 samples, worst residual/tol {worst:.4f}; "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from renewalpde import analysis
 from renewalpde.analysis import (
     TestFunction,
     apriori_l1_certificate,
@@ -19,6 +20,7 @@ from renewalpde.models import SIHRParams, build_blowup, build_sihr, bump
 from renewalpde.picard import PicardConfig, solve, solve_slab
 from renewalpde.problem import HypothesisConstants, SystemDef
 from renewalpde.transport import LinearProblem, solve_series, zero_field
+from test_picard import contact_sihr
 
 V1 = VelocityField.constant([1.0])
 
@@ -267,7 +269,7 @@ def test_entropy_residual_exact_solution_sweep(grid6):
                            np.array([rng.uniform(0.0, 6.0)]), np.array([rng.uniform(0.3, 2.0)]))
         sign = 1 if rng.uniform() < 0.5 else -1
         res = entropy_residual(lp, times, states, phi, kappa, sign)
-        tol = entropy_tolerance(lp, grid6, times, states, phi, kappa)
+        tol = entropy_tolerance(lp, grid6, times, states, kappa)
         assert res >= -tol
 
 
@@ -290,7 +292,7 @@ def test_entropy_detector_fires_on_static_jump():
     lp = LinearProblem(V1, zero_field, zero_field, zero_field, jump)
     phi = TestFunction(1.0, 0.9, np.array([0.5]), np.array([0.3]))
     res = entropy_residual(lp, times, states, phi, 0.5, +1)
-    tol = entropy_tolerance(lp, grid, times, states, phi, 0.5)
+    tol = entropy_tolerance(lp, grid, times, states, 0.5)
     assert res < -10.0 * tol
 
 
@@ -325,4 +327,65 @@ def test_certificates_pass_one_time_per_point(grid6):
     states = solve_series(lp1, times, grid6)
     phi = TestFunction(0.25, 0.2, np.array([1.0]), np.array([0.8]))
     res = entropy_residual(lp1, times, states, phi, 0.3, 1)
-    assert res >= -entropy_tolerance(lp1, grid6, times, states, phi, 0.3)
+    assert res >= -entropy_tolerance(lp1, grid6, times, states, 0.3)
+
+
+@pytest.mark.parametrize("case", ["sihr", "contact"])
+def test_entropy_sweep_equals_single_sample_calls(case, monkeypatch):
+    # the sweep reads one table per component; single calls sample afresh
+    if case == "sihr":
+        sys_ = build_sihr(SIHRParams(rho=0.08, kappa=0.3, theta=0.1, eta=0.2))
+        traj = solve(sys_, Grid(sys_.domain, (64,)), 0.5, PicardConfig())
+    else:
+        sys_ = contact_sihr()
+        traj = solve(sys_, Grid(sys_.domain, (6, 5, 4)), 0.25,
+                     PicardConfig(slab_length=0.25, min_knots=4))
+    phis = []
+    monkeypatch.setattr(analysis, "TestFunction",
+                        lambda *a: phis.append(TestFunction(*a)) or phis[-1])
+    results = entropy_sweep(sys_, traj, n_samples=20, seed=3)
+    assert len(phis) == len(results) == 20
+    frozen = [frozen_component(sys_, traj, h) for h in range(sys_.k)]
+    for r, phi in zip(results, phis):
+        lp, states = frozen[r["component"]]
+        assert entropy_residual(lp, traj.times, states, phi, r["kappa"], r["sign"]) == r["residual"]
+        assert entropy_tolerance(lp, traj.grid, traj.times, states, r["kappa"]) == r["tol"]
+
+
+def test_entropy_sweep_samples_each_knot_once():
+    sys_ = build_sihr(SIHRParams(rho=0.08, kappa=0.3, theta=0.1, eta=0.2))
+    traj = solve(sys_, Grid(sys_.domain, (96,)), 0.5, PicardConfig())
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+
+        return wrapped
+
+    for attr in ("P", "Q", "Ub"):
+        setattr(sys_, attr, tuple(counted(fn) for fn in getattr(sys_, attr)))
+    results = entropy_sweep(sys_, traj, n_samples=50)
+    assert all(r["ok"] for r in results)
+    # P and Q on the grid and Ub on the one inflow face, per component and knot
+    assert 0 < len(calls) <= 3 * sys_.k * len(traj.times)
+
+
+def test_entropy_residual_samples_only_supported_knots(grid6):
+    p_times = []
+
+    def p(t, pts):
+        p_times.append(np.unique(t))
+        return np.full(np.atleast_2d(pts).shape[0], 0.3)
+
+    lp = LinearProblem(V1, p, zero_field, zero_field, smooth_u0(grid6))
+    times = np.linspace(0.0, 1.0, 17)
+    states = solve_series(lp, times, grid6, substeps=16)
+    p_times.clear()
+    phi = TestFunction(0.5, 0.2, np.array([2.0]), np.array([1.5]))
+    entropy_residual(lp, times, states, phi, 0.2, 1)
+    bt, _ = phi.time(times)
+    assert np.count_nonzero(bt) == 7
+    assert all(len(ts) == 1 for ts in p_times)
+    assert np.array_equal(np.concatenate(p_times), times[bt != 0])

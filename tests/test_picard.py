@@ -359,3 +359,41 @@ def test_kernel_matrix_budget_fallback_is_bitwise_equal(monkeypatch):
     assert np.array_equal(dense.times, fallback.times)
     for a, b in zip(dense.states, fallback.states):
         assert np.array_equal(a.values, b.values)
+
+
+def test_mass_weight_evaluated_once_per_grid(monkeypatch):
+    calls = []
+
+    def weight(pts):
+        calls.append(pts.shape[0])
+        return np.exp(-pts[:, 0])
+
+    def system():
+        mass = WeightedMassKernel(weight, comp=0, bound=1.0)
+        return SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
+                         velocities=(VelocityField.constant([1.0]),),
+                         P=(lambda t, pts, eta: -0.3 * eta[:, 0],),
+                         Q=(lambda t, pts, u, eta: np.zeros(pts.shape[0]),),
+                         Ub=(lambda t, pts, eta: 0.2 * eta[:, 0],), Kp=(mass,), Ku=(mass,),
+                         u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
+
+    sys_ = system()
+    grid = Grid(sys_.domain, (60,))
+    sweeps = []
+    sweep = picard.apply_T
+    monkeypatch.setattr(picard, "apply_T", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    kept = solve_slab(sys_, sys_.initial_state(grid), 0.0, PicardConfig())
+    assert len(sweeps) >= 3
+    assert calls == [60]
+    coarse = Grid(sys_.domain, (30,))
+    solve_slab(sys_, sys_.initial_state(coarse), 0.0, PicardConfig())
+    assert calls == [60, 30]
+    # evaluating the weight at every call, as before, gives the same bits
+    monkeypatch.setattr(WeightedMassKernel, "_node_weights",
+                        lambda self, g: np.asarray(self.weight(g.points), dtype=float))
+    fresh_sys = system()
+    fresh = solve_slab(fresh_sys, fresh_sys.initial_state(grid), 0.0, PicardConfig())
+    assert len(calls) > 2 + len(sweeps)
+    assert np.array_equal(kept.times, fresh.times)
+    for a, b in zip(kept.states, fresh.states):
+        assert np.array_equal(a.values, b.values)
