@@ -5,14 +5,14 @@ A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 interior foot point, or leaves the box at the exit time ``T(t, x)``:
 through an inflow face ``x_i = 0`` of a half-line axis, where it picks
 up the boundary datum, or through a truncation face, where it carries
-0.  RK4 steps only the live traces; a trace that lands outside stops,
-and after the last substep one batched bisection refines every exit
-of the call, each within its own substep.  Each trace has its own knot
-times: the shared knots clamped from below at its exit time, so an
-exit ends the trace's integrals.  Up to the foot or the exit the trace
-picks up the growth factor ``exp(int (p - div v) ds)`` and a source
-integral, both by composite trapezoid on its knots (see
-``transport.evaluate``).
+0.  Each trace of a call has its own start time and knots.  RK4 steps
+only the live traces; a trace that lands outside stops, and after the
+last substep one batched bisection refines every exit of the call,
+each within its own substep.  A trace's knots are clamped from below
+at its exit time, so an exit ends the trace's integrals.  Up to the
+foot or the exit the trace picks up the growth factor
+``exp(int (p - div v) ds)`` and a source integral, both by composite
+trapezoid on its knots (see ``transport.evaluate``).
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
 ``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``;
@@ -73,13 +73,14 @@ def rk4_step(v, t0, x: np.ndarray, dt) -> np.ndarray:
 
 @dataclass
 class TraceBatch:
-    """All grid characteristics traced at once, each on its own knot times.
+    """Characteristics traced at once, each from its own start on its own knot times.
 
-    ``path[j, p]`` is the position of trace p at knot j, reached at
-    ``trace_times[j, p]``: the shared knot ``times[j]`` clamped from
-    below at the trace's exit time, so knots past an exit repeat the
-    exit point over zero-width intervals.  ``exited`` marks traces that
-    left the box through any face.  ``exit_face`` is the
+    ``times[j, p]`` is knot j of trace p, from its start ``times[0, p]``
+    down to the floor and then repeated.  ``path[j, p]`` is the position
+    of trace p at knot j, reached at ``trace_times[j, p]``: ``times[j, p]``
+    clamped from below at the trace's exit time, so knots past an exit
+    repeat the exit point over zero-width intervals.  ``exited`` marks
+    traces that left the box through any face.  ``exit_face`` is the
     axis of an inflow face, or -1 for a truncation face, which
     ``truncated`` also marks; the datum there is 0.  Traces that did not
     exit end at a foot.  A batch is not changed once built: its derived
@@ -103,15 +104,14 @@ class TraceBatch:
 
     @cached_property
     def trace_times(self) -> np.ndarray:
-        """Knot times of every trace, shape ``(len(times), npts)``."""
-        return np.fmax(self.times[:, None], self.exit_time)
+        """Knot times of every trace, shaped like ``times``."""
+        return np.fmax(self.times, self.exit_time)
 
     @cached_property
     def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live knots: their mask over ``trace_times``, their times and their points.
 
-        A knot past a trace's exit repeats the exit knot over a zero-width
-        interval and is not live; the first knot always is.
+        The first knot is live; one that repeats the knot before it is not.
         """
         ts = self.trace_times
         mask = np.ones(ts.shape, dtype=bool)
@@ -124,28 +124,29 @@ def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return ((x < lower) | (x > upper)).any(axis=1)
 
 
-def _refine_exit(v, s_hi: np.ndarray, x_hi: np.ndarray, s_lo: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray, m: int, tol: float):
+def _refine_exit(v, bracket: np.ndarray, start: np.ndarray, s_hi: np.ndarray, x_hi: np.ndarray,
+                 s_lo: np.ndarray, lower: np.ndarray, upper: np.ndarray, m: int):
     """Bisect the time in ``(s_lo, s_hi]`` at which each trace leaves the box.
 
     Every trace has its own bracket, the substep in which it left: it is
-    at ``x_hi`` at ``s_hi`` and outside at ``s_lo``.  Traces that share a
-    bracket stop halving together, once the widest of them is below
-    ``tol``.  The face is the bound nearest the exit point: the lower
-    bound of half-line axis ``i`` is inflow face ``i`` (coordinate pinned
-    to 0), any other -1.
+    at ``x_hi`` at ``s_hi`` and outside at ``s_lo``.  Traces with one
+    ``bracket`` id (knot column and substep) stop halving together, once
+    the widest is below ``1e-12 * max(|start|, 1e-6)``.  The face is the
+    bound nearest the exit point: the lower bound of half-line axis ``i``
+    is inflow face ``i`` (coordinate pinned to 0), any other -1.
     """
     lo, hi = s_lo.copy(), s_hi.copy()
-    starts, group = np.unique(s_hi, return_inverse=True)
+    _, first, group = np.unique(bracket, return_index=True, return_inverse=True)
+    tol = 1e-12 * np.maximum(np.abs(start[first]), 1e-6)
     todo = np.arange(len(lo))
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo[todo] + hi[todo])
         out = _outside(rk4_step(v, s_hi[todo], x_hi[todo], mid - s_hi[todo]), lower, upper)
         lo[todo[out]] = mid[out]
         hi[todo[~out]] = mid[~out]
-        widest = np.zeros(len(starts))
+        widest = np.zeros(len(first))
         np.maximum.at(widest, group[todo], hi[todo] - lo[todo])
-        todo = todo[widest[group[todo]] >= tol]
+        todo = todo[(widest >= tol)[group[todo]]]
         if not todo.size:
             break
     T = 0.5 * (lo + hi)
@@ -157,33 +158,47 @@ def _refine_exit(v, s_hi: np.ndarray, x_hi: np.ndarray, s_lo: np.ndarray,
     return T, xT, face
 
 
-def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
+def trace_backward(v, t, pts: np.ndarray, substeps, domain: Domain,
                    t_floor: float = 0.0) -> TraceBatch:
-    """Trace every point of ``pts`` backward from ``t`` to ``t_floor``.
+    """Trace every point of ``pts`` backward from its time in ``t`` to ``t_floor``.
 
-    Only live traces are stepped; one :func:`_refine_exit` call locates all exits.
+    ``t`` and ``substeps`` are scalars or one per point: trace p steps on
+    ``np.linspace(t[p], t_floor, substeps[p] + 1)``, padded with its last
+    knot to the longest.  One :func:`_refine_exit` call locates all exits.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts, d = pts.shape
-    if t < t_floor - 1e-15:
+    start = np.broadcast_to(np.asarray(t, dtype=float), (npts,))
+    if np.any(start < t_floor - 1e-15):
         raise ValueError("cannot trace to a floor above t")
-    substeps = max(1, int(substeps))
-    if abs(t - t_floor) < 1e-15:
-        times = np.array([t])
-        return TraceBatch(times, pts[None, :, :].copy(),
-                          np.zeros(npts, bool), np.full(npts, np.nan),
-                          np.full((npts, d), np.nan), np.full(npts, -1))
+    n = np.where(np.abs(start - t_floor) < 1e-15, 0,
+                 np.maximum(1, np.broadcast_to(substeps, (npts,)).astype(int)))
+    rows = int(n.max(initial=0)) + 1
+    scalar = np.ndim(t) == np.ndim(substeps) == 0  # one knot column, nothing to group
+    first, which = ((np.zeros(1, dtype=int), np.zeros(npts, dtype=int)) if scalar else
+                    np.unique(start + 1j * n, return_index=True, return_inverse=True)[1:])
+    knots = np.array([np.linspace(start[p], t_floor, n[p] + 1)[np.minimum(np.arange(rows), n[p])]
+                      for p in first]).reshape(-1, rows).T  # padded with its last knot
+    times = knots[:, which] if len(first) > 1 else np.broadcast_to(knots, (rows, npts))
 
-    times = np.linspace(t, t_floor, substeps + 1)
-    path = np.empty((substeps + 1, npts, d))
+    path = np.empty((rows, npts, d))
     path[0] = pts
     x = pts.copy()
     live = np.arange(npts)
-    exit_step = np.full(npts, substeps)  # substep in which a trace leaves; substeps if never
+    exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
     lower, upper = np.array(domain.bounds()).T.copy()
 
-    for j in range(substeps):
-        x_new = rk4_step(v, times[j], x[live], times[j + 1] - times[j])
+    ends = set(n[first].tolist())  # rows at which some column ends
+    for j in range(rows - 1):
+        if j in ends:
+            live = live[n[live] > j]
+        if not live.size:
+            path[j + 1:] = x
+            break
+        # one column: its knots are scalars, which step faster than a time per trace
+        s, s_next = ((knots[j, 0], knots[j + 1, 0]) if len(first) == 1
+                     else (times[j, live], times[j + 1, live]))
+        x_new = rk4_step(v, s, x[live], s_next - s)
         if not np.all(np.isfinite(x_new)):
             raise ValueError("non-finite velocity along characteristic")
         out = _outside(x_new, lower, upper)
@@ -191,20 +206,18 @@ def trace_backward(v, t: float, pts: np.ndarray, substeps: int, domain: Domain,
         live = live[~out]
         x[live] = x_new[~out]
         path[j + 1] = x
-        if not live.size:
-            break
 
-    exited = exit_step < substeps
-    exit_time = np.full(npts, np.nan)
+    exited = exit_step < n
+    exit_time, exit_face = np.full(npts, np.nan), np.full(npts, -1, dtype=int)
     exit_point = np.full((npts, d), np.nan)
-    exit_face = np.full(npts, -1, dtype=int)
     if exited.any():
         # x still holds each exited trace where it was at the start of its exit substep
         e = np.nonzero(exited)[0]
-        tol = 1e-12 * max(abs(t), 1e-6)
+        k = exit_step[e]
         exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
-            v, times[exit_step[e]], x[e], times[exit_step[e] + 1], lower, upper, domain.m, tol)
-        past = np.arange(substeps + 1)[:, None] > exit_step
+            v, which[e] * rows + k, start[e], times[k, e], x[e], times[k + 1, e],
+            lower, upper, domain.m)
+        past = (np.arange(rows)[:, None] > exit_step) & exited
         path[past] = np.broadcast_to(exit_point, path.shape)[past]
     return TraceBatch(times, path, exited, exit_time, exit_point, exit_face)
 

@@ -257,9 +257,6 @@ class GridFn:
     def k(self) -> int:
         return self.values.shape[1]
 
-    def component(self, h: int) -> np.ndarray:
-        return self.values[:, h]
-
     def __add__(self, other: "GridFn") -> "GridFn":
         return GridFn(self.grid, self.values + other.values)
 

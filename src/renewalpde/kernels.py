@@ -10,8 +10,8 @@ in time does so through its outer map ``P``/``Q``/``Ub``, which gets
   evaluation point.  This is the fast path (O(N) per state).
 * :class:`ScalarComponentKernel` - ``K(x, x') = g(x, x') e_c``: a dense
   (P x N) kernel matrix times the state.  The Picard solver builds the
-  matrix on the grid nodes once per slab attempt and applies it every
-  sweep (``picard.SlabPlan``); ``integrate`` builds it blockwise.
+  matrix on the grid nodes once per slab attempt, the entropy audit once
+  (``picard.kernel_matrices``); ``integrate`` builds it blockwise.
 
 Both expose ``integrate(t, pts, f) -> (P, k_out)`` plus a declared sup
 bound used by the quantitative estimates.  ``t`` is accepted for the

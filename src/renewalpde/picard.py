@@ -17,13 +17,12 @@ Within a slab the iterate is stored at uniform time knots and
 interpolated linearly in t between them; the per-knot linear solves
 use trace substeps aligned with the knots, so time quadrature of
 coefficients that are linear in the frozen state is exact.  Only the
-iterate changes from one sweep to the next: the velocity and the
-kernels never read it.  So each slab attempt builds one
-:class:`SlabPlan` (the traces of every grid node from every knot, the
-knot brackets and interpolation stencils of their live knots and
-exits, and one dense kernel matrix per kernel object), and every sweep
-of the attempt reads it.  A sweep interpolates the iterate along each
-trace batch once, for all components on that velocity.
+iterate changes from one sweep to the next.  So each slab attempt
+builds one :class:`SlabPlan` (per velocity, the traces of every grid
+node from every knot in one batch, with the knot brackets and stencils
+of their live knots, exits and feet; one dense kernel matrix per kernel
+object), and every sweep of the attempt reads it.  A sweep interpolates
+the iterate along each batch once and evaluates each component once.
 """
 
 from __future__ import annotations
@@ -196,11 +195,27 @@ def _exit_face(grid: Grid) -> FaceGrid | None:
 
 @dataclass(eq=False)
 class _Site:
-    """One trace batch with the knot groups of its live knots and of its inflow exits."""
+    """One velocity's traces from all knots (knot j: columns ``(j-1)N : jN``), groups, feet."""
 
     batch: TraceBatch
     knots: list[_KnotGroup]
     exits: list[_KnotGroup]
+    feet: Stencil
+    _datum: tuple = (None, None)
+
+    def datum(self, u0: np.ndarray) -> np.ndarray:
+        """Node values ``u0`` (N, k) at the interior feet, gathered once per initial state."""
+        if self._datum[0] is not u0:
+            self._datum = (u0, interp_gather(self.feet, u0))
+        return self._datum[1]
+
+
+def kernel_matrices(sys: SystemDef, grid: Grid) -> dict[ScalarComponentKernel, np.ndarray]:
+    """``g(x_p, x'_n)`` on the grid nodes per dense kernel of ``Kp``/``Kq`` that fits the budget."""
+    fits = grid.n_nodes ** 2 * 8 <= _MATRIX_BUDGET
+    return {kernel: kernel.matrix(grid.points, grid.points)
+            for kernel in dict.fromkeys((*sys.Kp, *sys.Kq))
+            if fits and isinstance(kernel, ScalarComponentKernel)}
 
 
 class SlabPlan:
@@ -208,38 +223,30 @@ class SlabPlan:
 
     Built once per attempt and read by each of its sweeps:
 
-    * ``sites[j - 1][h]``: the backward traces of every grid node from
-      knot j to ``times[0]`` for component h, with the knot groups of
-      their live knots and inflow exits.  Components on one velocity
-      share one site.
-    * ``matrices[kernel]``: ``g(x_p, x'_n)`` on the grid nodes for every
-      dense kernel of ``Kp`` and ``Kq``, while N^2 doubles fit
-      ``_MATRIX_BUDGET``.  Above that a sweep integrates per knot.
+    * ``sites[h]``: component h's traces of every grid node from every knot
+      j >= 1 (``4j`` substeps) to ``times[0]``, one batch per velocity.
+    * ``matrices``: the :func:`kernel_matrices` of the system on the grid.
     """
 
     def __init__(self, sys: SystemDef, grid: Grid, times: np.ndarray):
         times = np.asarray(times, dtype=float)
-        t0 = float(times[0])
+        K, N = len(times) - 1, grid.n_nodes
+        starts, pts = np.repeat(times[1:], N), np.tile(grid.points, (K, 1))
+        substeps = np.repeat(np.arange(1, K + 1) * _SUBSTEPS_PER_INTERVAL, N)
         face = _exit_face(grid)
-        self.sites: list[list[_Site]] = []
-        for j in range(1, len(times)):
-            by_velocity = {}
-            for v in sys.velocities:
-                if id(v) not in by_velocity:
-                    batch = trace_backward(v, float(times[j]), grid.points,
-                                           j * _SUBSTEPS_PER_INTERVAL, grid.domain, t_floor=t0)
-                    _, tk, xk = batch.live
-                    inflow = batch.exit_face >= 0
-                    by_velocity[id(v)] = _Site(
-                        batch, _knot_groups(times, tk, xk, grid),
-                        _knot_groups(times, batch.exit_time[inflow],
-                                     batch.exit_point[inflow], face))
-            self.sites.append([by_velocity[id(v)] for v in sys.velocities])
-        self.matrices: dict[ScalarComponentKernel, np.ndarray] = {}
-        if grid.n_nodes ** 2 * 8 <= _MATRIX_BUDGET:
-            for kernel in (*sys.Kp, *sys.Kq):
-                if isinstance(kernel, ScalarComponentKernel) and kernel not in self.matrices:
-                    self.matrices[kernel] = kernel.matrix(grid.points, grid.points)
+        by_velocity = {}
+        for v in sys.velocities:
+            if id(v) not in by_velocity:
+                batch = trace_backward(v, starts, pts, substeps, grid.domain,
+                                       t_floor=float(times[0]))
+                _, tk, xk = batch.live
+                inflow = batch.exit_face >= 0
+                by_velocity[id(v)] = _Site(
+                    batch, _knot_groups(times, tk, xk, grid),
+                    _knot_groups(times, batch.exit_time[inflow], batch.exit_point[inflow], face),
+                    grid.stencil(batch.feet[~batch.exited]))
+        self.sites = [by_velocity[id(v)] for v in sys.velocities]
+        self.matrices = kernel_matrices(sys, grid)
 
 
 class FrozenCoefficients:
@@ -248,14 +255,14 @@ class FrozenCoefficients:
     Nonlocal integrals are sampled once per knot (on the grid when they
     depend on the evaluation point) and interpolated linearly in time
     and multilinearly in space; the outer maps P/Q/Ub are then applied
-    at the exact query points and times, one time per point.  With a
-    :class:`SlabPlan`, grid integrals apply its kernel matrices.  Queries
-    may pass the knot groups of their points (a plan site's); otherwise
-    they group the points themselves.
+    at the exact query points and times, one time per point.  Grid
+    integrals apply a kernel's matrix from ``matrices`` when it is there.
+    Queries may pass the knot groups of their points (a plan site's);
+    otherwise they group the points themselves.
     """
 
     def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn],
-                 plan: SlabPlan | None = None):
+                 matrices: dict | None = None):
         self.sys = sys
         self.h = h
         self.times = np.asarray(times, dtype=float)
@@ -263,11 +270,11 @@ class FrozenCoefficients:
         self.grid = states[0].grid
         self.K = len(times) - 1
         self._face = _exit_face(self.grid)
-        self._eta_p = self._freeze(sys.Kp[h], plan, boundary=False)
-        self._eta_q = self._freeze(sys.Kq[h], plan, boundary=False)
-        self._eta_u = self._freeze(sys.Ku[h], plan, boundary=True)
+        self._eta_p = self._freeze(sys.Kp[h], matrices, boundary=False)
+        self._eta_q = self._freeze(sys.Kq[h], matrices, boundary=False)
+        self._eta_u = self._freeze(sys.Ku[h], matrices, boundary=True)
 
-    def _freeze(self, kernel, plan: SlabPlan | None, boundary: bool):
+    def _freeze(self, kernel, matrices: dict | None, boundary: bool):
         """Per-knot sampler ``sample(j, group) -> (n, 1)`` of the kernel integral.
 
         Returns None when the field is identically zero.
@@ -280,7 +287,7 @@ class FrozenCoefficients:
                                      self.states[j])[0, 0] for j in knots]
             return lambda j, g: np.full((len(g.rows), 1), vals[j])
         if not boundary:
-            G = plan.matrices.get(kernel) if plan is not None else None
+            G = (matrices or {}).get(kernel)
             if G is None:
                 vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j])
                         for j in knots]
@@ -361,24 +368,21 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
 
     ``plan`` is the slab attempt's :class:`SlabPlan`, built here when not given.
     """
-    grid = w.grid
-    times = w.times
-    t0 = float(times[0])
+    grid, times = w.grid, w.times
     if plan is None:
         plan = SlabPlan(sys, grid, times)
-    frozen = [FrozenCoefficients(sys, h, times, w.states, plan) for h in range(sys.k)]
-    out_states = [w.states[0]]
-    for tj, sites in zip(times[1:], plan.sites):
-        cols = np.empty((grid.n_nodes, sys.k))
-        w_along = {}  # the frozen state at each site's live knots, shared by its components
-        for h, site in enumerate(sites):
-            if site not in w_along:
-                _, tk, xk = site.batch.live
-                w_along[site] = frozen[h].w_at(tk, xk, site.knots)
-            lp = frozen[h].linear_problem(site, w_along[site])
-            cols[:, h] = evaluate(lp, float(tj), grid, t0=t0, batch=site.batch).values[:, 0]
-        out_states.append(GridFn(grid, cols))
-    return Trajectory(times.copy(), out_states)
+    frozen = [FrozenCoefficients(sys, h, times, w.states, plan.matrices) for h in range(sys.k)]
+    cols = np.empty((len(times) - 1, grid.n_nodes, sys.k))
+    w_along = {}  # the frozen state at each site's live knots, shared by its components
+    for h, site in enumerate(plan.sites):
+        if site not in w_along:
+            _, tk, xk = site.batch.live
+            w_along[site] = frozen[h].w_at(tk, xk, site.knots)
+        lp = frozen[h].linear_problem(site, w_along[site])
+        vals = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]), batch=site.batch,
+                        feet_u0=site.datum(w.states[0].values)[:, h])
+        cols[:, :, h] = vals.reshape(cols.shape[:2])
+    return Trajectory(times.copy(), [w.states[0]] + [GridFn(grid, c) for c in cols])
 
 
 def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,

@@ -13,7 +13,8 @@ to the initial (or exit) time.
 
 Every trace runs on its own knot times (``TraceBatch.trace_times``),
 which stop at its exit time, so one composite trapezoid per trace
-gives both integrals and an exit is the last knot of its trace.
+gives both integrals and an exit is the last knot of its trace; one
+batch may stack the nodes at several times.
 Coefficient callbacks are evaluated in batch, once on the knots of all
 traces up to and including the exits:
 ``p(t, pts)`` with pts of shape (P, d) returns (P,), and ``t`` is one
@@ -59,21 +60,23 @@ def auto_substeps(grid: Grid, span: float, vsup: float) -> int:
     return max(16, int(math.ceil(span * max(vsup, 1e-12) / grid.min_dx)))
 
 
-def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = None,
-             t0: float = 0.0, batch: TraceBatch | None = None) -> GridFn:
-    """Evaluate the representation formula at every grid node at time t.
+def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
+             t0: float = 0.0, batch: TraceBatch | None = None,
+             feet_u0: np.ndarray | None = None):
+    """Evaluate the representation formula at every grid node at time t, as a GridFn.
 
-    A precomputed :class:`TraceBatch` for the same (t, t0, grid) may be
-    passed in; components sharing a velocity then share their traces.
+    Given a :class:`TraceBatch` to ``t0`` from the start times ``t``, it returns one
+    value per trace instead; ``feet_u0`` is ``lp.u0`` at its interior feet, if known.
     """
-    if t < t0 - 1e-14:
+    if np.any(np.asarray(t) < t0 - 1e-14):
         raise ValueError("evaluation time below the initial time")
-    if batch is None:
+    if traced := batch is None:
         if substeps is None:
             substeps = auto_substeps(grid, t - t0, lp.velocity.sup)
         batch = trace_backward(lp.velocity, t, grid.points, substeps, grid.domain, t_floor=t0)
     if len(batch.times) == 1:
-        return GridFn(grid, interp_values(grid, lp.u0.values[:, 0], grid.points))
+        vals = interp_values(grid, lp.u0.values[:, 0], batch.feet)
+        return GridFn(grid, vals) if traced else vals
 
     # Knots past an exit repeat the exit knot over zero-width intervals;
     # the coefficients there are never sampled and read as 0.
@@ -84,10 +87,11 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
     qv = np.zeros(ts.shape)
     qv[live] = lp.q(tk, xk)
 
-    datum = np.zeros(grid.n_nodes)
+    datum = np.zeros(ts.shape[1])
     interior = ~batch.exited
     if interior.any():
-        datum[interior] = interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
+        datum[interior] = (interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
+                           if feet_u0 is None else feet_u0)
     inflow = batch.exit_face >= 0
     if inflow.any():
         datum[inflow] = lp.ub(batch.exit_time[inflow], batch.exit_point[inflow])
@@ -96,7 +100,7 @@ def evaluate(lp: LinearProblem, t: float, grid: Grid, substeps: int | None = Non
         vals = datum * E[-1] + cumulative_trapezoid(qv * E, ts)[-1]
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
-    return GridFn(grid, vals)
+    return GridFn(grid, vals) if traced else vals
 
 
 def solve_series(lp: LinearProblem, times: Sequence[float], grid: Grid,

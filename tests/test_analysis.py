@@ -352,6 +352,29 @@ def test_entropy_sweep_equals_single_sample_calls(case, monkeypatch):
         assert entropy_tolerance(lp, traj.grid, traj.times, states, r["kappa"]) == r["tol"]
 
 
+def test_entropy_sweep_builds_one_kernel_matrix(monkeypatch):
+    calls = []
+
+    def contact(x, xp):
+        calls.append(1)
+        dy = x[..., 1:] - xp[..., 1:]
+        return 0.08 * np.exp(-np.sum(dy * dy, axis=-1))
+
+    # 120 nodes, one block of kernel rows: one call builds the whole matrix
+    sys_ = contact_sihr(contact)
+    traj = solve(sys_, Grid(sys_.domain, (6, 5, 4)), 0.25,
+                 PicardConfig(slab_length=0.25, min_knots=4))
+    calls.clear()
+    results = entropy_sweep(sys_, traj, n_samples=20, seed=3)
+    # Kp[S] and Kq[I] are one kernel object, shared by both components
+    assert len(calls) == 1
+    # integrating the kernel at every knot, as without the matrix, gives the same results
+    monkeypatch.setattr(analysis, "kernel_matrices", lambda sys, grid: {})
+    calls.clear()
+    assert entropy_sweep(sys_, traj, n_samples=20, seed=3) == results
+    assert len(calls) == 2 * len(traj.times)
+
+
 def test_entropy_sweep_samples_each_knot_once():
     sys_ = build_sihr(SIHRParams(rho=0.08, kappa=0.3, theta=0.1, eta=0.2))
     traj = solve(sys_, Grid(sys_.domain, (96,)), 0.5, PicardConfig())

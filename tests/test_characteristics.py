@@ -200,7 +200,7 @@ def test_batched_exits_time_dependent_velocity(monkeypatch):
     y_exit = pts[exits, 1] - (t * t - T * T) / 4.0
     assert np.allclose(b.exit_point[exits, 1], y_exit, rtol=0.0, atol=1e-10)
     # rows past an exit hold the exit point; interior traces end at their feet
-    past = b.times[:, None] < b.exit_time[None, exits]
+    past = b.times[:, exits] < b.exit_time[exits]
     assert np.array_equal(b.path[:, exits][past], np.broadcast_to(
         b.exit_point[exits], b.path[:, exits].shape)[past])
     feet = pts[~exits] - np.column_stack([np.full((~exits).sum(), t + t * t / 2),
@@ -209,3 +209,71 @@ def test_batched_exits_time_dependent_velocity(monkeypatch):
 
     trace_backward(v, 0.5, pts[x > 2.0], substeps, domain)
     assert len(calls) == 1
+
+
+def _assert_stacked_equals_separate(v, domain, starts, substeps, pts, t_floor=0.0):
+    """One call with every start stacked equals one call per start, bit for bit."""
+    n = len(pts)
+    b = trace_backward(v, np.repeat(starts, n), np.tile(pts, (len(starts), 1)),
+                       np.repeat(substeps, n), domain, t_floor=t_floor)
+    assert b.times.shape == (max(substeps) + 1, n * len(starts))
+    for i, (t, k) in enumerate(zip(starts, substeps)):
+        one = trace_backward(v, t, pts, k, domain, t_floor=t_floor)
+        cols = slice(i * n, (i + 1) * n)
+        # the column is the separate call's knots, padded with its last knot
+        assert np.array_equal(b.times[:k + 1, cols], one.times)
+        assert np.all(b.times[k + 1:, cols] == one.times[-1])
+        assert np.array_equal(b.path[:k + 1, cols], one.path)
+        assert np.array_equal(b.path[k + 1:, cols],
+                              np.broadcast_to(one.path[-1], b.path[k + 1:, cols].shape))
+        assert np.array_equal(b.exited[cols], one.exited)
+        assert np.array_equal(b.exit_time[cols], one.exit_time, equal_nan=True)
+        assert np.array_equal(b.exit_point[cols], one.exit_point, equal_nan=True)
+        assert np.array_equal(b.exit_face[cols], one.exit_face)
+        assert np.array_equal(b.trace_times[:k + 1, cols], one.trace_times)
+    return b
+
+
+def test_stacked_starts_equal_separate_calls():
+    # half-line, a velocity that varies in t and x: interior feet and inflow exits
+    def fn(t, x):
+        x = np.atleast_2d(x)
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+        return 1.0 + 0.3 * np.sin(2.0 * x) + 0.2 * t[:, None]
+
+    v = VelocityField(fn, lambda t, x: 0.6 * np.cos(2.0 * np.atleast_2d(x)[:, 0]), sup=1.7)
+    b = _assert_stacked_equals_separate(v, HALFLINE, [0.25, 0.5, 0.75, 1.0], [4, 8, 12, 16],
+                                        np.linspace(0.05, 2.5, 40)[:, None])
+    assert b.exited.any() and not b.exited.all()
+
+    # age x 1-D space with velocity (1, 2): inflow exits through a = 0 and
+    # truncation exits through y = -1, from a floor above 0
+    v = VelocityField.constant([1.0, 2.0])
+    dom = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
+    a, y = np.meshgrid(np.linspace(0.05, 1.5, 9), np.linspace(-0.95, 0.95, 7), indexing="ij")
+    pts = np.column_stack([a.ravel(), y.ravel()])
+    b = _assert_stacked_equals_separate(v, dom, [0.35, 0.6, 0.85], [4, 8, 12], pts, t_floor=0.1)
+    assert set(b.exit_face[b.exited]) == {0, -1}
+
+    # two inflow faces and a truncation face
+    v = VelocityField.constant([1.0, 0.6, 2.0])
+    dom = Domain(half_lengths=(2.0, 1.5), full_lengths=(1.0,))
+    g = np.meshgrid(np.linspace(0.05, 1.5, 5), np.linspace(0.05, 1.2, 5),
+                    np.linspace(-0.9, 0.9, 4), indexing="ij")
+    pts = np.column_stack([c.ravel() for c in g])
+    b = _assert_stacked_equals_separate(v, dom, [0.4, 0.8], [4, 8], pts)
+    assert set(b.exit_face[b.exited]) == {0, 1, -1}
+    # no points: an empty batch
+    assert trace_backward(v, [], np.zeros((0, 3)), [], dom).path.shape[1:] == (0, 3)
+
+
+def test_stacked_starts_sharing_an_exit_bracket_keep_their_tolerances():
+    # unit speed on the half-line: from (t, x) the exit is at t - x.  Start 0.75
+    # (3 substeps) and start 1.0 (8 substeps) share the knot 0.25 bit for bit;
+    # (0.75, 0.6) leaves in (0, 0.25] and (1.0, 0.8) in (0.125, 0.25].  Halving
+    # together, the narrower bracket would run one step past its own tolerance
+    assert np.linspace(0.75, 0.0, 4)[2] == np.linspace(1.0, 0.0, 9)[6] == 0.25
+    b = _assert_stacked_equals_separate(VelocityField.constant([1.0]), HALFLINE, [0.75, 1.0],
+                                        [3, 8], np.array([[0.6], [0.8]]))
+    assert b.exited[0] and b.exited[3]
+    assert 0.0 < b.exit_time[0] <= 0.25 and 0.125 < b.exit_time[3] <= 0.25

@@ -265,7 +265,8 @@ def test_traces_built_once_per_slab_attempt(monkeypatch):
     traj = solve_slab(sys_, sys_.initial_state(grid), 0.0, cfg)
     assert traj.diagnostics[0].halvings == 0
     assert len(sweeps) >= 3
-    assert len(traces) == (len(traj.times) - 1) * 2
+    # one stacked trace of all knots per distinct velocity
+    assert len(traces) == 2
 
     # a prebuilt plan gives the same sweep as a plan built inside it
     times = traj.times
@@ -274,6 +275,38 @@ def test_traces_built_once_per_slab_attempt(monkeypatch):
     b = sweep(sys_, w)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.values, sb.values)
+
+
+def test_feet_datum_gathered_once_per_slab_attempt(monkeypatch):
+    sys_, _ = build_blowup("ode")
+    grid = Grid(sys_.domain, (200,))
+    cfg = PicardConfig(min_knots=4)
+    plans, feet_gathers, sweeps = [], [], []
+    plan_cls, gather, sweep = picard.SlabPlan, picard.interp_gather, picard.apply_T
+
+    def record_plan(*a, **k):
+        plans.append(plan_cls(*a, **k))
+        return plans[-1]
+
+    def record_gather(stencil, values):
+        if any(stencil is site.feet for plan in plans for site in plan.sites):
+            feet_gathers.append(len(plans))
+        return gather(stencil, values)
+
+    monkeypatch.setattr(picard, "SlabPlan", record_plan)
+    monkeypatch.setattr(picard, "interp_gather", record_gather)
+    monkeypatch.setattr(picard, "apply_T", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    kept = solve_slab(sys_, sys_.initial_state(grid), 0.0, cfg)
+    assert len(sweeps) >= 3 * len(plans)
+    # one site, one gather of the initial state at its feet per slab attempt
+    assert feet_gathers == list(range(1, len(plans) + 1))
+
+    # interpolating the datum in every sweep, as evaluate does without it, gives the same bits
+    monkeypatch.setattr(picard, "evaluate", lambda *a, feet_u0, **k: evaluate(*a, **k))
+    fresh = solve_slab(sys_, sys_.initial_state(grid), 0.0, cfg)
+    assert np.array_equal(kept.times, fresh.times)
+    for a, b in zip(kept.states, fresh.states):
+        assert np.array_equal(a.values, b.values)
 
 
 def contact_sihr(fn=None):
@@ -304,25 +337,27 @@ def test_plan_sweep_equals_planless_coefficients():
 
     t0 = float(times[0])
     for h in range(sys_.k):
-        with_plan = FrozenCoefficients(sys_, h, times, states, plan)
+        with_plan = FrozenCoefficients(sys_, h, times, states, plan.matrices)
         planless = FrozenCoefficients(sys_, h, times, states)
-        for site in plan.sites[-1], plan.sites[1]:
-            site = site[h]
-            _, tk, xk = site.batch.live
-            assert np.array_equal(with_plan.p(tk, xk, site.knots), planless.p(tk, xk))
-            assert np.array_equal(with_plan.q(tk, xk, site.knots), planless.q(tk, xk))
-            assert np.array_equal(with_plan.w_at(tk, xk, site.knots), planless.w_at(tk, xk))
-            inflow = site.batch.exit_face >= 0
-            T, X = site.batch.exit_time[inflow], site.batch.exit_point[inflow]
-            assert len(T) > 0
-            assert np.array_equal(with_plan.ub(T, X, site.exits), planless.ub(T, X))
+        site = plan.sites[h]
+        _, tk, xk = site.batch.live
+        assert np.array_equal(with_plan.p(tk, xk, site.knots), planless.p(tk, xk))
+        assert np.array_equal(with_plan.q(tk, xk, site.knots), planless.q(tk, xk))
+        assert np.array_equal(with_plan.w_at(tk, xk, site.knots), planless.w_at(tk, xk))
+        inflow = site.batch.exit_face >= 0
+        T, X = site.batch.exit_time[inflow], site.batch.exit_point[inflow]
+        assert len(T) > 0
+        assert np.array_equal(with_plan.ub(T, X, site.exits), planless.ub(T, X))
 
+    # knot j of the sweep is the column block (j-1)N : jN of one stacked
+    # evaluate; it equals the planless evaluate at that knot with its own trace
     swept = apply_T(sys_, w, plan)
     planless = [FrozenCoefficients(sys_, h, times, states).linear_problem()
                 for h in range(sys_.k)]
-    for j, sites in enumerate(plan.sites, start=1):
-        for h, site in enumerate(sites):
-            u = evaluate(planless[h], float(times[j]), grid, t0=t0, batch=site.batch)
+    for j in range(1, len(times)):
+        for h in range(sys_.k):
+            substeps = picard._SUBSTEPS_PER_INTERVAL * j
+            u = evaluate(planless[h], float(times[j]), grid, substeps=substeps, t0=t0)
             assert np.array_equal(swept.states[j].values[:, h], u.values[:, 0])
 
 
