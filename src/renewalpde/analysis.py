@@ -26,7 +26,7 @@ import numpy as np
 
 from .characteristics import trapezoid_weights
 from .domain import Grid, GridFn, l1_norm
-from .picard import FrozenCoefficients, Trajectory, kernel_matrices
+from .picard import FrozenCoefficients, Trajectory
 from .problem import HypothesisConstants, SystemDef
 from .transport import LinearProblem, evaluate
 
@@ -397,12 +397,9 @@ def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
     return _KnotSamples(lp, grid, times, states, keep=False).tolerance(kappa)
 
 
-def frozen_component(sys: SystemDef, traj: Trajectory, h: int,
-                     matrices: dict | None = None) -> tuple[LinearProblem, list[GridFn]]:
-    """Scalar frozen problem and states of component h; ``matrices`` built if not given."""
-    frozen = FrozenCoefficients(sys, h, traj.times, traj.states,
-                                kernel_matrices(sys, traj.grid) if matrices is None else matrices)
-    lp = frozen.linear_problem()
+def frozen_component(sys: SystemDef, traj: Trajectory, h: int) -> tuple[LinearProblem, list[GridFn]]:
+    """Scalar frozen problem and states of component h."""
+    lp = FrozenCoefficients(sys, h, traj.times, traj.states).linear_problem()
     states = [GridFn(traj.grid, s.values[:, h]) for s in traj.states]
     return lp, states
 
@@ -415,9 +412,8 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
     t_end = float(traj.times[-1])
     bounds = grid.domain.bounds()
     results = []
-    matrices = kernel_matrices(sys, grid)
     tables = [_KnotSamples(lp, grid, traj.times, states, keep=True)
-              for lp, states in (frozen_component(sys, traj, h, matrices) for h in range(sys.k))]
+              for lp, states in (frozen_component(sys, traj, h) for h in range(sys.k))]
     levels = [(min(float(np.min(s.values)) for s in ks.states),
                max(float(np.max(s.values)) for s in ks.states)) for ks in tables]
     for _ in range(n_samples):

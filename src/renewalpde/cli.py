@@ -26,9 +26,9 @@ from .analysis import (
     frozen_component,
     gronwall_certificate,
 )
-from .config import (PRESETS, SIHR_DEFAULTS, ConfigError, RunConfig, effective_config_dict,
-                     load_config)
-from .control import ControlSpec, optimize, sihr_kappa_objective
+from .config import (PRESETS, SIHR_DEFAULTS, ConfigError, RunConfig, control_spec,
+                     effective_config_dict, load_config)
+from .control import optimize, sihr_kappa_objective
 from .domain import Grid, truncation_mass_report
 from .models import SIHRParams
 from .picard import LocalExistenceError, Trajectory, solve
@@ -185,8 +185,7 @@ def _run_control(cfg: RunConfig, outdir: Path) -> list[str]:
     preset_params = dict(SIHR_DEFAULTS)
     preset_params.update(cfg.params)
     base = SIHRParams(**preset_params)
-    spec = ControlSpec(bounds=[tuple(b) for b in cc.bounds], budget=cc.budget,
-                       breakpoints=cc.breakpoints, age_bins=cc.age_bins)
+    spec = control_spec(cc)
     objective = sihr_kappa_objective(base, spec, cells=cc.cells, horizon=cc.horizon,
                                      cfg=cfg.picard, objective=cc.objective)
     result = optimize(objective, spec)

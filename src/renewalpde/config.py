@@ -16,6 +16,7 @@ from typing import Callable
 
 import yaml
 
+from .control import ControlSpec
 from .models import (
     CellGrowthParams,
     CompetitiveParams,
@@ -143,6 +144,23 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _parse(key: str, value, convert: Callable, what: str):
+    """``convert(value)``, or a ConfigError naming the field when that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field '{key}' must be {what}, got {value!r}") from None
+
+
+def control_spec(cc: ControlConfig) -> ControlSpec:
+    """The control box of a control search; raises ConfigError when it is malformed."""
+    try:
+        return ControlSpec(bounds=[tuple(b) for b in cc.bounds], budget=cc.budget,
+                           breakpoints=cc.breakpoints, age_bins=cc.age_bins)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"control: {exc}") from None
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run file; raises ConfigError on any defect."""
     path = Path(path)
@@ -179,10 +197,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     cells = raw.get("cells", preset.default_cells)
     if isinstance(cells, int):
         cells = (cells,)
-    cells = tuple(int(c) for c in cells)
+    cells = _parse("cells", cells, lambda cs: tuple(int(c) for c in cs), "a list of integers")
     _require(all(c >= 4 for c in cells), "field 'cells': need at least 4 cells per axis")
 
-    horizon = float(raw.get("horizon", preset.default_horizon))
+    horizon = _parse("horizon", raw.get("horizon", preset.default_horizon), float, "a number")
     _require(horizon > 0, "field 'horizon' must be positive")
 
     pc_raw = raw.get("picard", {}) or {}
@@ -213,11 +231,13 @@ def config_from_dict(raw: dict) -> RunConfig:
         _require(model == "sihr", "control search is wired to the 'sihr' preset")
         _require(control.objective in ("deaths", "peak"),
                  "control.objective must be 'deaths' or 'peak'")
+        control_spec(control)
 
-    seed = int(raw.get("seed", 0))
-    save_states = int(raw.get("save_states", 5))
+    seed = _parse("seed", raw.get("seed", 0), int, "an integer")
+    save_states = _parse("save_states", raw.get("save_states", 5), int, "an integer")
     _require(save_states >= 2, "field 'save_states' must be >= 2")
-    entropy_samples = int(raw.get("entropy_samples", 50))
+    entropy_samples = _parse("entropy_samples", raw.get("entropy_samples", 50), int, "an integer")
+    _require(entropy_samples >= 1, "field 'entropy_samples' must be >= 1")
 
     return RunConfig(model=model, params=params, cells=cells, horizon=horizon,
                      picard=picard, certificates=certificates, control=control,

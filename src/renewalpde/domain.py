@@ -187,55 +187,32 @@ class Grid:
 
 
 class FaceGrid:
-    """Nodes and weights on an inflow face of the box.
+    """Quadrature nodes and weight on an inflow face of the box.
 
     The face of a d-dimensional box is (d-1)-dimensional; for a pure
     age axis (d=1) it degenerates to the single point 0 with measure 1.
     Face points are returned as full d-dimensional coordinates with the
     face coordinate pinned to 0, which is what every boundary callback
-    expects.  The nodes are those of ``lattice``, the grid over the
-    non-face axes (``None`` for the degenerate point face).
+    expects.  The nodes are those of the grid over the non-face axes.
     """
 
     def __init__(self, grid: Grid, axis: int):
-        self.grid = grid
-        self.axis = axis
         dom = grid.domain
         keep = [i for i in range(grid.dim) if i != axis]
         if keep:
             bounds = dom.bounds()
             sub = Domain(half_lengths=[dom.half_lengths[i] for i in keep if i < dom.m],
                          full_bounds=[bounds[i] for i in keep if i >= dom.m])
-            self.lattice = Grid(sub, [grid.shape[i] for i in keep])
-            self.points = np.insert(self.lattice.points, axis, 0.0, axis=1)
-            self.weight = self.lattice.cell_volume
+            lattice = Grid(sub, [grid.shape[i] for i in keep])
+            self.points = np.insert(lattice.points, axis, 0.0, axis=1)
+            self.weight = lattice.cell_volume
         else:
-            self.lattice = None
             self.points = np.zeros((1, grid.dim))
             self.weight = 1.0
 
     @property
     def measure(self) -> float:
         return self.weight * self.points.shape[0]
-
-    def stencil(self, pts: np.ndarray) -> Stencil:
-        """Interpolation stencil of points on the face, on ``lattice``.
-
-        The face coordinate of ``pts`` is ignored.  The point face reads
-        its one node everywhere.
-        """
-        pts = np.atleast_2d(pts)
-        if self.lattice is None:
-            n = pts.shape[0]
-            return Stencil(np.zeros((1, n), dtype=np.int64), np.ones((1, n)), np.ones(n, dtype=bool))
-        return self.lattice.stencil(np.delete(pts, self.axis, axis=1))
-
-    def interp(self, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of face node values at points on the face.
-
-        Points past the face's edges return 0, as in :func:`interp_values`.
-        """
-        return interp_gather(self.stencil(pts), vals)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ in time does so through its outer map ``P``/``Q``/``Ub``, which gets
   is a weighted mass of one component and does not depend on the
   evaluation point.  This is the fast path (O(N) per state).
 * :class:`ScalarComponentKernel` - ``K(x, x') = g(x, x') e_c``: a dense
-  (P x N) kernel matrix times the state.  The Picard solver builds the
-  matrix on the grid nodes once per slab attempt, the entropy audit once
-  (``picard.kernel_matrices``); ``integrate`` builds it blockwise.
+  (P x N) kernel matrix times the state, built blockwise.
 
 Both expose ``integrate(t, pts, f) -> (P, k_out)`` plus a declared sup
 bound used by the quantitative estimates.  ``t`` is accepted for the
-common call signature and not read.
+common call signature and not read.  Each kernel keeps what depends
+only on the last grid it integrated on: the node weights, or the dense
+matrix at the grid's own nodes while it fits ``_MATRIX_BUDGET``.  So a
+solve and the audits after it build it once per grid.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .domain import BlowupError, GridFn
 
 _CHUNK = 512  # rows per dense (chunk x N) kernel block
+_MATRIX_BUDGET = 256 * 2**20  # bytes of the node matrix a dense kernel may keep
 
 
 class WeightedMassKernel:
@@ -77,6 +79,7 @@ class ScalarComponentKernel:
         self.comp = comp
         self.bound = float(bound)
         self.k_out = 1
+        self._matrix_grid = None
 
     def matrix(self, pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """``g(x_p, x'_n)`` for every pair, shape (P, N), built ``_CHUNK`` rows at a time."""
@@ -85,23 +88,25 @@ class ScalarComponentKernel:
             G[lo:lo + _CHUNK] = self.fn(pts[lo:lo + _CHUNK, None, :], nodes[None, :, :])
         return G
 
-    def apply(self, G: np.ndarray, f: GridFn) -> np.ndarray:
-        """The integral at the rows of a :meth:`matrix` ``G`` on f's nodes, shape (P, 1).
-
-        ``G`` is applied ``_CHUNK`` rows at a time, as in :meth:`integrate`:
-        BLAS may sum a row differently in blocks of other heights.
-        """
-        fw = f.values[:, self.comp] * f.grid.cell_volume
-        out = np.empty((G.shape[0], 1))
-        for lo in range(0, G.shape[0], _CHUNK):
-            out[lo:lo + _CHUNK, 0] = G[lo:lo + _CHUNK] @ fw
-        return out
+    def _node_matrix(self, grid) -> np.ndarray | None:
+        """The matrix on the grid's nodes, kept per grid; None when it exceeds the budget."""
+        if self._matrix_grid is not grid:
+            fits = grid.n_nodes ** 2 * 8 <= _MATRIX_BUDGET
+            self._matrix = self.matrix(grid.points, grid.points) if fits else None
+            self._matrix_grid = grid
+        return self._matrix
 
     def integrate(self, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
+        """The integral at ``pts`` in blocks of ``_CHUNK`` rows, read from the node matrix
+        when ``pts is f.grid.points``: BLAS may sum a row differently in other blocks."""
+        G = self._node_matrix(f.grid) if pts is f.grid.points else None
         pts = np.atleast_2d(pts)
+        fw = f.values[:, self.comp] * f.grid.cell_volume
         out = np.empty((pts.shape[0], 1))
         for lo in range(0, pts.shape[0], _CHUNK):
-            out[lo:lo + _CHUNK] = self.apply(self.matrix(pts[lo:lo + _CHUNK], f.grid.points), f)
+            block = self.matrix(pts[lo:lo + _CHUNK], f.grid.points) if G is None \
+                else G[lo:lo + _CHUNK]
+            out[lo:lo + _CHUNK, 0] = block @ fw
         return out
 
 

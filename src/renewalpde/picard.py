@@ -19,10 +19,12 @@ use trace substeps aligned with the knots, so time quadrature of
 coefficients that are linear in the frozen state is exact.  Only the
 iterate changes from one sweep to the next.  So each slab attempt
 builds one :class:`SlabPlan` (per velocity, the traces of every grid
-node from every knot in one batch, with the knot brackets and stencils
-of their live knots, exits and feet; one dense kernel matrix per kernel
-object), and every sweep of the attempt reads it.  A sweep interpolates
-the iterate along each batch once and evaluates each component once.
+node from every knot in one batch, with the knot brackets of their live
+knots and exits, the stencils of the live knots and the initial state
+at the feet), and every sweep of the attempt reads it.  A sweep
+interpolates the iterate along each batch once and evaluates each
+component once.  Kernel integrals are frozen per knot through
+``integrate``; a dense kernel keeps its own node matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .characteristics import TraceBatch, trace_backward
-from .domain import BlowupError, FaceGrid, Grid, GridFn, Stencil, interp_gather, l1_norm
-from .kernels import ScalarComponentKernel
+from .domain import BlowupError, Grid, GridFn, Stencil, interp_gather, l1_norm
 from .problem import SystemDef
 from .transport import LinearProblem, evaluate
 
@@ -60,7 +61,6 @@ _BALL_REL_MARGIN = 0.5
 _DT_TARGET = 1.0 / 16.0  # knot spacing aimed for within a slab
 _SUBSTEPS_PER_INTERVAL = 4  # trace substeps per knot interval
 _MAX_SLABS = 2000
-_MATRIX_BUDGET = 256 * 2**20  # bytes of one dense kernel matrix a slab plan may keep
 
 
 @dataclass
@@ -158,82 +158,59 @@ class _KnotGroup:
     """Query points whose times lie in knot interval ``j``, with their weights ``lam``.
 
     ``rows`` places the group in the query.  ``stencil`` interpolates at
-    its points on ``where``, the grid or an inflow face; it is made on
-    first use.
+    its points on the grid; it is made on first use.
     """
 
     j: int
     rows: np.ndarray
     lam: np.ndarray
     pts: np.ndarray
-    where: Grid | FaceGrid | None
+    grid: Grid
 
     @cached_property
     def stencil(self) -> Stencil:
-        return self.where.stencil(self.pts)
+        return self.grid.stencil(self.pts)
 
 
-def _knot_groups(times: np.ndarray, t, pts: np.ndarray,
-                 where: Grid | FaceGrid | None) -> list[_KnotGroup]:
+def _knot_groups(times: np.ndarray, t, pts: np.ndarray, grid: Grid) -> list[_KnotGroup]:
     """Group query points by the knot interval of their time (one per point, or a scalar)."""
     j, lam = _bracket(times, np.broadcast_to(t, pts.shape[:1]))
     groups = []
     for jv in np.unique(j):
         rows = np.nonzero(j == jv)[0]
-        groups.append(_KnotGroup(int(jv), rows, lam[rows], pts[rows], where))
+        groups.append(_KnotGroup(int(jv), rows, lam[rows], pts[rows], grid))
     return groups
-
-
-def _exit_face(grid: Grid) -> FaceGrid | None:
-    """The face that boundary integrals are interpolated on.
-
-    None without an inflow face, or with several: exits can then land on
-    any face, and the integrals are taken at the exit points themselves.
-    """
-    return grid.face_grid(0) if grid.domain.m == 1 else None
 
 
 @dataclass(eq=False)
 class _Site:
-    """One velocity's traces from all knots (knot j: columns ``(j-1)N : jN``), groups, feet."""
+    """One velocity's traces from all knots (knot j: columns ``(j-1)N : jN``).
+
+    ``knots`` and ``exits`` group the live knots and the inflow exits;
+    ``feet_u0`` is the attempt's initial state (all components) at the
+    feet of the traces that stayed inside.
+    """
 
     batch: TraceBatch
     knots: list[_KnotGroup]
     exits: list[_KnotGroup]
-    feet: Stencil
-    _datum: tuple = (None, None)
-
-    def datum(self, u0: np.ndarray) -> np.ndarray:
-        """Node values ``u0`` (N, k) at the interior feet, gathered once per initial state."""
-        if self._datum[0] is not u0:
-            self._datum = (u0, interp_gather(self.feet, u0))
-        return self._datum[1]
-
-
-def kernel_matrices(sys: SystemDef, grid: Grid) -> dict[ScalarComponentKernel, np.ndarray]:
-    """``g(x_p, x'_n)`` on the grid nodes per dense kernel of ``Kp``/``Kq`` that fits the budget."""
-    fits = grid.n_nodes ** 2 * 8 <= _MATRIX_BUDGET
-    return {kernel: kernel.matrix(grid.points, grid.points)
-            for kernel in dict.fromkeys((*sys.Kp, *sys.Kq))
-            if fits and isinstance(kernel, ScalarComponentKernel)}
+    feet_u0: np.ndarray
 
 
 class SlabPlan:
-    """The work of one slab attempt that does not depend on the iterate.
+    """The work of one slab attempt from ``u0`` that does not depend on the iterate.
 
-    Built once per attempt and read by each of its sweeps:
-
-    * ``sites[h]``: component h's traces of every grid node from every knot
-      j >= 1 (``4j`` substeps) to ``times[0]``, one batch per velocity.
-    * ``matrices``: the :func:`kernel_matrices` of the system on the grid.
+    Built once per attempt and read by each of its sweeps: ``sites[h]``
+    holds component h's traces of every grid node from every knot j >= 1
+    (``4j`` substeps) to ``times[0]``, one batch per velocity.
     """
 
-    def __init__(self, sys: SystemDef, grid: Grid, times: np.ndarray):
+    def __init__(self, sys: SystemDef, u0: GridFn, times: np.ndarray):
+        grid = u0.grid
         times = np.asarray(times, dtype=float)
         K, N = len(times) - 1, grid.n_nodes
         starts, pts = np.repeat(times[1:], N), np.tile(grid.points, (K, 1))
         substeps = np.repeat(np.arange(1, K + 1) * _SUBSTEPS_PER_INTERVAL, N)
-        face = _exit_face(grid)
         by_velocity = {}
         for v in sys.velocities:
             if id(v) not in by_velocity:
@@ -243,78 +220,66 @@ class SlabPlan:
                 inflow = batch.exit_face >= 0
                 by_velocity[id(v)] = _Site(
                     batch, _knot_groups(times, tk, xk, grid),
-                    _knot_groups(times, batch.exit_time[inflow], batch.exit_point[inflow], face),
-                    grid.stencil(batch.feet[~batch.exited]))
+                    _knot_groups(times, batch.exit_time[inflow], batch.exit_point[inflow], grid),
+                    interp_gather(grid.stencil(batch.feet[~batch.exited]), u0.values))
         self.sites = [by_velocity[id(v)] for v in sys.velocities]
-        self.matrices = kernel_matrices(sys, grid)
 
 
 class FrozenCoefficients:
     """Coefficient fields of one component with the state frozen at w.
 
-    Nonlocal integrals are sampled once per knot (on the grid when they
-    depend on the evaluation point) and interpolated linearly in time
-    and multilinearly in space; the outer maps P/Q/Ub are then applied
-    at the exact query points and times, one time per point.  Grid
-    integrals apply a kernel's matrix from ``matrices`` when it is there.
+    Nonlocal integrals are frozen per knot in one of three modes: const
+    (an x-independent kernel: one value per knot), grid (one
+    ``integrate`` on the grid nodes per knot, interpolated multilinearly
+    in space) and direct (a boundary kernel that depends on the
+    evaluation point: ``integrate`` at the exit points themselves).
+    Each is blended linearly in time; the outer maps P/Q/Ub are then
+    applied at the exact query points and times, one time per point.
     Queries may pass the knot groups of their points (a plan site's);
     otherwise they group the points themselves.
     """
 
-    def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn],
-                 matrices: dict | None = None):
+    def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn]):
         self.sys = sys
         self.h = h
         self.times = np.asarray(times, dtype=float)
         self.states = list(states)
         self.grid = states[0].grid
         self.K = len(times) - 1
-        self._face = _exit_face(self.grid)
-        self._eta_p = self._freeze(sys.Kp[h], matrices, boundary=False)
-        self._eta_q = self._freeze(sys.Kq[h], matrices, boundary=False)
-        self._eta_u = self._freeze(sys.Ku[h], matrices, boundary=True)
+        self._eta_p = self._freeze(sys.Kp[h], boundary=False)
+        self._eta_q = self._freeze(sys.Kq[h], boundary=False)
+        self._eta_u = self._freeze(sys.Ku[h], boundary=True)
 
-    def _freeze(self, kernel, matrices: dict | None, boundary: bool):
+    def _freeze(self, kernel, boundary: bool):
         """Per-knot sampler ``sample(j, group) -> (n, 1)`` of the kernel integral.
 
         Returns None when the field is identically zero.
         """
-        if kernel is None:
+        if kernel is None or (boundary and self.sys.domain.m == 0):
             return None
         knots = range(self.K + 1)
         if kernel.x_independent:
             vals = [kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
                                      self.states[j])[0, 0] for j in knots]
             return lambda j, g: np.full((len(g.rows), 1), vals[j])
-        if not boundary:
-            G = (matrices or {}).get(kernel)
-            if G is None:
-                vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j])
-                        for j in knots]
-            else:
-                vals = [kernel.apply(G, s) for s in self.states]
-        elif self.sys.domain.m == 0:
-            return None
-        elif self._face is None:
-            # integrate at the exits themselves.  The integral is linear in
-            # the state, so blending it equals integrating the blended state.
+        if boundary:
+            # the integral is linear in the state, so blending it equals
+            # integrating the blended state: exact at every exit
             return lambda j, g: kernel.integrate(float(self.times[j]), g.pts, self.states[j])
-        else:
-            vals = [kernel.integrate(self.times[j], self._face.points, self.states[j])
-                    for j in knots]
+        vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j]) for j in knots]
         return lambda j, g: interp_gather(g.stencil, vals[j])
 
     def _blend(self, sample, t, pts: np.ndarray, groups: list[_KnotGroup] | None,
-               where: Grid | FaceGrid | None, width: int = 1) -> np.ndarray:
+               width: int = 1) -> np.ndarray:
         """Mix each group's samples at the two knots around it, linearly in t.
 
-        ``groups`` are the points' knot groups on ``where``, made here when
-        None.  A None sampler is zero.
+        ``groups`` are the points' knot groups, made here when None.  A
+        None sampler is zero.
         """
         if sample is None:
             return np.zeros((pts.shape[0], width))
         if groups is None:
-            groups = _knot_groups(self.times, t, pts, where)
+            groups = _knot_groups(self.times, t, pts, self.grid)
         out = np.empty((pts.shape[0], width))
         for g in groups:
             a = sample(g.j, g)
@@ -325,11 +290,11 @@ class FrozenCoefficients:
     def w_at(self, t, pts: np.ndarray, groups: list[_KnotGroup] | None = None) -> np.ndarray:
         pts = np.atleast_2d(pts)
         return self._blend(lambda j, g: interp_gather(g.stencil, self.states[j].values),
-                           t, pts, groups, self.grid, width=self.states[0].k)
+                           t, pts, groups, width=self.states[0].k)
 
     def p(self, t, pts, groups: list[_KnotGroup] | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_p, t, pts, groups, self.grid)
+        eta = self._blend(self._eta_p, t, pts, groups)
         return np.asarray(self.sys.P[self.h](t, pts, eta), dtype=float)
 
     def q(self, t, pts, groups: list[_KnotGroup] | None = None, w_pt: np.ndarray | None = None):
@@ -337,14 +302,14 @@ class FrozenCoefficients:
         pts = np.atleast_2d(pts)
         if groups is None:
             groups = _knot_groups(self.times, t, pts, self.grid)
-        eta = self._blend(self._eta_q, t, pts, groups, self.grid)
+        eta = self._blend(self._eta_q, t, pts, groups)
         if w_pt is None:
             w_pt = self.w_at(t, pts, groups)
         return np.asarray(self.sys.Q[self.h](t, pts, w_pt, eta), dtype=float)
 
     def ub(self, t, pts, groups: list[_KnotGroup] | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_u, t, pts, groups, self._face)
+        eta = self._blend(self._eta_u, t, pts, groups)
         return np.asarray(self.sys.Ub[self.h](t, pts, eta), dtype=float)
 
     def linear_problem(self, site: _Site | None = None,
@@ -366,12 +331,13 @@ class FrozenCoefficients:
 def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Trajectory:
     """One freeze-and-solve sweep: returns the slab trajectory u = T w.
 
-    ``plan`` is the slab attempt's :class:`SlabPlan`, built here when not given.
+    ``plan`` is the slab attempt's :class:`SlabPlan` from ``w.states[0]``,
+    built here when not given.
     """
     grid, times = w.grid, w.times
     if plan is None:
-        plan = SlabPlan(sys, grid, times)
-    frozen = [FrozenCoefficients(sys, h, times, w.states, plan.matrices) for h in range(sys.k)]
+        plan = SlabPlan(sys, w.states[0], times)
+    frozen = [FrozenCoefficients(sys, h, times, w.states) for h in range(sys.k)]
     cols = np.empty((len(times) - 1, grid.n_nodes, sys.k))
     w_along = {}  # the frozen state at each site's live knots, shared by its components
     for h, site in enumerate(plan.sites):
@@ -380,7 +346,7 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
             w_along[site] = frozen[h].w_at(tk, xk, site.knots)
         lp = frozen[h].linear_problem(site, w_along[site])
         vals = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]), batch=site.batch,
-                        feet_u0=site.datum(w.states[0].values)[:, h])
+                        feet_u0=site.feet_u0[:, h])
         cols[:, :, h] = vals.reshape(cols.shape[:2])
     return Trajectory(times.copy(), [w.states[0]] + [GridFn(grid, c) for c in cols])
 
@@ -402,7 +368,7 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
         K = max(cfg.min_knots, int(math.ceil(h / _DT_TARGET)))
         times = t0 + np.linspace(0.0, h, K + 1)
         w = Trajectory(times, [u_init] * (K + 1))
-        plan = SlabPlan(sys, u_init.grid, times)
+        plan = SlabPlan(sys, u_init, times)
         distances: list[float] = []
         ratios: list[float] = []
         for _ in range(_MAX_ITERS):

@@ -16,6 +16,7 @@ from renewalpde.analysis import (
 )
 from renewalpde.characteristics import VelocityField
 from renewalpde.domain import Domain, Grid, GridFn
+from renewalpde.kernels import ScalarComponentKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr, bump
 from renewalpde.picard import PicardConfig, solve, solve_slab
 from renewalpde.problem import HypothesisConstants, SystemDef
@@ -366,10 +367,13 @@ def test_entropy_sweep_builds_one_kernel_matrix(monkeypatch):
                  PicardConfig(slab_length=0.25, min_knots=4))
     calls.clear()
     results = entropy_sweep(sys_, traj, n_samples=20, seed=3)
+    # the kernel kept the matrix of the solve's grid
+    assert len(calls) == 0
     # Kp[S] and Kq[I] are one kernel object, shared by both components
+    assert entropy_sweep(contact_sihr(contact), traj, n_samples=20, seed=3) == results
     assert len(calls) == 1
     # integrating the kernel at every knot, as without the matrix, gives the same results
-    monkeypatch.setattr(analysis, "kernel_matrices", lambda sys, grid: {})
+    monkeypatch.setattr(ScalarComponentKernel, "_node_matrix", lambda self, grid: None)
     calls.clear()
     assert entropy_sweep(sys_, traj, n_samples=20, seed=3) == results
     assert len(calls) == 2 * len(traj.times)

@@ -109,19 +109,16 @@ def test_interp_linear_in_between():
     assert np.allclose(interp_values(g, f.values, pts)[:, 0], 3.0 * pts[:, 0] + 1.0)
 
 
-def test_face_grid_nodes_and_interpolation():
+def test_face_grid_nodes_and_weights():
     g = Grid(Domain(half_lengths=(2.0, 1.0), full_lengths=(1.0,)), (4, 5, 8))
     fg = g.face_grid(0)
     assert fg.points.shape == (40, 3)
     assert np.all(fg.points[:, 0] == 0.0)
     assert np.isclose(fg.measure, 2.0)
-    vals = 1.0 + fg.points[:, 1] - 2.0 * fg.points[:, 2]
-    pts = np.array([[0.0, 0.3, 0.25], [0.0, 0.05, -0.95], [0.0, 0.5, 1.3]])
-    # affine data are exact inside the node hull; past it, inside the box, the
-    # edge node's value holds; past the box (y = 1.3) the value is 0
-    edge = np.clip(pts, [0.0, g.axes[1][0], g.axes[2][0]], [0.0, g.axes[1][-1], g.axes[2][-1]])
-    expected = 1.0 + edge[:, 1] - 2.0 * edge[:, 2]
-    expected[2] = 0.0
-    assert np.allclose(fg.interp(vals, pts), expected)
+    # the nodes are the cell midpoints of the other axes, the weight their cell area
+    assert np.array_equal(np.unique(fg.points[:, 1]), g.axes[1])
+    assert np.array_equal(np.unique(fg.points[:, 2]), g.axes[2])
+    assert fg.weight == g.dx[1] * g.dx[2]
     point_face = Grid(Domain(half_lengths=(2.0,)), (8,)).face_grid(0)
-    assert np.array_equal(point_face.interp(np.array([3.0]), np.zeros((2, 1))), [3.0, 3.0])
+    assert np.array_equal(point_face.points, [[0.0]])
+    assert point_face.weight == point_face.measure == 1.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from renewalpde import picard
+from renewalpde import kernels, picard
+from renewalpde.analysis import entropy_sweep, frozen_component
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
 from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
@@ -197,16 +198,16 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
     # the renewal datum Ub = int Ku w at exit points and times must equal
     # the linear-in-t blend of the kernel integrals at the bracketing knots
     if mode == "face":
-        # one inflow face, 2-D: sampled on the face lattice, interpolated
+        # one inflow face, 2-D: exits land anywhere on it, past its outermost nodes too
         domain = Domain(half_lengths=(2.0,), full_lengths=(1.0, 1.0))
         shape = (10, 7, 6)
         vel = VelocityField.constant([1.0, 0.2, -0.1])
     else:
-        # two inflow faces: integrated at the exit points themselves
+        # two inflow faces
         domain = Domain(half_lengths=(2.0, 1.5))
         shape = (10, 8)
         vel = VelocityField.constant([1.0, 0.6])
-    # affine in the evaluation point, so multilinear face interpolation is exact
+    # the kernel depends on the evaluation point, so it is integrated at each exit
     kernel = ScalarComponentKernel(
         lambda x, xp: (1.0 + 0.3 * x[..., 1] - 0.2 * x[..., -1]) * np.exp(-xp[..., 0]))
     sys_ = SystemDef(k=1, domain=domain, velocities=(vel,),
@@ -223,13 +224,7 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
 
     batch = trace_backward(vel, float(times[-1]), grid.points, 16, domain)
     T, X = batch.exit_time[batch.exited], batch.exit_point[batch.exited]
-    if mode == "face":
-        # beyond the outermost face nodes interpolation extends the edge values
-        lo = np.array([ax[0] for ax in grid.axes[1:]])
-        hi = np.array([ax[-1] for ax in grid.axes[1:]])
-        keep = np.all((X[:, 1:] >= lo) & (X[:, 1:] <= hi), axis=1)
-        T, X = T[keep], X[keep]
-    else:
+    if mode == "direct":
         assert set(batch.exit_face[batch.exited]) == {0, 1}
     assert len(T) >= 20
 
@@ -271,7 +266,7 @@ def test_traces_built_once_per_slab_attempt(monkeypatch):
     # a prebuilt plan gives the same sweep as a plan built inside it
     times = traj.times
     w = Trajectory(times, [s * (1.0 + 0.1 * j) for j, s in enumerate(traj.states)])
-    a = sweep(sys_, w, SlabPlan(sys_, grid, times))
+    a = sweep(sys_, w, SlabPlan(sys_, w.states[0], times))
     b = sweep(sys_, w)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.values, sb.values)
@@ -285,11 +280,13 @@ def test_feet_datum_gathered_once_per_slab_attempt(monkeypatch):
     plan_cls, gather, sweep = picard.SlabPlan, picard.interp_gather, picard.apply_T
 
     def record_plan(*a, **k):
-        plans.append(plan_cls(*a, **k))
+        plans.append(None)  # marks the plan under construction
+        plans[-1] = plan_cls(*a, **k)
         return plans[-1]
 
     def record_gather(stencil, values):
-        if any(stencil is site.feet for plan in plans for site in plan.sites):
+        # a plan gathers nothing but the initial state at its feet
+        if plans and plans[-1] is None:
             feet_gathers.append(len(plans))
         return gather(stencil, values)
 
@@ -332,22 +329,20 @@ def test_plan_sweep_equals_planless_coefficients():
     u0 = sys_.initial_state(grid)
     states = [GridFn(grid, u0.values * (1.0 + 0.2 * j) + 0.01 * j) for j in range(len(times))]
     w = Trajectory(times, states)
-    plan = SlabPlan(sys_, grid, times)
-    assert len(plan.matrices) == 1
+    plan = SlabPlan(sys_, states[0], times)
 
     t0 = float(times[0])
     for h in range(sys_.k):
-        with_plan = FrozenCoefficients(sys_, h, times, states, plan.matrices)
-        planless = FrozenCoefficients(sys_, h, times, states)
+        frozen = FrozenCoefficients(sys_, h, times, states)
         site = plan.sites[h]
         _, tk, xk = site.batch.live
-        assert np.array_equal(with_plan.p(tk, xk, site.knots), planless.p(tk, xk))
-        assert np.array_equal(with_plan.q(tk, xk, site.knots), planless.q(tk, xk))
-        assert np.array_equal(with_plan.w_at(tk, xk, site.knots), planless.w_at(tk, xk))
+        assert np.array_equal(frozen.p(tk, xk, site.knots), frozen.p(tk, xk))
+        assert np.array_equal(frozen.q(tk, xk, site.knots), frozen.q(tk, xk))
+        assert np.array_equal(frozen.w_at(tk, xk, site.knots), frozen.w_at(tk, xk))
         inflow = site.batch.exit_face >= 0
         T, X = site.batch.exit_time[inflow], site.batch.exit_point[inflow]
         assert len(T) > 0
-        assert np.array_equal(with_plan.ub(T, X, site.exits), planless.ub(T, X))
+        assert np.array_equal(frozen.ub(T, X, site.exits), frozen.ub(T, X))
 
     # knot j of the sweep is the column block (j-1)N : jN of one stacked
     # evaluate; it equals the planless evaluate at that knot with its own trace
@@ -377,7 +372,7 @@ def test_kernel_matrix_built_once_per_slab_attempt(monkeypatch):
     monkeypatch.setattr(picard, "apply_T", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
     traj = solve_slab(sys_, sys_.initial_state(grid), 0.0, PicardConfig(min_knots=4))
     assert len(sweeps) >= 3
-    # Kp[S] and Kq[I] are one kernel object: one matrix per attempt
+    # Kp[S] and Kq[I] are one kernel object: one matrix, kept by the kernel
     assert len(calls) == traj.diagnostics[0].halvings + 1
 
 
@@ -388,47 +383,73 @@ def test_kernel_matrix_budget_fallback_is_bitwise_equal(monkeypatch):
     grid = Grid(sys_.domain, (12, 9, 7))
     cfg = PicardConfig(slab_length=0.125, min_knots=4)
     dense = solve(sys_, grid, 0.125, cfg)
-    monkeypatch.setattr(picard, "_MATRIX_BUDGET", 0)
-    assert not SlabPlan(sys_, grid, dense.times[:2]).matrices
-    fallback = solve(sys_, grid, 0.125, cfg)
+    monkeypatch.setattr(kernels, "_MATRIX_BUDGET", 0)
+    fallback_sys = contact_sihr()
+    fallback = solve(fallback_sys, grid, 0.125, cfg)
+    kernel = fallback_sys.Kp[0]
+    assert kernel._matrix_grid is grid and kernel._matrix is None
     assert np.array_equal(dense.times, fallback.times)
     for a, b in zip(dense.states, fallback.states):
         assert np.array_equal(a.values, b.values)
 
 
-def test_mass_weight_evaluated_once_per_grid(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("kind", ["mass", "dense"])
+def test_kernel_node_data_built_once_per_grid(kind, monkeypatch):
+    # a kernel builds what it keeps per grid (the mass weight on the nodes, the
+    # dense node matrix) once per grid: across slab attempts, sweeps and the
+    # audits after a solve
+    builds = []
+    if kind == "mass":
+        def weight(pts):
+            builds.append(pts.shape[0])
+            return np.exp(-pts[:, 0])
 
-    def weight(pts):
-        calls.append(pts.shape[0])
-        return np.exp(-pts[:, 0])
+        def system():
+            mass = WeightedMassKernel(weight, comp=0, bound=1.0)
+            return SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
+                             velocities=(VelocityField.constant([1.0]),),
+                             P=(lambda t, pts, eta: -0.3 * eta[:, 0],),
+                             Q=(lambda t, pts, u, eta: np.zeros(pts.shape[0]),),
+                             Ub=(lambda t, pts, eta: 0.2 * eta[:, 0],), Kp=(mass,), Ku=(mass,),
+                             u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
 
-    def system():
-        mass = WeightedMassKernel(weight, comp=0, bound=1.0)
-        return SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
-                         velocities=(VelocityField.constant([1.0]),),
-                         P=(lambda t, pts, eta: -0.3 * eta[:, 0],),
-                         Q=(lambda t, pts, u, eta: np.zeros(pts.shape[0]),),
-                         Ub=(lambda t, pts, eta: 0.2 * eta[:, 0],), Kp=(mass,), Ku=(mass,),
-                         u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
+        shapes = (60,), (30,)
+        rebuild = (WeightedMassKernel, "_node_weights",
+                   lambda self, g: np.asarray(self.weight(g.points), dtype=float))
+    else:
+        def contact(x, xp):
+            builds.append(x.shape[0])  # fewer nodes than one block: one call per matrix
+            dy = x[..., 1:] - xp[..., 1:]
+            return 0.08 * np.exp(-np.sum(dy * dy, axis=-1))
 
+        def system():
+            return contact_sihr(contact)
+
+        shapes = (6, 5, 4), (5, 4, 4)
+        rebuild = (ScalarComponentKernel, "_node_matrix",
+                   lambda self, g: self.matrix(g.points, g.points))
+
+    cfg = PicardConfig(slab_length=0.5, theta_max=0.02, min_knots=4)
     sys_ = system()
-    grid = Grid(sys_.domain, (60,))
+    grid, coarse = (Grid(sys_.domain, shape) for shape in shapes)
     sweeps = []
     sweep = picard.apply_T
     monkeypatch.setattr(picard, "apply_T", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
-    kept = solve_slab(sys_, sys_.initial_state(grid), 0.0, PicardConfig())
+    kept = solve(sys_, grid, 0.5, cfg)
+    assert sum(d.halvings for d in kept.diagnostics) >= 1
     assert len(sweeps) >= 3
-    assert calls == [60]
-    coarse = Grid(sys_.domain, (30,))
-    solve_slab(sys_, sys_.initial_state(coarse), 0.0, PicardConfig())
-    assert calls == [60, 30]
-    # evaluating the weight at every call, as before, gives the same bits
-    monkeypatch.setattr(WeightedMassKernel, "_node_weights",
-                        lambda self, g: np.asarray(self.weight(g.points), dtype=float))
+    assert builds == [grid.n_nodes]
+    audit = entropy_sweep(sys_, kept, n_samples=10)
+    frozen_component(sys_, kept, 0)
+    assert builds == [grid.n_nodes]
+    solve(sys_, coarse, 0.25, cfg)
+    assert builds == [grid.n_nodes, coarse.n_nodes]
+    # building it at every call, as before, gives the same bits
+    monkeypatch.setattr(*rebuild)
     fresh_sys = system()
-    fresh = solve_slab(fresh_sys, fresh_sys.initial_state(grid), 0.0, PicardConfig())
-    assert len(calls) > 2 + len(sweeps)
+    fresh = solve(fresh_sys, grid, 0.5, cfg)
+    assert entropy_sweep(fresh_sys, fresh, n_samples=10) == audit
+    assert len(builds) > 2 + len(sweeps)
     assert np.array_equal(kept.times, fresh.times)
     for a, b in zip(kept.states, fresh.states):
         assert np.array_equal(a.values, b.values)
