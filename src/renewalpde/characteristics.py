@@ -222,6 +222,14 @@ def trace_backward(v, t, pts: np.ndarray, substeps, domain: Domain,
     return TraceBatch(times, path, exited, exit_time, exit_point, exit_face)
 
 
+def _trapezoids(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Composite-trapezoid increments of ``g`` between consecutive knots ``ts``."""
+    inc = g[:-1] + g[1:]
+    inc *= 0.5  # in place: large fresh arrays page-fault
+    inc *= ts[:-1] - ts[1:]
+    return inc
+
+
 def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Running composite-trapezoid integral of ``g`` back from ``ts[0]``.
 
@@ -229,11 +237,18 @@ def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
     per trace for 2-D ``g``; the result has the shape of ``g`` with 0 in
     its first row.
     """
-    dt = ts[:-1] - ts[1:]
     c = np.empty(g.shape)
     c[0] = 0.0
-    np.cumsum(0.5 * (g[:-1] + g[1:]) * dt, axis=0, out=c[1:])
+    np.cumsum(_trapezoids(g, ts), axis=0, out=c[1:])
     return c
+
+
+def trapezoid_total(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The last row of :func:`cumulative_trapezoid`: numpy sums along axis 0 in the same
+    order, row by row, when there are several columns; one column it sums pairwise."""
+    if g.ndim == 1 or g.shape[1] == 1:
+        return cumulative_trapezoid(g, ts)[-1]
+    return np.sum(_trapezoids(g, ts), axis=0)
 
 
 def trapezoid_weights(ts) -> np.ndarray:
@@ -261,5 +276,4 @@ def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField) -> float:
     if vi <= 0.0:
         raise ValueError("inflow condition violated at exit: v_i <= 0")
     ts = batch.trace_times[:, i]
-    integral = float(cumulative_trapezoid(v.div(ts, batch.path[:, i]), ts)[-1])
-    return float(np.exp(-integral) / vi)
+    return float(np.exp(-trapezoid_total(v.div(ts, batch.path[:, i]), ts)) / vi)

@@ -228,6 +228,10 @@ def config_from_dict(raw: dict) -> RunConfig:
         for key in c_raw:
             _require(key in c_fields, f"control.{key}: unknown control setting")
         control = ControlConfig(**c_raw)
+        control.cells = _parse("control.cells", control.cells, int, "an integer")
+        _require(control.cells >= 4, "field 'control.cells': need at least 4 cells per axis")
+        control.horizon = _parse("control.horizon", control.horizon, float, "a number")
+        _require(control.horizon > 0, "field 'control.horizon' must be positive")
         _require(model == "sihr", "control search is wired to the 'sihr' preset")
         _require(control.objective in ("deaths", "peak"),
                  "control.objective must be 'deaths' or 'peak'")

@@ -287,8 +287,9 @@ def interp_gather(stencil: Stencil, values: np.ndarray) -> np.ndarray:
     if scalar:
         vals = vals[:, None]
     out = np.zeros((len(stencil.inside), vals.shape[1]))
+    corner = np.empty_like(out)  # one buffer for every corner: large fresh arrays page-fault
     for flat, w in zip(stencil.flat, stencil.weight):
-        corner = np.take(vals, flat, axis=0)
+        np.take(vals, flat, axis=0, out=corner, mode="clip")  # "raise" would buffer ``out``
         corner *= w[:, None]
         out += corner
     out[~stencil.inside] = 0.0

@@ -14,24 +14,25 @@ until either the horizon or a genuine blow-up, which surfaces as a slab
 cascade shrinking below the minimum length.
 
 Within a slab the iterate is stored at uniform time knots and
-interpolated linearly in t between them; the per-knot linear solves
-use trace substeps aligned with the knots, so time quadrature of
+interpolated linearly in t between them; the per-knot linear solves use
+trace substeps aligned with the knots, so time quadrature of
 coefficients that are linear in the frozen state is exact.  Only the
 iterate changes from one sweep to the next.  So each slab attempt
 builds one :class:`SlabPlan` (per velocity, the traces of every grid
-node from every knot in one batch, with the knot brackets of their live
-knots and exits, the stencils of the live knots and the initial state
-at the feet), and every sweep of the attempt reads it.  A sweep
-interpolates the iterate along each batch once and evaluates each
-component once.  Kernel integrals are frozen per knot through
-``integrate``; a dense kernel keeps its own node matrix.
+node from every knot in one batch, the knot brackets of their live
+knots and exits, and the initial state at the feet), and every sweep of
+the attempt reads it.  A sweep gathers a frozen field with one stencil
+shifted to each point's knot interval j: row ``j·N + n`` of the stacked
+knot-j and knot-(j+1) values holds node n.  Kernel integrals are
+frozen per knot by ``integrate``; a dense kernel keeps its node matrix.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -73,12 +74,17 @@ class PicardConfig:
     min_slab_factor: float = 1e-6
 
     def __post_init__(self):
-        if self.eps_fix <= 0:
-            raise ValueError("contraction tolerance must be positive")
-        if not 0.0 < self.theta_max < 1.0:
-            raise ValueError("target contraction factor must lie in (0, 1)")
-        if self.slab_length <= 0:
-            raise ValueError("slab length must be positive")
+        def check(name, ok, what, kind=numbers.Real):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+
+        for name in ("slab_length", "eps_fix", "min_slab_factor"):
+            check(name, lambda v: v > 0, "a positive number")
+        check("theta_max", lambda v: 0 < v < 1, "a number in (0, 1)")
+        check("min_knots", lambda v: v >= 0, "an integer >= 0", numbers.Integral)
+        if self.ball_mass is not None:  # the ball must hold the initial mass (>= 0) + 1
+            check("ball_mass", lambda v: v > 1, "a number above 1")
 
 
 @dataclass
@@ -153,47 +159,40 @@ def dist_X(a: Sequence[GridFn], b: Sequence[GridFn]) -> float:
     return float(np.sum(np.max(per, axis=0)))
 
 
-@dataclass(eq=False)
-class _KnotGroup:
-    """Query points whose times lie in knot interval ``j``, with their weights ``lam``.
+class _Knots:
+    """Query points with the knot interval ``j`` and weight ``lam`` of each one's time.
 
-    ``rows`` places the group in the query.  ``stencil`` interpolates at
-    its points on the grid; it is made on first use.
-    """
+    ``stencil``, made on first use, reads node n of interval j at row ``j·N + n``."""
 
-    j: int
-    rows: np.ndarray
-    lam: np.ndarray
-    pts: np.ndarray
-    grid: Grid
+    def __init__(self, times: np.ndarray, t, pts: np.ndarray, grid: Grid):
+        self.j, self.lam = _bracket(times, np.broadcast_to(t, pts.shape[:1]))
+        self.pts, self.grid = pts, grid
 
     @cached_property
     def stencil(self) -> Stencil:
-        return self.grid.stencil(self.pts)
+        s = self.grid.stencil(self.pts)
+        return s._replace(flat=s.flat + self.j * self.grid.n_nodes)
 
 
-def _knot_groups(times: np.ndarray, t, pts: np.ndarray, grid: Grid) -> list[_KnotGroup]:
-    """Group query points by the knot interval of their time (one per point, or a scalar)."""
-    j, lam = _bracket(times, np.broadcast_to(t, pts.shape[:1]))
-    groups = []
-    for jv in np.unique(j):
-        rows = np.nonzero(j == jv)[0]
-        groups.append(_KnotGroup(int(jv), rows, lam[rows], pts[rows], grid))
-    return groups
+def _pairs(vals: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-knot values ``(N, w)`` as ``(2, K·N, w)``: row ``j·N + n`` holds node n at knot
+    j in ``[0]`` and at knot j + 1 in ``[1]``; a single knot (K = 0) pairs with itself."""
+    s = np.stack(vals)
+    return np.stack([s[:-1], s[1:]] if len(s) > 1 else [s, s]).reshape(2, -1, s.shape[2])
 
 
 @dataclass(eq=False)
 class _Site:
     """One velocity's traces from all knots (knot j: columns ``(j-1)N : jN``).
 
-    ``knots`` and ``exits`` group the live knots and the inflow exits;
+    ``knots`` and ``exits`` bracket the live knots and the inflow exits;
     ``feet_u0`` is the attempt's initial state (all components) at the
     feet of the traces that stayed inside.
     """
 
     batch: TraceBatch
-    knots: list[_KnotGroup]
-    exits: list[_KnotGroup]
+    knots: _Knots
+    exits: _Knots
     feet_u0: np.ndarray
 
 
@@ -219,8 +218,8 @@ class SlabPlan:
                 _, tk, xk = batch.live
                 inflow = batch.exit_face >= 0
                 by_velocity[id(v)] = _Site(
-                    batch, _knot_groups(times, tk, xk, grid),
-                    _knot_groups(times, batch.exit_time[inflow], batch.exit_point[inflow], grid),
+                    batch, _Knots(times, tk, xk, grid),
+                    _Knots(times, batch.exit_time[inflow], batch.exit_point[inflow], grid),
                     interp_gather(grid.stencil(batch.feet[~batch.exited]), u0.values))
         self.sites = [by_velocity[id(v)] for v in sys.velocities]
 
@@ -235,8 +234,8 @@ class FrozenCoefficients:
     evaluation point: ``integrate`` at the exit points themselves).
     Each is blended linearly in time; the outer maps P/Q/Ub are then
     applied at the exact query points and times, one time per point.
-    Queries may pass the knot groups of their points (a plan site's);
-    otherwise they group the points themselves.
+    Queries may pass the :class:`_Knots` of their points (a plan
+    site's); otherwise they bracket them here.
     """
 
     def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn]):
@@ -249,74 +248,71 @@ class FrozenCoefficients:
         self._eta_p = self._freeze(sys.Kp[h], boundary=False)
         self._eta_q = self._freeze(sys.Kq[h], boundary=False)
         self._eta_u = self._freeze(sys.Ku[h], boundary=True)
+        self._w_pairs = cache(lambda: _pairs([s.values for s in states]))  # on first use
 
     def _freeze(self, kernel, boundary: bool):
-        """Per-knot sampler ``sample(j, group) -> (n, 1)`` of the kernel integral.
-
-        Returns None when the field is identically zero.
-        """
+        """Sampler ``sample(knots) -> (a, b)``, each (n, 1), of the integral at both knots
+        of each point, or None when the field is identically zero."""
         if kernel is None or (boundary and self.sys.domain.m == 0):
             return None
-        knots = range(self.K + 1)
+        K, knots = self.K, range(self.K + 1)
         if kernel.x_independent:
-            vals = [kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
-                                     self.states[j])[0, 0] for j in knots]
-            return lambda j, g: np.full((len(g.rows), 1), vals[j])
+            pairs = _pairs([kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
+                                             self.states[j]) for j in knots])
+            return lambda k: np.take(pairs, k.j, axis=1)
         if boundary:
             # the integral is linear in the state, so blending it equals
             # integrating the blended state: exact at every exit
-            return lambda j, g: kernel.integrate(float(self.times[j]), g.pts, self.states[j])
-        vals = [kernel.integrate(self.times[j], self.grid.points, self.states[j]) for j in knots]
-        return lambda j, g: interp_gather(g.stencil, vals[j])
+            def sample(k):
+                ab = np.empty((2, len(k.j), 1))
+                for jv in np.unique(k.j):
+                    at = k.j == jv
+                    ab[:, at] = [kernel.integrate(self.times[n], k.pts[at], self.states[n])
+                                 for n in (jv, min(jv + 1, K))]
+                return ab
+            return sample
+        pairs = _pairs([kernel.integrate(self.times[j], self.grid.points, self.states[j])
+                        for j in knots])
+        return lambda k: [interp_gather(k.stencil, v) for v in pairs]
 
-    def _blend(self, sample, t, pts: np.ndarray, groups: list[_KnotGroup] | None,
-               width: int = 1) -> np.ndarray:
-        """Mix each group's samples at the two knots around it, linearly in t.
-
-        ``groups`` are the points' knot groups, made here when None.  A
-        None sampler is zero.
-        """
+    def _blend(self, sample, t, pts: np.ndarray, knots: _Knots | None) -> np.ndarray:
+        """Blend each point's samples at its two knots linearly in t; None samples 0."""
         if sample is None:
-            return np.zeros((pts.shape[0], width))
-        if groups is None:
-            groups = _knot_groups(self.times, t, pts, self.grid)
-        out = np.empty((pts.shape[0], width))
-        for g in groups:
-            a = sample(g.j, g)
-            b = sample(min(g.j + 1, self.K), g)
-            out[g.rows] = (1.0 - g.lam)[:, None] * a + g.lam[:, None] * b
-        return out
+            return np.zeros((pts.shape[0], 1))
+        knots = knots or _Knots(self.times, t, pts, self.grid)
+        a, b = sample(knots)  # fresh arrays, blended in place
+        a *= (1.0 - knots.lam)[:, None]
+        a += np.multiply(b, knots.lam[:, None], out=b)
+        return a
 
-    def w_at(self, t, pts: np.ndarray, groups: list[_KnotGroup] | None = None) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return self._blend(lambda j, g: interp_gather(g.stencil, self.states[j].values),
-                           t, pts, groups, width=self.states[0].k)
+    def w_at(self, t, pts: np.ndarray, knots: _Knots | None = None) -> np.ndarray:
+        return self._blend(lambda k: [interp_gather(k.stencil, v) for v in self._w_pairs()], t,
+                           np.atleast_2d(pts), knots)
 
-    def p(self, t, pts, groups: list[_KnotGroup] | None = None):
+    def p(self, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_p, t, pts, groups)
+        eta = self._blend(self._eta_p, t, pts, knots)
         return np.asarray(self.sys.P[self.h](t, pts, eta), dtype=float)
 
-    def q(self, t, pts, groups: list[_KnotGroup] | None = None, w_pt: np.ndarray | None = None):
+    def q(self, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
         """``w_pt`` is the frozen state at the points, interpolated here when not given."""
         pts = np.atleast_2d(pts)
-        if groups is None:
-            groups = _knot_groups(self.times, t, pts, self.grid)
-        eta = self._blend(self._eta_q, t, pts, groups)
+        knots = knots or _Knots(self.times, t, pts, self.grid)
+        eta = self._blend(self._eta_q, t, pts, knots)
         if w_pt is None:
-            w_pt = self.w_at(t, pts, groups)
+            w_pt = self.w_at(t, pts, knots)
         return np.asarray(self.sys.Q[self.h](t, pts, w_pt, eta), dtype=float)
 
-    def ub(self, t, pts, groups: list[_KnotGroup] | None = None):
+    def ub(self, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_u, t, pts, groups)
+        eta = self._blend(self._eta_u, t, pts, knots)
         return np.asarray(self.sys.Ub[self.h](t, pts, eta), dtype=float)
 
     def linear_problem(self, site: _Site | None = None,
                        w_pt: np.ndarray | None = None) -> LinearProblem:
         """The frozen scalar problem of component h.
 
-        Given a plan site, its callbacks read the site's knot groups and
+        Given a plan site, its callbacks read the site's knots and
         ``w_pt``, the frozen state at the site's live knots.
         """
         u0h = GridFn(self.grid, self.states[0].values[:, self.h])

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import TraceBatch, VelocityField, cumulative_trapezoid, trace_backward
+from .characteristics import (TraceBatch, VelocityField, cumulative_trapezoid, trace_backward,
+                              trapezoid_total)
 from .domain import BlowupError, Grid, GridFn, interp_values
 
 
@@ -96,8 +97,9 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
     if inflow.any():
         datum[inflow] = lp.ub(batch.exit_time[inflow], batch.exit_point[inflow])
     with np.errstate(over="ignore", invalid="ignore"):
-        E = np.exp(cumulative_trapezoid(g, ts))
-        vals = datum * E[-1] + cumulative_trapezoid(qv * E, ts)[-1]
+        E = cumulative_trapezoid(g, ts)
+        np.exp(E, out=E)
+        vals = datum * E[-1] + trapezoid_total(np.multiply(qv, E, out=qv), ts)
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
     return GridFn(grid, vals) if traced else vals

@@ -277,3 +277,41 @@ def test_stacked_starts_sharing_an_exit_bracket_keep_their_tolerances():
                                         [3, 8], np.array([[0.6], [0.8]]))
     assert b.exited[0] and b.exited[3]
     assert 0.0 < b.exit_time[0] <= 0.25 and 0.125 < b.exit_time[3] <= 0.25
+
+
+def _loop_trapezoid(g, ts):
+    """Running trapezoid of one trace over its own knots, as a Python loop."""
+    c = [0.0]
+    for r in range(1, len(ts)):
+        c.append(c[-1] + 0.5 * (g[r - 1] + g[r]) * (ts[r - 1] - ts[r]))
+    return c
+
+
+def test_trapezoid_sums_equal_a_loop_over_each_trace():
+    # ragged, padded columns as a stacked trace makes them: three start times
+    # with their own substep counts, inflow exits ending some traces early
+    x = np.linspace(0.05, 2.9, 30)[:, None]
+    starts, substeps = np.repeat([0.5, 1.0, 2.0], len(x)), np.repeat([2, 4, 8], len(x))
+    b = trace_backward(VelocityField.constant([1.0]), starts, np.tile(x, (3, 1)), substeps,
+                       Domain(half_lengths=(3.0,)))
+    live, _, _ = b.live
+    assert b.exited.any() and not b.exited.all() and (~live).any()
+    ts = b.trace_times
+    g = np.sin(3.0 * ts) + np.cos(b.path[..., 0])
+    running = characteristics.cumulative_trapezoid(g, ts)
+    total = characteristics.trapezoid_total(g, ts)
+    for p in range(ts.shape[1]):
+        n = int(live[:, p].sum())  # the trace's own knots; the rest repeat its last
+        ref = _loop_trapezoid(g[:n, p], ts[:n, p])
+        assert np.array_equal(running[:n, p], ref)
+        assert np.all(running[n:, p] == ref[-1]) and total[p] == ref[-1]
+    # one trace, as a 1-D column and as a 2-D single column
+    for p in (0, ts.shape[1] - 1):
+        ref = _loop_trapezoid(g[:, p], ts[:, p])
+        for shape in ((-1,), (-1, 1)):
+            gp, tp = g[:, p].reshape(shape), ts[:, p].reshape(shape)
+            assert np.array_equal(characteristics.cumulative_trapezoid(gp, tp).ravel(), ref)
+            assert np.array_equal(characteristics.trapezoid_total(gp, tp).ravel(), ref[-1:])
+    # a single column longer than numpy's pairwise-summation block of 8
+    t = np.linspace(2.0, 0.0, 41)
+    assert characteristics.trapezoid_total(np.exp(t), t) == _loop_trapezoid(np.exp(t), t)[-1]

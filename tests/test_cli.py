@@ -76,15 +76,20 @@ def test_parse_error_exit2(tmp_path):
     assert main(["run", str(missing_field)]) == 2
 
 
-# one malformed value per field, each a traceback (exit 1) before it was validated
-MALFORMED = {
-    "entropy_samples": {"entropy_samples": 0},
-    "seed": {"seed": "abc"},
-    "horizon": {"horizon": "abc"},
-    "cells": {"cells": ["abc"]},
-    "save_states": {"save_states": "x"},
-    "control": {"control": {"budget": 1}},
-}
+# (field the error names, malformed value), each a traceback (exit 1) before it was validated
+MALFORMED = [
+    ("entropy_samples", {"entropy_samples": 0}),
+    ("seed", {"seed": "abc"}),
+    ("horizon", {"horizon": "abc"}),
+    ("cells", {"cells": ["abc"]}),
+    ("save_states", {"save_states": "x"}),
+    ("control", {"control": {"budget": 1}}),
+    ("min_knots", {"picard": {"min_knots": "abc"}}),
+    ("ball_mass", {"picard": {"ball_mass": "abc"}}),
+    ("ball_mass", {"picard": {"ball_mass": -1}}),
+    ("min_slab_factor", {"picard": {"min_slab_factor": "abc"}}),
+    ("control.cells", {"control": {"cells": "abc"}}),
+]
 
 
 def test_validation_errors_name_the_field():
@@ -96,14 +101,14 @@ def test_validation_errors_name_the_field():
         config_from_dict({"model": "sihr", "params": {"badname": 1.0}})
     with pytest.raises(ConfigError, match="certificates"):
         config_from_dict({"model": "sihr", "certificates": ["no-such-cert"]})
-    for field, raw in MALFORMED.items():
+    for field, raw in MALFORMED:
         with pytest.raises(ConfigError, match=field):
             config_from_dict({"model": "sihr", **raw})
 
 
 def test_malformed_scalars_exit2(tmp_path):
     # rejected before the solve, with the exit code of a config error
-    for field, raw in MALFORMED.items():
+    for field, raw in MALFORMED:
         path = write_config(tmp_path, model="sihr", **raw)
         assert main(["run", str(path)]) == 2, field
 

@@ -4,7 +4,7 @@ import pytest
 from renewalpde import kernels, picard
 from renewalpde.analysis import entropy_sweep, frozen_component
 from renewalpde.characteristics import VelocityField, trace_backward
-from renewalpde.domain import Domain, Grid, GridFn, l1_norm
+from renewalpde.domain import Domain, Grid, GridFn, interp_values, l1_norm
 from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr
 from renewalpde.picard import (
@@ -453,3 +453,74 @@ def test_kernel_node_data_built_once_per_grid(kind, monkeypatch):
     assert np.array_equal(kept.times, fresh.times)
     for a, b in zip(kept.states, fresh.states):
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("n_knots", [5, 1])
+@pytest.mark.parametrize("kind", ["mass", "dense"])
+def test_frozen_fields_equal_per_point_reference(kind, n_knots):
+    # every frozen field against a plain per-point reference: interpolate the
+    # state or the kernel integral at the two knots around the point's time,
+    # then blend by hand.  "mass" freezes P, Q and Ub in const mode; "dense"
+    # freezes P and Q on the grid and integrates Ub at the points (direct)
+    domain = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
+    grid = Grid(domain, (10, 7))
+    if kind == "mass":
+        kernel = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=1, bound=1.0)
+    else:
+        kernel = ScalarComponentKernel(lambda x, xp: (1.0 + 0.3 * x[..., 1])
+                                       * np.exp(-xp[..., 0] - (x[..., 1] - xp[..., 1]) ** 2),
+                                       comp=1)
+    sys_ = SystemDef(k=2, domain=domain, velocities=(VelocityField.constant([1.0, 0.2]),) * 2,
+                     P=(lambda t, pts, eta: eta[:, 0],) * 2,
+                     Q=(lambda t, pts, u, eta: eta[:, 0],) * 2,
+                     Ub=(lambda t, pts, eta: eta[:, 0],) * 2,
+                     Kp=(kernel,) * 2, Kq=(kernel,) * 2, Ku=(kernel,) * 2,
+                     u0=lambda pts: np.exp(-np.sum(pts ** 2, axis=1))[:, None] * [1.0, 0.5])
+    times = np.linspace(0.2, 0.6, n_knots)
+    u0 = sys_.initial_state(grid).values
+    states = [GridFn(grid, u0 * (1.0 + 0.5 * j) + 0.1 * j * grid.points[:, :1])
+              for j in range(n_knots)]
+    frozen = FrozenCoefficients(sys_, 1, times, states)
+
+    rng = np.random.default_rng(3)
+    n = 60
+    pts = np.column_stack([rng.uniform(-0.3, 2.3, n), rng.uniform(-1.2, 1.2, n)])
+    ts = rng.uniform(0.1, 0.7, n)  # past both end knots too
+    outside = ~domain.contains(pts)
+    assert outside.any() and not outside.all()
+
+    def eta(n_, x):
+        if kind == "mass":
+            return kernel.integrate(times[n_], x, states[n_])[0, 0]
+        return interp_values(grid, kernel.integrate(times[n_], grid.points, states[n_]), x)[0, 0]
+
+    K = n_knots - 1
+    j, lam = np.empty(n, dtype=int), np.zeros(n)
+    for i, t in enumerate(ts):
+        j[i] = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), max(K - 1, 0))
+        if K:
+            lam[i] = min(max((t - times[j[i]]) / (times[j[i] + 1] - times[j[i]]), 0.0), 1.0)
+    j1 = np.minimum(j + 1, K)
+    # a dense kernel at the points: BLAS may sum a row differently in another
+    # block of rows, so integrate the points of one knot interval together
+    direct = np.empty((2, n))
+    for jv in set(j.tolist()):
+        rows = j == jv
+        for side, n_ in enumerate((jv, min(jv + 1, K))):
+            direct[side, rows] = kernel.integrate(times[n_], pts[rows], states[n_])[:, 0]
+
+    ref_w, ref_p, ref_ub = np.empty((n, 2)), np.empty(n), np.empty(n)
+    for i, x in enumerate(pts[:, None, :]):
+        a, b, lm = j[i], j1[i], lam[i]
+        ref_w[i] = ((1.0 - lm) * interp_values(grid, states[a].values, x)[0]
+                    + lm * interp_values(grid, states[b].values, x)[0])
+        ref_p[i] = (1.0 - lm) * eta(a, x) + lm * eta(b, x)
+        ref_ub[i] = ref_p[i] if kind == "mass" else (1.0 - lm) * direct[0, i] + lm * direct[1, i]
+
+    assert np.array_equal(frozen.w_at(ts, pts), ref_w)
+    assert not frozen.w_at(ts, pts)[outside].any()
+    assert np.array_equal(frozen.p(ts, pts), ref_p)
+    assert np.array_equal(frozen.q(ts, pts), ref_p)
+    assert np.array_equal(frozen.ub(ts, pts), ref_ub)
+    if kind == "dense":
+        assert not frozen.p(ts, pts)[outside].any()

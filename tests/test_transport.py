@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from renewalpde.characteristics import VelocityField
+from renewalpde import transport
+from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
 from renewalpde.models import bump
 from renewalpde.transport import LinearProblem, evaluate, solve_series, zero_field
@@ -297,3 +298,45 @@ def test_first_order_convergence(case):
         errs.append(float(np.sum(np.abs(u.values[:, 0] - exact_vals)) * grid.cell_volume))
     assert errs[1] > 0
     assert errs[0] / errs[1] >= 1.8
+
+
+def test_source_total_equals_a_loop_with_one_running_sum(monkeypatch):
+    # stacked starts on [0, 3] with v = 1: ragged, padded columns with exits.
+    # With zero data the value is the source total alone; it must equal a
+    # loop over each trace's own knots, with one running trapezoid per call
+    grid = make_grid(30, 3.0)
+    v = VelocityField.constant([1.0])
+    starts, substeps = np.repeat([0.5, 1.0, 2.0], grid.n_nodes), np.repeat([2, 4, 8], grid.n_nodes)
+    batch = trace_backward(v, starts, np.tile(grid.points, (3, 1)), substeps, grid.domain)
+    assert batch.exited.any() and not batch.exited.all()
+
+    def p(t, pts):
+        return np.sin(3.0 * t) - 0.5 * pts[:, 0]
+
+    def q(t, pts):
+        return np.cos(t) + pts[:, 0] ** 2
+
+    lp = LinearProblem(v, p, q, zero_field, GridFn.zeros(grid))
+    runs = []
+    running = transport.cumulative_trapezoid
+    monkeypatch.setattr(transport, "cumulative_trapezoid",
+                        lambda *a: runs.append(1) or running(*a))
+    got = evaluate(lp, starts, grid, batch=batch)
+    assert len(runs) == 1
+
+    live, _, _ = batch.live
+    ts, xs = batch.trace_times, batch.path
+    own = live.sum(axis=0)  # each trace's own knots; the rest repeat its last
+    log_e = np.zeros(ts.shape)
+    for c, n in enumerate(own):
+        g = p(ts[:, c], xs[:, c])
+        for r in range(1, n):
+            log_e[r, c] = log_e[r - 1, c] + 0.5 * (g[r - 1] + g[r]) * (ts[r - 1, c] - ts[r, c])
+        log_e[n:, c] = log_e[n - 1, c]
+    E = np.exp(log_e)
+    for c, n in enumerate(own):
+        qe = q(ts[:, c], xs[:, c]) * E[:, c]
+        src = 0.0
+        for r in range(1, n):
+            src += 0.5 * (qe[r - 1] + qe[r]) * (ts[r - 1, c] - ts[r, c])
+        assert got[c] == src
