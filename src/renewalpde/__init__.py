@@ -1,6 +1,6 @@
 """Characteristic-based solver and certificates for nonlocal renewal transport."""
 
-from .characteristics import TraceBatch, VelocityField, exit_jacobian, trace_backward
+from .characteristics import TraceBatch, VelocityField, trace_backward
 from .domain import Domain, Grid, GridFn, l1_norm, linf_norm
 from .kernels import ScalarComponentKernel, WeightedMassKernel
 from .models import (
@@ -17,7 +17,7 @@ from .problem import HypothesisConstants, SystemDef, check_hypotheses, eval_p, e
 from .transport import LinearProblem, evaluate, solve_series
 
 __all__ = [
-    "TraceBatch", "VelocityField", "exit_jacobian", "trace_backward",
+    "TraceBatch", "VelocityField", "trace_backward",
     "Domain", "Grid", "GridFn", "l1_norm", "linf_norm",
     "ScalarComponentKernel", "WeightedMassKernel",
     "CellGrowthParams", "CompetitiveParams", "SIHRParams",

@@ -163,6 +163,30 @@ def linear_stability_certificate(lp1: LinearProblem, lp2: LinearProblem, grid: G
                         du0=l1_norm(lp1.u0 - lp2.u0), dq=dq, dub=dub, dp=dp, t=t)
 
 
+def _gronwall_bound(sys: SystemDef, hc: HypothesisConstants, grid: Grid, t_end: float,
+                    m0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The comparison ODE's solution from ``m0`` on its RK4 step times over ``[0, t_end]``.
+
+    The right-hand side ``a + b m`` takes the running sups of the coefficients
+    up to each step's start time, all sampled before the steps.
+    """
+    b1 = hc.b_l1(grid)
+    ts = np.linspace(0.0, t_end, _GRONWALL_STEPS + 1)
+    dt = t_end / _GRONWALL_STEPS
+    a_sup = np.maximum.accumulate([hc.c1_l1(t, grid) + sys.k * b1 for t in ts[:-1]]).tolist()
+    b_sup = np.maximum.accumulate([hc.c2_at(t) + b1 for t in ts[:-1]]).tolist()
+    bound_vals = np.empty(_GRONWALL_STEPS + 1)
+    m = bound_vals[0] = m0
+    for i, (a, b) in enumerate(zip(a_sup, b_sup)):
+        k1 = a + b * m
+        k2 = a + b * (m + dt / 2 * k1)
+        k3 = a + b * (m + dt / 2 * k2)
+        k4 = a + b * (m + dt * k3)
+        m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        bound_vals[i + 1] = m
+    return ts, bound_vals
+
+
 def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants,
                          traj: Trajectory) -> Certificate:
     """Mass inequality m' <= (||C1|| + k ||B||_1) + (||C2|| + ||B||_1) m.
@@ -171,32 +195,11 @@ def gronwall_certificate(sys: SystemDef, hc: HypothesisConstants,
     requires the trajectory's total mass to stay below it at every knot;
     reports the worst knot after t = 0 (at t = 0 they are equal by construction).
     """
-    grid = traj.grid
-    b1 = hc.b_l1(grid)
     t_end = float(traj.times[-1])
     masses = traj.component_masses().sum(axis=1)
     if t_end <= 0:
         return _certificate("gronwall-mass", masses[0], masses[0], note="no knot after t = 0")
-    ts = np.linspace(0.0, t_end, _GRONWALL_STEPS + 1)
-    dt = t_end / _GRONWALL_STEPS
-    bound_vals = np.empty(_GRONWALL_STEPS + 1)
-    m = masses[0]
-    bound_vals[0] = m
-    a_sup = hc.c1_l1(0.0, grid) + sys.k * b1
-    b_sup = hc.c2_at(0.0) + b1
-    for i in range(_GRONWALL_STEPS):
-        a_sup = max(a_sup, hc.c1_l1(ts[i], grid) + sys.k * b1)
-        b_sup = max(b_sup, hc.c2_at(ts[i]) + b1)
-
-        def rhs(y):
-            return a_sup + b_sup * y
-
-        k1 = rhs(m)
-        k2 = rhs(m + dt / 2 * k1)
-        k3 = rhs(m + dt / 2 * k2)
-        k4 = rhs(m + dt * k3)
-        m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        bound_vals[i + 1] = m
+    ts, bound_vals = _gronwall_bound(sys, hc, traj.grid, t_end, masses[0])
     bounds_at_knots = np.interp(traj.times, ts, bound_vals)
     ratios = masses / np.maximum(bounds_at_knots, 1e-300)
     worst = 1 + int(np.argmax(ratios[1:]))

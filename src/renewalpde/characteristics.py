@@ -1,4 +1,4 @@
-"""Backward characteristic tracing, exit times and the exit-map Jacobian.
+"""Backward characteristic tracing and exit times.
 
 A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 ``X(t) = x``.  Tracing backward either reaches ``s = t_floor`` at an
@@ -9,10 +9,12 @@ up the boundary datum, or through a truncation face, where it carries
 only the live traces; a trace that lands outside stops, and after the
 last substep one batched bisection refines every exit of the call,
 each within its own substep.  A trace's knots are clamped from below
-at its exit time, so an exit ends the trace's integrals.  Up to the
-foot or the exit the trace picks up the growth factor
-``exp(int (p - div v) ds)`` and a source integral, both by composite
-trapezoid on its knots (see ``transport.evaluate``).
+at its exit time, so an exit ends the trace's integrals.  A constant
+field needs no steps: each RK4 step adds the same multiple of its
+vector, so one running sum along the knots gives every position with
+the step loop's bits.  Up to the foot or the exit the trace picks up
+the growth factor ``exp(int (p - div v) ds)`` and a source integral,
+both by composite trapezoid on its knots (see ``transport.evaluate``).
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
 ``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``;
@@ -23,7 +25,7 @@ an exponential and noise there would not average out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -36,18 +38,26 @@ _BISECT_MAX = 80
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Velocity callback bundled with its exact divergence and sup bound."""
+    """Velocity callback bundled with its exact divergence and sup bound.
+
+    A field built by :meth:`constant` also keeps its vector in ``vec``,
+    which is traced without callbacks; ``vec`` is None for any other field.
+    """
 
     fn: Callable
     div: Callable
     sup: float
+    vec: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t, x):
         return self.fn(t, x)
 
     @staticmethod
     def constant(vec) -> "VelocityField":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
+        vec = np.array(vec, dtype=float, ndmin=1)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("constant velocity must be finite")
+        vec.flags.writeable = False  # fn returns it: the two cannot come to disagree
 
         def fn(t, x):
             x = np.atleast_2d(x)
@@ -57,13 +67,22 @@ class VelocityField:
             x = np.atleast_2d(x)
             return np.zeros(x.shape[0])
 
-        return VelocityField(fn, div, float(np.linalg.norm(vec)))
+        v = VelocityField(fn, div, float(np.linalg.norm(vec)))
+        object.__setattr__(v, "vec", vec)
+        return v
 
 
-def rk4_step(v, t0, x: np.ndarray, dt) -> np.ndarray:
+def _rk4_sum(c: np.ndarray) -> np.ndarray:
+    """``k1 + 2 k2 + 2 k3 + k4`` when every stage is ``c``, summed as :func:`rk4_step` sums."""
+    return c + 2 * c + 2 * c + c
+
+
+def rk4_step(v: VelocityField, t0, x: np.ndarray, dt) -> np.ndarray:
     """One classical RK4 step; ``t0`` and ``dt`` may each be one per point."""
     dt = np.asarray(dt, dtype=float)
     dtc = dt[:, None] if dt.ndim == 1 else dt
+    if v.vec is not None:
+        return x + dtc / 6 * _rk4_sum(v.vec)
     k1 = v(t0, x)
     k2 = v(t0 + dt / 2, x + dtc / 2 * k1)
     k3 = v(t0 + dt / 2, x + dtc / 2 * k2)
@@ -158,13 +177,34 @@ def _refine_exit(v, bracket: np.ndarray, start: np.ndarray, s_hi: np.ndarray, x_
     return T, xT, face
 
 
-def trace_backward(v, t, pts: np.ndarray, substeps, domain: Domain,
+def _constant_path(c: np.ndarray, path: np.ndarray, times: np.ndarray, n: np.ndarray,
+                   lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Trace under the constant velocity ``c`` into ``path`` with the step loop's bits, no loop.
+
+    Every RK4 step adds ``dt/6 (c + 2c + 2c + c)``, so one running sum of those
+    increments along the knots gives every position, in the loop's order.  Returns
+    the substep in which each trace left, from its first row outside the box, or
+    its substep count if never; the caller overwrites the rows past an exit.
+    """
+    np.multiply(np.diff(times, axis=0)[..., None] / 6, _rk4_sum(c), out=path[1:])
+    np.cumsum(path, axis=0, out=path)  # in place: path is the largest array of a trace
+    if not np.all(np.isfinite(path)):
+        raise ValueError("non-finite velocity along characteristic")
+    rows, npts, d = path.shape
+    out = _outside(path.reshape(-1, d), lower, upper).reshape(rows, npts)
+    out &= np.arange(rows)[:, None] <= n  # rows past a trace's own substeps are padding
+    out[0] = False  # the loop never tests a trace's start
+    return np.where(out.any(axis=0), out.argmax(axis=0) - 1, n)
+
+
+def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domain,
                    t_floor: float = 0.0) -> TraceBatch:
     """Trace every point of ``pts`` backward from its time in ``t`` to ``t_floor``.
 
     ``t`` and ``substeps`` are scalars or one per point: trace p steps on
     ``np.linspace(t[p], t_floor, substeps[p] + 1)``, padded with its last
-    knot to the longest.  One :func:`_refine_exit` call locates all exits.
+    knot to the longest.  A constant field is summed in one pass, any other
+    stepped knot by knot; one :func:`_refine_exit` call locates all exits.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts, d = pts.shape
@@ -183,39 +223,41 @@ def trace_backward(v, t, pts: np.ndarray, substeps, domain: Domain,
 
     path = np.empty((rows, npts, d))
     path[0] = pts
-    x = pts.copy()
-    live = np.arange(npts)
-    exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
     lower, upper = np.array(domain.bounds()).T.copy()
-
-    ends = set(n[first].tolist())  # rows at which some column ends
-    for j in range(rows - 1):
-        if j in ends:
-            live = live[n[live] > j]
-        if not live.size:
-            path[j + 1:] = x
-            break
-        # one column: its knots are scalars, which step faster than a time per trace
-        s, s_next = ((knots[j, 0], knots[j + 1, 0]) if len(first) == 1
-                     else (times[j, live], times[j + 1, live]))
-        x_new = rk4_step(v, s, x[live], s_next - s)
-        if not np.all(np.isfinite(x_new)):
-            raise ValueError("non-finite velocity along characteristic")
-        out = _outside(x_new, lower, upper)
-        exit_step[live[out]] = j
-        live = live[~out]
-        x[live] = x_new[~out]
-        path[j + 1] = x
+    if v.vec is not None:
+        exit_step = _constant_path(v.vec, path, times, n, lower, upper)
+    else:
+        x = pts.copy()
+        live = np.arange(npts)
+        exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
+        ends = set(n[first].tolist())  # rows at which some column ends
+        for j in range(rows - 1):
+            if j in ends:
+                live = live[n[live] > j]
+            if not live.size:
+                path[j + 1:] = x
+                break
+            # one column: its knots are scalars, which step faster than a time per trace
+            s, s_next = ((knots[j, 0], knots[j + 1, 0]) if len(first) == 1
+                         else (times[j, live], times[j + 1, live]))
+            x_new = rk4_step(v, s, x[live], s_next - s)
+            if not np.all(np.isfinite(x_new)):
+                raise ValueError("non-finite velocity along characteristic")
+            out = _outside(x_new, lower, upper)
+            exit_step[live[out]] = j
+            live = live[~out]
+            x[live] = x_new[~out]
+            path[j + 1] = x
 
     exited = exit_step < n
     exit_time, exit_face = np.full(npts, np.nan), np.full(npts, -1, dtype=int)
     exit_point = np.full((npts, d), np.nan)
     if exited.any():
-        # x still holds each exited trace where it was at the start of its exit substep
+        # each exited trace, where it was at the start of its exit substep
         e = np.nonzero(exited)[0]
         k = exit_step[e]
         exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
-            v, which[e] * rows + k, start[e], times[k, e], x[e], times[k + 1, e],
+            v, which[e] * rows + k, start[e], times[k, e], path[k, e], times[k + 1, e],
             lower, upper, domain.m)
         past = (np.arange(rows)[:, None] > exit_step) & exited
         path[past] = np.broadcast_to(exit_point, path.shape)[past]
@@ -259,21 +301,3 @@ def trapezoid_weights(ts) -> np.ndarray:
         w[:-1] += 0.5 * dt
         w[1:] += 0.5 * dt
     return w
-
-
-def exit_jacobian(batch: TraceBatch, i: int, v: VelocityField) -> float:
-    """Change-of-variables factor ``|det DM_i|`` of the exit map for row ``i``.
-
-    Equals ``(1 / v_i(T, X(T))) * exp(int_t^T div v ds)``; this is what
-    converts a cell of hit points at time t into a (time x face) cell
-    of boundary data.  The divergence is integrated on the trace's own
-    knots, which end at the exit.
-    """
-    if batch.exit_face[i] < 0:
-        raise ValueError("exit_jacobian needs a trace that exited through an inflow face")
-    T, xT, face = batch.exit_time[i], batch.exit_point[i], batch.exit_face[i]
-    vi = float(np.atleast_2d(v(T, xT[None, :]))[0, face])
-    if vi <= 0.0:
-        raise ValueError("inflow condition violated at exit: v_i <= 0")
-    ts = batch.trace_times[:, i]
-    return float(np.exp(-trapezoid_total(v.div(ts, batch.path[:, i]), ts)) / vi)

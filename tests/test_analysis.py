@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -215,6 +216,50 @@ def test_gronwall_reports_the_worst_knot_after_t0():
     cert1 = gronwall_certificate(sys_, sys_.constants, one)
     assert cert1.passed and cert1.measured == cert1.bound
     assert cert1.format().endswith("+0.000% (no knot after t = 0)  PASS")
+
+
+def _gronwall_bound_loop(sys_, hc, grid, t_end, m0):
+    """The comparison ODE as one loop that samples the coefficients at every step."""
+    b1 = hc.b_l1(grid)
+    steps = analysis._GRONWALL_STEPS
+    ts = np.linspace(0.0, t_end, steps + 1)
+    dt = t_end / steps
+    bound_vals = np.empty(steps + 1)
+    m = m0
+    bound_vals[0] = m
+    a_sup = hc.c1_l1(0.0, grid) + sys_.k * b1
+    b_sup = hc.c2_at(0.0) + b1
+    for i in range(steps):
+        a_sup = max(a_sup, hc.c1_l1(ts[i], grid) + sys_.k * b1)
+        b_sup = max(b_sup, hc.c2_at(ts[i]) + b1)
+
+        def rhs(y):
+            return a_sup + b_sup * y
+
+        k1 = rhs(m)
+        k2 = rhs(m + dt / 2 * k1)
+        k3 = rhs(m + dt / 2 * k2)
+        k4 = rhs(m + dt * k3)
+        m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        bound_vals[i + 1] = m
+    return ts, bound_vals
+
+
+@pytest.mark.parametrize("name", ["sihr", "cellgrowth", "sihr-varying"])
+def test_gronwall_bound_equals_the_sampling_loop(name):
+    # the coefficients are sampled before the steps; the bound keeps every bit.
+    # "sihr-varying" gives C1 and C2 non-monotone in t, so the running sups move
+    sys_, _ = PRESETS["sihr" if name == "sihr-varying" else name].build({})
+    hc = sys_.constants
+    if name == "sihr-varying":
+        hc = dataclasses.replace(hc, C1=lambda t, pts: 0.1 * np.sin(3.0 * t) * np.exp(-pts[:, 0]),
+                                 C2=lambda t: 0.2 + 0.1 * np.sin(5.0 * t))
+    grid = Grid(sys_.domain, (96,))
+    m0 = float(l1_norm(sys_.initial_state(grid)))
+    ts, got = analysis._gronwall_bound(sys_, hc, grid, 1.3, m0)
+    ref_ts, ref = _gronwall_bound_loop(sys_, hc, grid, 1.3, m0)
+    assert np.array_equal(ts, ref_ts)
+    assert np.array_equal(got, ref)
 
 
 def test_a_pass_within_the_slack_says_so():

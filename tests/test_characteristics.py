@@ -1,13 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from renewalpde import characteristics
-from renewalpde.characteristics import (
-    VelocityField,
-    exit_jacobian,
-    rk4_step,
-    trace_backward,
-)
+from renewalpde.characteristics import VelocityField, rk4_step, trace_backward
 from renewalpde.domain import Domain
 
 HALFLINE = Domain(half_lengths=(10.0,))
@@ -77,47 +74,63 @@ def test_truncation_before_inflow_exit_flagged():
     assert list(b.truncated) == [False, True, False, False]
 
 
-def test_exit_jacobian_constant_velocities():
-    v1 = VelocityField.constant([1.0])
-    b = trace_backward(v1, 1.0, [[0.5]], 32, HALFLINE)
-    assert abs(exit_jacobian(b, 0, v1) - 1.0) <= 1e-12
-    v2 = VelocityField.constant([2.0])
-    b2 = trace_backward(v2, 1.0, [[0.5]], 32, HALFLINE)
-    assert abs(exit_jacobian(b2, 0, v2) - 0.5) <= 1e-12
+# (vector, domain, start times, points, substeps, floor)
+_CONSTANT_CASES = {
+    # an inflow hit and an interior foot
+    "inflow-and-foot": ([1.0], HALFLINE, 1.0, [[0.5], [1.5], [0.02]], 32, 0.0),
+    # backward with negative velocity the trace walks out the far truncation face
+    "truncation": ([-3.0], Domain(half_lengths=(2.0,)), 1.0, [[0.5], [1.9]], 32, 0.0),
+    # the second point leaves through y = -1 in the substep where it also crosses a = 0
+    "truncation-before-inflow": ([1.0, 2.0], Domain(half_lengths=(2.0,), full_lengths=(1.0,)),
+                                 0.5, [[0.3, 0.5], [0.2, -0.65], [0.1, -0.7], [1.0, 0.2]], 4,
+                                 0.0),
+    "3-d-inflow": ([1.0, 0.2, -0.1], Domain(half_lengths=(2.0,), full_lengths=(1.0, 1.0)), 0.8,
+                   [[0.3, 0.5, 0.0], [1.5, -0.9, 0.95], [0.05, 0.95, -0.95]], 16, 0.0),
+    # three start columns with their own substep counts: the shorter ones are padded
+    # past their own end, and some of their traces exit, some land at feet
+    "stacked": ([1.0, 0.6], Domain(half_lengths=(2.0, 1.5)), np.repeat([0.25, 0.5, 1.0], 4),
+                np.tile([[0.1, 0.7], [0.4, 0.05], [1.2, 1.4], [0.9, 0.6]], (3, 1)),
+                np.repeat([2, 4, 8], 4), 0.0),
+    # one start time, a substep count per point, from a floor above 0
+    "scalar-t": ([1.0], HALFLINE, 0.9, [[0.1], [0.3], [2.0], [0.5]], [3, 8, 5, 1], 0.2),
+    "zero": ([0.0], HALFLINE, 1.0, [[0.5], [2.0]], 16, 0.0),
+}
 
 
-def test_exit_jacobian_interior_errors():
-    v = VelocityField.constant([1.0])
-    b = trace_backward(v, 1.0, [[5.0]], 16, HALFLINE)
-    with pytest.raises(ValueError):
-        exit_jacobian(b, 0, v)
+@pytest.mark.parametrize("case", list(_CONSTANT_CASES))
+def test_constant_field_sum_equals_step_loop(case, monkeypatch):
+    # a field built by VelocityField.constant is summed in one pass; the same
+    # callbacks as a plain field take the RK4 step loop.  Every field of the
+    # batch must agree bit for bit
+    vec, domain, t, pts, substeps, floor = _CONSTANT_CASES[case]
+    v = VelocityField.constant(vec)
+    loop = VelocityField(v.fn, v.div, v.sup)
+    assert loop.vec is None
+    reference = trace_backward(loop, t, pts, substeps, domain, t_floor=floor)
+
+    def no_callbacks(self, t, x):
+        raise AssertionError("a constant field is traced without its callbacks")
+
+    monkeypatch.setattr(VelocityField, "__call__", no_callbacks)
+    got = trace_backward(v, t, pts, substeps, domain, t_floor=floor)
+    for f in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, f.name), getattr(reference, f.name),
+                              equal_nan=True), f.name
+    if case in ("inflow-and-foot", "stacked"):
+        assert got.exited.any() and not got.exited.all()
+    if case == "stacked":
+        assert set(got.exit_face[got.exited]) == {0, 1}
+    if case == "truncation":
+        assert got.truncated.all()
 
 
-def test_exit_jacobian_truncated_exit_errors():
-    # the second point of test_truncation_before_inflow_exit_flagged leaves
-    # through the truncation face y = -1, not through the inflow face a = 0
+def test_constant_field_rejects_non_finite_vectors():
+    for vec in ([np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError):
+            VelocityField.constant(vec)
     v = VelocityField.constant([1.0, 2.0])
-    dom = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
-    b = trace_backward(v, 0.5, [[0.2, -0.65]], 4, dom)
-    assert b.exited[0] and b.truncated[0]
     with pytest.raises(ValueError):
-        exit_jacobian(b, 0, v)
-
-
-def test_exit_jacobian_against_finite_difference():
-    # v(t,x) = 1 + x: T(t,x) = t - log(1+x); |dT/dx| is the exit jacobian in 1d
-    def fn(t, x):
-        return 1.0 + np.atleast_2d(x)
-
-    v = VelocityField(fn, lambda t, x: np.ones(np.atleast_2d(x).shape[0]), sup=20.0)
-    t, x = 1.0, float(np.exp(0.5) - 1.0)  # exit at T = 0.5
-    delta = 1e-5
-    b = trace_backward(v, t, [[x], [x + delta], [x - delta]], 400, HALFLINE)
-    assert b.exited.all()
-    assert abs(b.exit_time[0] - 0.5) <= 1e-8
-    jac = exit_jacobian(b, 0, v)
-    fd = abs(b.exit_time[1] - b.exit_time[2]) / (2 * delta)
-    assert abs(jac - fd) <= 1e-4
+        v.vec[0] = 3.0  # read-only: fn keeps returning the vector it was built from
 
 
 def test_semigroup_property():

@@ -21,7 +21,7 @@ from renewalpde.picard import (
     solve_slab,
 )
 from renewalpde.problem import SystemDef
-from renewalpde.transport import evaluate
+from renewalpde.transport import LinearProblem, evaluate, zero_field
 
 
 def constant_trajectory(sys_, grid, times):
@@ -178,6 +178,71 @@ def test_slab_restart_consistency():
     d = l1_norm(one.states[-1] - two.states[-1])
     # seam resampling of smooth data costs O(dx^2); allow that plus slack
     assert d <= 5 * PicardConfig().eps_fix + 0.02
+
+
+def test_age_and_time_since_infection_oracle_with_two_inflow_faces():
+    # u(t, a, s) with velocity (1, 1), p = -mu, no source, and renewal data on both
+    # faces: b_a(t, s) enters at a = 0 and b_s(t, a) at s = 0.  Back from (t, a, s)
+    # the trace reaches t = 0, a = 0 or s = 0 first, at s* = min(t, a, s), so
+    #   u = [u0(a - t, s - t), b_a(t - a, s - a) or b_s(t - s, a - s)] * exp(-mu s*).
+    # Traces, exits and the growth factor are exact up to rounding; only u0 is
+    # interpolated, multilinearly, at the feet.  So a node with a foot agrees within
+    # (ha^2 max|u0_aa| + hs^2 max|u0_ss|) / 8 = (ha^2 + hs^2) / 4, except where the
+    # foot lies in the half-cell margin and the interpolant is extended as a
+    # constant; a node with an exit agrees within 1e-10, the bisection's accuracy
+    mu = 0.4
+    domain = Domain(half_lengths=(2.0, 1.5))
+    grid = Grid(domain, (40, 25))
+    ha, hs = grid.dx
+
+    def u0(a, s):
+        return np.exp(-(a - 0.8) ** 2 - (s - 0.6) ** 2)
+
+    def b_a(t, s):
+        return 1.0 + 0.5 * np.sin(3.0 * t) * np.exp(-s)
+
+    def b_s(t, a):
+        return 0.5 + 0.3 * np.cos(2.0 * t + a)
+
+    def ub(t, pts):
+        return np.where(pts[:, 0] == 0.0, b_a(t, pts[:, 1]), b_s(t, pts[:, 0]))
+
+    def exact(t, a, s):
+        first = np.minimum(np.minimum(t, a), s)
+        val = np.where(first == t, u0(a - t, s - t),
+                       np.where(first == a, b_a(t - a, s - a), b_s(t - s, a - s)))
+        return val * np.exp(-mu * first)
+
+    def check(t, vals):
+        a, s = grid.points.T
+        # no node sits on a switch between the three cases
+        assert min(np.abs(t - a).min(), np.abs(t - s).min(), np.abs(a - s).min()) > 1e-6
+        hit = np.minimum(a, s) < t
+        margin = ~hit & ((a - t < ha / 2) | (s - t < hs / 2))
+        err = np.abs(vals - exact(t, a, s))
+        assert err[~hit & ~margin].max() <= (ha * ha + hs * hs) / 4
+        assert err[hit].max(initial=0.0) <= 1e-10
+        return hit, a < s  # the nodes that exited, and through which face
+
+    vel = VelocityField.constant([1.0, 1.0])
+    t_end = 0.77
+    lp = LinearProblem(vel, lambda t, pts: np.full(len(pts), -mu), zero_field, ub,
+                       GridFn.from_callback(grid, lambda pts: u0(pts[:, 0], pts[:, 1])))
+    hit, face_a = check(t_end, evaluate(lp, t_end, grid).values[:, 0])
+    # both faces are hit, each by many nodes
+    assert (hit & face_a).sum() >= 50 and (hit & ~face_a).sum() >= 50
+
+    # one slab from t = 0: every knot is one trace away from the data, and the
+    # coefficients do not see the iterate, so the fixed point is this same formula
+    sys_ = SystemDef(k=1, domain=domain, velocities=(vel,),
+                     P=(lambda t, pts, eta: np.full(len(pts), -mu),),
+                     Q=(lambda t, pts, u, eta: np.zeros(len(pts)),),
+                     Ub=(lambda t, pts, eta: ub(t, pts),),
+                     u0=lambda pts: u0(pts[:, 0], pts[:, 1])[:, None])
+    traj = solve(sys_, grid, t_end, PicardConfig(slab_length=t_end))
+    assert len(traj.diagnostics) == 1 and len(traj.times) > 8
+    for t, state in zip(traj.times, traj.states):
+        check(t, state.values[:, 0])
 
 
 def test_trajectory_state_interpolation():
