@@ -10,6 +10,9 @@ inequality that characterizes the solution class.  Each bound calls
 each coefficient callback once, all its times and points stacked; the
 randomized entropy audit draws every sample first and evaluates each
 component's samples in one pass over the knots, bit for bit as one at a time.
+The hypothesis audit checks the declared growth and Lipschitz constants
+on random probe states at every grid and inflow-face node, reading the
+coefficients through the solver's :class:`FrozenCoefficients`.
 
 Boundary flux terms integrate |ub| v_i over the whole (face x time)
 rectangle rather than the exact exit-map image, which can only enlarge
@@ -451,3 +454,109 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
             results[i] = {"component": h, "kappa": kappa, "sign": sign,
                           "residual": float(res), "tol": tol, "ok": bool(res >= -tol)}
     return results
+
+
+# Hypothesis audit
+_PROBE_T_MAX = 1.0  # probe times are drawn from [0, _PROBE_T_MAX]
+_PROBE_U_CAP = 5.0  # pointwise probe states are drawn from [-cap, cap]^k
+_PROBE_MASS_CAP = 10.0  # largest L1 mass of a probe field
+_PROBE_RTOL = 1e-7  # a measured value at or below rtol * max(1, |bound|) counts as 0
+
+
+@dataclass
+class HypothesisCheck:
+    name: str
+    worst_ratio: float
+    passed: bool
+    detail: str = ""
+
+
+@dataclass
+class HypothesisReport:
+    checks: list[HypothesisCheck] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def format(self) -> str:
+        lines = []
+        for c in self.checks:
+            status = "pass" if c.passed else "FAIL"
+            lines.append(f"({c.name})  worst ratio {c.worst_ratio:.6g}  {status}  {c.detail}")
+        return "\n".join(lines)
+
+
+def _probe_fields(sys: SystemDef, grid: Grid, rng: np.random.Generator,
+                  samples: int) -> list[GridFn]:
+    """Random and data-shaped probe states with a range of masses."""
+    probes = []
+    u0 = sys.initial_state(grid)
+    base = l1_norm(u0)
+    if base > 0:
+        for target in (0.5, 1.0, 3.0, _PROBE_MASS_CAP):
+            probes.append(u0 * (target / base))
+    for _ in range(samples):
+        vals = rng.uniform(-1.0, 1.0, size=(grid.n_nodes, sys.k))
+        if rng.uniform() < 0.5:
+            vals = np.abs(vals)
+        f = GridFn(grid, vals)
+        mass = l1_norm(f)
+        target = rng.uniform(0.05, _PROBE_MASS_CAP)
+        probes.append(f * (target / mass))
+    return probes
+
+
+def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
+                     samples: int = 60, seed: int = 0) -> HypothesisReport:
+    """Monte-Carlo audit of the declared growth and Lipschitz constants.
+
+    Each trial draws a time, probe fields w, w' and pointwise states u,
+    u', and measures each bound's ratio measured/allowed on every grid
+    node (P, Q) and inflow-face node (BD).  Each probe field is frozen
+    once per component at one knot, as the solver freezes it; kernels do
+    not read ``t``, so the knot serves every time.  Reports the worst
+    ratio per hypothesis, and a non-finite coefficient or ratio fails:
+    callers decide what a failure means.
+    """
+    rng = np.random.default_rng(seed)
+    probes = _probe_fields(sys, grid, rng, samples)
+    frozen = [[FrozenCoefficients(sys, h, [0.0], [f]) for h in range(sys.k)] for f in probes]
+    faces = [grid.face_grid(ax).points for ax in range(sys.domain.m)]
+    x, q2x = grid.points, hc.q2_at(grid.points)
+    worst = dict.fromkeys(("P", "P-lip", "Q", "Q-lip", "BD", "BD-lip"), 0.0)
+
+    def note(name: str, num: np.ndarray, den) -> None:
+        """Raise ``worst[name]`` to the largest non-negligible ``num / den``; nan stays."""
+        r = np.where(num <= _PROBE_RTOL * np.maximum(1.0, np.abs(den)), 0.0,
+                     num / np.maximum(den, 1e-300))
+        worst[name] = float(np.maximum(worst[name], np.max(r)))
+
+    for trial, w in enumerate(probes):
+        other = int(rng.integers(0, len(probes)))
+        mw, dmass = l1_norm(w), l1_norm(w - probes[other])
+        t = float(rng.uniform(0.0, _PROBE_T_MAX))
+        u, up = rng.uniform(-_PROBE_U_CAP, _PROBE_U_CAP, size=(2, grid.n_nodes, sys.k))
+        nu, nup = np.sum(np.abs(u), axis=1), np.sum(np.abs(up), axis=1)
+        du = np.sum(np.abs(u - up), axis=1)
+        tx = np.full(grid.n_nodes, t)
+        for fw, fwp in zip(frozen[trial], frozen[other]):
+            pv, pvp = fw.p(tx, x), fwp.p(tx, x)
+            note("P", np.abs(pv), hc.P1 + hc.P2 * mw)
+            note("P-lip", np.abs(pv - pvp), hc.P2 * dmass)
+            qv, qvp = fw.q(tx, x, w_pt=u), fwp.q(tx, x, w_pt=up)
+            note("Q", np.abs(qv), hc.Q1 * nu + q2x * mw + hc.Q3 * nu * mw)
+            note("Q-lip", np.abs(qv - qvp), hc.Q1 * du + hc.Q3 * mw * du + hc.Q3 * nup * dmass)
+            for xi in faces:
+                txi, bxi = np.full(len(xi), t), hc.b_at(xi)
+                bv, bvp = fw.ub(txi, xi), fwp.ub(txi, xi)
+                note("BD", np.abs(bv), bxi * (1.0 + mw))
+                note("BD-lip", np.abs(bv - bvp), bxi * dmass)
+
+    report = HypothesisReport()
+    for name, r in worst.items():
+        if name.startswith("BD") and not faces:
+            continue
+        detail = "" if math.isfinite(r) else "non-finite coefficient or ratio"
+        report.checks.append(HypothesisCheck(name, r, r <= 1.0 + 1e-6, detail))
+    return report

@@ -2,9 +2,9 @@
 
 A run file names a model preset, optional parameter overrides, the
 grid/horizon, solver settings, which certificates to evaluate and an
-optional control search.  Every default is materialized into the
-effective config written next to the results, so a run is reproducible
-from its own output directory.
+optional control search.  Every default but the output path is written
+into the effective config in the output directory, so a run is
+reproducible from that directory wherever it lies.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def effective_config_dict(cfg: RunConfig) -> dict:
-    """Fully materialized config for the reproducibility copy."""
+    """Fully materialized config for the reproducibility copy, without the output path."""
     out = {
         "model": cfg.model,
         "params": cfg.params,
@@ -259,7 +259,6 @@ def effective_config_dict(cfg: RunConfig) -> dict:
         "picard": dataclasses.asdict(cfg.picard),
         "certificates": list(cfg.certificates),
         "control": dataclasses.asdict(cfg.control) if cfg.control else None,
-        "output": str(cfg.output),
         "seed": cfg.seed,
         "save_states": cfg.save_states,
         "entropy_samples": cfg.entropy_samples,

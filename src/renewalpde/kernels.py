@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import BlowupError, GridFn
+from .domain import GridFn
 
 _CHUNK = 512  # rows per dense (chunk x N) kernel block
 _MATRIX_BUDGET = 256 * 2**20  # bytes of the node matrix a dense kernel may keep
@@ -112,13 +112,3 @@ class ScalarComponentKernel:
 
 Kernel = WeightedMassKernel | ScalarComponentKernel
 
-
-def kernel_eta(kernel: Kernel | None, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
-    """Nonlocal argument at the given points; zeros when there is no kernel."""
-    pts = np.atleast_2d(pts)
-    if kernel is None:
-        return np.zeros((pts.shape[0], 1))
-    eta = kernel.integrate(t, pts, f)
-    if not np.all(np.isfinite(eta)):
-        raise BlowupError("kernel integral is non-finite")
-    return eta

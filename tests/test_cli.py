@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,10 +134,13 @@ def test_deterministic_outputs(tmp_path):
                       output=str(tmp_path / "out_b"), seed=7)
     assert main(["run", str(p1)]) == 0
     assert main(["run", str(p2)]) == 0
+    # every file, effective_config.yaml included: nothing records where the directory is
     a, b = tmp_path / "out_a", tmp_path / "out_b"
-    for rel in ("series.csv", "certificates.txt", "states/state_0000.csv",
-                "states/index.csv"):
-        assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert Path("effective_config.yaml") in files and Path("states/index.csv") in files
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 def test_control_run_writes_trace(tmp_path):

@@ -3,18 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from renewalpde.analysis import check_hypotheses
 from renewalpde.characteristics import VelocityField
+from renewalpde.config import PRESETS
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
-from renewalpde.kernels import WeightedMassKernel
+from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
 from renewalpde.models import SIHRParams, CellGrowthParams, build_cell_growth, build_blowup, build_sihr
-from renewalpde.problem import (
-    HypothesisConstants,
-    SystemDef,
-    check_hypotheses,
-    eval_p,
-    eval_q,
-    eval_ub,
-)
+from renewalpde.picard import FrozenCoefficients
+from renewalpde.problem import HypothesisConstants, SystemDef
+
+from test_picard import contact_sihr
 
 
 @pytest.fixture(scope="module")
@@ -29,81 +27,114 @@ def state_with_i_mass(grid, mass):
     return GridFn(grid, vals)
 
 
-def test_eval_p_decoupled_mortality():
+def frozen(sys_, h, w):
+    """Component h's coefficients with the state frozen at w on one knot, which serves
+    every time: kernels do not read t."""
+    return FrozenCoefficients(sys_, h, [0.0], [w])
+
+
+def at(t, pts):
+    return np.full(len(pts), t)
+
+
+def test_frozen_p_decoupled_mortality():
     sys_ = build_sihr(SIHRParams(mu_s=0.1, rho=0.0))
     grid = Grid(sys_.domain, (100,))
-    w = GridFn.zeros(grid, 4)
-    assert eval_p(sys_, 0, 0.0, np.array([1.0]), w) == pytest.approx(-0.1)
+    x = grid.points
+    assert frozen(sys_, 0, GridFn.zeros(grid, 4)).p(at(0.0, x), x) == pytest.approx(-0.1)
     w2 = state_with_i_mass(grid, 5.0)
-    assert eval_p(sys_, 0, 0.3, np.array([2.0]), w2) == pytest.approx(-0.1)
+    assert frozen(sys_, 0, w2).p(at(0.3, x), x) == pytest.approx(-0.1)
 
 
-def test_eval_p_with_contact_mass(sihr_grid):
+def test_frozen_p_with_contact_mass(sihr_grid):
     sys_, grid = sihr_grid
     w = state_with_i_mass(grid, 2.0)
-    got = eval_p(sys_, 0, 0.0, np.array([1.0]), w)
+    got = frozen(sys_, 0, w).p(at(0.0, grid.points), grid.points)
     # independent quadrature oracle for the contact integral
     lam = np.sum(w.values[:, 1]) * grid.cell_volume
-    assert got == pytest.approx(-0.1 - lam, rel=1e-12)
+    assert got == pytest.approx(np.full(grid.n_nodes, -0.1 - lam), rel=1e-12)
     assert got == pytest.approx(-2.1, rel=1e-9)
 
 
-def test_eval_p_blowup_window():
+def test_frozen_p_blowup_window():
     sys_, _ = build_blowup("ode")
     grid = Grid(sys_.domain, (400,))
     w = GridFn.from_callback(grid, lambda pts: ((pts[:, 0] >= 0) & (pts[:, 0] <= 1)).astype(float))
-    got = eval_p(sys_, 0, 0.0, np.array([0.2]), w)
-    assert abs(got - 1.0) <= 0.005
+    got = frozen(sys_, 0, w).p(at(0.0, grid.points), grid.points)
+    assert np.max(np.abs(got - 1.0)) <= 0.005
 
 
-def test_eval_q_zero_and_sihr(sihr_grid):
+def test_frozen_q_zero_and_sihr(sihr_grid):
     sys_, grid = sihr_grid
+    x = grid.points
     bsys, _ = build_blowup("ode")
     bgrid = Grid(bsys.domain, (64,))
-    assert eval_q(bsys, 0, 0.1, np.array([0.5]), np.array([2.0]),
-                  GridFn(bgrid, np.ones(64))) == 0.0
+    bq = frozen(bsys, 0, GridFn(bgrid, np.ones(64))).q(at(0.1, bgrid.points), bgrid.points,
+                                                     w_pt=np.full((64, 1), 2.0))
+    assert np.all(bq == 0.0)
     # q for the hospitalized compartment: quarantine inflow kappa * I
-    u = np.array([0.0, 2.0, 0.0, 0.0])
-    got = eval_q(sys_, 2, 0.0, np.array([1.0]), u, GridFn.zeros(grid, 4))
+    u = np.tile([0.0, 2.0, 0.0, 0.0], (grid.n_nodes, 1))
+    got = frozen(sys_, 2, GridFn.zeros(grid, 4)).q(at(0.0, x), x, w_pt=u)
     assert got == pytest.approx(0.6)
     # q for the infective compartment: contact pressure times S
     w = state_with_i_mass(grid, 1.5)
-    u2 = np.array([2.0, 0.0, 0.0, 0.0])
+    u2 = np.tile([2.0, 0.0, 0.0, 0.0], (grid.n_nodes, 1))
     lam = np.sum(w.values[:, 1]) * grid.cell_volume
-    got2 = eval_q(sys_, 1, 0.0, np.array([1.0]), u2, w)
-    assert got2 == pytest.approx(lam * 2.0, rel=1e-12)
+    got2 = frozen(sys_, 1, w).q(at(0.0, x), x, w_pt=u2)
+    assert got2 == pytest.approx(np.full(grid.n_nodes, lam * 2.0), rel=1e-12)
     assert got2 == pytest.approx(3.0, rel=1e-9)
 
 
-def test_eval_q_vanishes_at_zero_state(sihr_grid):
+def test_frozen_q_vanishes_at_zero_state(sihr_grid):
     sys_, grid = sihr_grid
     zeros = GridFn.zeros(grid, 4)
     for h in range(4):
-        assert eval_q(sys_, h, 0.2, np.array([1.0]), np.zeros(4), zeros) == 0.0
+        got = frozen(sys_, h, zeros).q(at(0.2, grid.points), grid.points, w_pt=zeros.values)
+        assert np.all(got == 0.0)
 
 
-def test_eval_ub_sihr(sihr_grid):
+def test_frozen_ub_sihr(sihr_grid):
     sys_, grid = sihr_grid
     w = state_with_i_mass(grid, 1.0)
-    xi = np.array([0.0])
-    assert eval_ub(sys_, 0, 0.0, xi, w) == pytest.approx(1.0)
+    xi = grid.face_grid(0).points
+    assert frozen(sys_, 0, w).ub(at(0.0, xi), xi) == pytest.approx(1.0)
     for h in (1, 2, 3):
-        assert eval_ub(sys_, h, 0.0, xi, w) == 0.0
+        assert np.all(frozen(sys_, h, w).ub(at(0.0, xi), xi) == 0.0)
 
 
-def test_eval_ub_offface_errors(sihr_grid):
-    sys_, grid = sihr_grid
-    with pytest.raises(ValueError):
-        eval_ub(sys_, 0, 0.0, np.array([0.5]), GridFn.zeros(grid, 4))
-
-
-def test_eval_ub_cell_growth_total_mass():
+def test_frozen_ub_cell_growth_total_mass():
     sys_ = build_cell_growth(CellGrowthParams(loss=0.0, birth_weight=1.0))
     grid = Grid(sys_.domain, (200,))
     rng = np.random.default_rng(4)
     w = GridFn(grid, np.abs(rng.normal(size=grid.n_nodes)))
-    got = eval_ub(sys_, 0, 0.0, np.array([0.0]), w)
-    assert got == pytest.approx(l1_norm(w), rel=1e-9)
+    xi = grid.face_grid(0).points
+    assert frozen(sys_, 0, w).ub(at(0.0, xi), xi) == pytest.approx(l1_norm(w), rel=1e-9)
+
+
+def test_frozen_p_lipschitz_in_state(sihr_grid):
+    sys_, grid = sihr_grid
+    rng = np.random.default_rng(8)
+    P2 = sys_.constants.P2
+    x = grid.points
+    for _ in range(10):
+        a = GridFn(grid, rng.normal(size=(grid.n_nodes, 4)))
+        b = GridFn(grid, rng.normal(size=(grid.n_nodes, 4)))
+        for h in range(4):
+            lhs = np.abs(frozen(sys_, h, a).p(at(0.1, x), x) - frozen(sys_, h, b).p(at(0.1, x), x))
+            assert np.all(lhs <= P2 * l1_norm(a - b) * (1 + 1e-9))
+
+
+def test_frozen_ub_sihr_natality_flag():
+    # optional renewal boundary for S: inflow equals a weighted S-mass
+    sys_ = build_sihr(SIHRParams(rho=0.0, natality_weight=0.5))
+    grid = Grid(sys_.domain, (150,))
+    rng = np.random.default_rng(12)
+    vals = np.zeros((grid.n_nodes, 4))
+    vals[:, 0] = np.abs(rng.normal(size=grid.n_nodes))
+    w = GridFn(grid, vals)
+    s_mass = np.sum(vals[:, 0]) * grid.cell_volume
+    xi = grid.face_grid(0).points
+    assert frozen(sys_, 0, w).ub(at(0.0, xi), xi) == pytest.approx(0.5 * s_mass, rel=1e-12)
 
 
 def test_check_hypotheses_sihr_passes(sihr_grid):
@@ -137,47 +168,62 @@ def test_check_hypotheses_blowup_passes():
 
 
 def test_check_hypotheses_detects_quadratic_growth():
-    # p(w) = (int_0^1 w)^2 cannot satisfy a linear bound with P2 = 1
-    dom = Domain(full_lengths=(1.5,), full_bounds=((-0.5, 1.5),))
-    window = WeightedMassKernel(
-        lambda pts: ((pts[:, 0] >= 0) & (pts[:, 0] <= 1)).astype(float), comp=0, bound=1.0)
-    sys_ = SystemDef(
-        k=1, domain=dom, velocities=(VelocityField.constant([0.0]),),
-        P=(lambda t, pts, eta: eta[:, 0] ** 2,),
-        Q=(lambda t, pts, u, eta: np.zeros(np.atleast_2d(pts).shape[0]),),
-        Ub=(lambda t, pts, eta: np.zeros(np.atleast_2d(pts).shape[0]),),
-        Kp=(window,),
-        u0=lambda pts: ((np.atleast_2d(pts)[:, 0] >= 0) & (np.atleast_2d(pts)[:, 0] <= 1)).astype(float)[:, None],
-        name="quadratic")
-    grid = Grid(dom, (200,))
-    hc = HypothesisConstants(P1=0.0, P2=1.0)
-    report = check_hypotheses(sys_, hc, grid, samples=40, seed=2)
-    growth = next(c for c in report.checks if c.name == "P")
-    assert not growth.passed
-    assert growth.worst_ratio > 1.0
+    # p(w) = (int_0^1 w)^2 cannot satisfy a linear bound with P2 = 1, whether the window
+    # integral is a weighted mass (const freezing) or a dense kernel (grid freezing);
+    # ub(w) = (int w)^2 through a dense boundary kernel (direct freezing) breaks B = 1
+    def window(x):
+        return ((x[..., 0] >= 0) & (x[..., 0] <= 1)).astype(float)
+
+    def zero(t, pts, *rest):
+        return np.zeros(np.atleast_2d(pts).shape[0])
+
+    def square(t, pts, eta):
+        return eta[:, 0] ** 2
+
+    line = Domain(full_lengths=(1.5,), full_bounds=((-0.5, 1.5),))
+    still = VelocityField.constant([0.0])
+    cases = [
+        (line, still, dict(P=square, Kp=WeightedMassKernel(window, comp=0, bound=1.0)),
+         HypothesisConstants(P1=0.0, P2=1.0), "P"),
+        (line, still, dict(P=square, Kp=ScalarComponentKernel(lambda x, xp: window(xp) + 0 * x[..., 0])),
+         HypothesisConstants(P1=0.0, P2=1.0), "P"),
+        (Domain(half_lengths=(1.0,)), VelocityField.constant([1.0]),
+         dict(Ub=square, Ku=ScalarComponentKernel(lambda x, xp: np.exp(-x[..., 0]) + 0 * xp[..., 0])),
+         HypothesisConstants(B=1.0), "BD"),
+    ]
+    for dom, vel, coeffs, hc, check in cases:
+        maps = {"P": zero, "Q": zero, "Ub": zero, **coeffs}
+        sys_ = SystemDef(
+            k=1, domain=dom, velocities=(vel,), P=(maps["P"],), Q=(maps["Q"],), Ub=(maps["Ub"],),
+            Kp=(maps.get("Kp"),), Ku=(maps.get("Ku"),),
+            u0=lambda pts: window(np.atleast_2d(pts))[:, None], name="quadratic")
+        report = check_hypotheses(sys_, hc, Grid(dom, (200,)), samples=40, seed=2)
+        growth = next(c for c in report.checks if c.name == check)
+        assert not growth.passed, report.format()
+        assert growth.worst_ratio > 1.0
+        assert all(c.passed for c in report.checks if not c.name.startswith(check)), report.format()
 
 
-def test_eval_p_lipschitz_in_state(sihr_grid):
+def test_check_hypotheses_fails_on_nan_coefficient(sihr_grid):
+    # max(worst, nan) would keep worst: a NaN coefficient must fail its checks instead
     sys_, grid = sihr_grid
-    rng = np.random.default_rng(8)
-    P2 = sys_.constants.P2
-    for _ in range(10):
-        a = GridFn(grid, rng.normal(size=(grid.n_nodes, 4)))
-        b = GridFn(grid, rng.normal(size=(grid.n_nodes, 4)))
-        x = grid.points[rng.integers(grid.n_nodes)]
-        for h in range(4):
-            lhs = abs(eval_p(sys_, h, 0.1, x, a) - eval_p(sys_, h, 0.1, x, b))
-            assert lhs <= P2 * l1_norm(a - b) * (1 + 1e-9)
+
+    def nan_p(t, pts, eta):
+        return np.full(np.atleast_2d(pts).shape[0], np.nan)
+
+    broken = dataclasses.replace(sys_, P=[nan_p, *sys_.P[1:]])
+    report = check_hypotheses(broken, broken.constants, grid, samples=10, seed=0)
+    assert {c.name for c in report.checks if not c.passed} == {"P", "P-lip"}
+    assert "non-finite" in report.format()
 
 
-def test_eval_ub_sihr_natality_flag():
-    # optional renewal boundary for S: inflow equals a weighted S-mass
-    sys_ = build_sihr(SIHRParams(rho=0.0, natality_weight=0.5))
-    grid = Grid(sys_.domain, (150,))
-    rng = np.random.default_rng(12)
-    vals = np.zeros((grid.n_nodes, 4))
-    vals[:, 0] = np.abs(rng.normal(size=grid.n_nodes))
-    w = GridFn(grid, vals)
-    s_mass = np.sum(vals[:, 0]) * grid.cell_volume
-    got = eval_ub(sys_, 0, 0.0, np.array([0.0]), w)
-    assert got == pytest.approx(0.5 * s_mass, rel=1e-12)
+@pytest.mark.parametrize("name", [*PRESETS, "contact-sihr-10x8x8"])
+def test_check_hypotheses_passes_every_preset(name):
+    # const freezing (weighted masses) on every preset at its default cells; grid
+    # freezing (a dense contact kernel) on the age x 2-D space SIHR
+    if name in PRESETS:
+        sys_, cells = PRESETS[name].build({})[0], PRESETS[name].default_cells
+    else:
+        sys_, cells = contact_sihr(), (10, 8, 8)
+    report = check_hypotheses(sys_, sys_.constants, Grid(sys_.domain, cells))
+    assert report.passed, report.format()
