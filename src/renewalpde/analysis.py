@@ -30,7 +30,7 @@ import numpy as np
 
 from .characteristics import trapezoid_weights
 from .domain import Grid, GridFn, l1_norm
-from .picard import FrozenCoefficients, Trajectory
+from .picard import FrozenCoefficients, Trajectory, _Knots
 from .problem import HypothesisConstants, SystemDef
 from .transport import LinearProblem, evaluate
 
@@ -515,15 +515,20 @@ def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
     u', and measures each bound's ratio measured/allowed on every grid
     node (P, Q) and inflow-face node (BD).  Each probe field is frozen
     once per component at one knot, as the solver freezes it; kernels do
-    not read ``t``, so the knot serves every time.  Reports the worst
+    not read ``t``, so the knot serves every time.  The grid nodes and
+    each inflow face are bracketed once, one :class:`_Knots` each, so a
+    grid-mode field builds one stencil per point set.  Reports the worst
     ratio per hypothesis, and a non-finite coefficient or ratio fails:
     callers decide what a failure means.
     """
     rng = np.random.default_rng(seed)
     probes = _probe_fields(sys, grid, rng, samples)
     frozen = [[FrozenCoefficients(sys, h, [0.0], [f]) for h in range(sys.k)] for f in probes]
-    faces = [grid.face_grid(ax).points for ax in range(sys.domain.m)]
+    knot = np.zeros(1)
     x, q2x = grid.points, hc.q2_at(grid.points)
+    kx = _Knots(knot, 0.0, x, grid)
+    faces = [(xi, _Knots(knot, 0.0, xi, grid), hc.b_at(xi))
+             for xi in (grid.face_grid(ax).points for ax in range(sys.domain.m))]
     worst = dict.fromkeys(("P", "P-lip", "Q", "Q-lip", "BD", "BD-lip"), 0.0)
 
     def note(name: str, num: np.ndarray, den) -> None:
@@ -541,15 +546,15 @@ def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
         du = np.sum(np.abs(u - up), axis=1)
         tx = np.full(grid.n_nodes, t)
         for fw, fwp in zip(frozen[trial], frozen[other]):
-            pv, pvp = fw.p(tx, x), fwp.p(tx, x)
+            pv, pvp = fw.p(tx, x, kx), fwp.p(tx, x, kx)
             note("P", np.abs(pv), hc.P1 + hc.P2 * mw)
             note("P-lip", np.abs(pv - pvp), hc.P2 * dmass)
-            qv, qvp = fw.q(tx, x, w_pt=u), fwp.q(tx, x, w_pt=up)
+            qv, qvp = fw.q(tx, x, kx, w_pt=u), fwp.q(tx, x, kx, w_pt=up)
             note("Q", np.abs(qv), hc.Q1 * nu + q2x * mw + hc.Q3 * nu * mw)
             note("Q-lip", np.abs(qv - qvp), hc.Q1 * du + hc.Q3 * mw * du + hc.Q3 * nup * dmass)
-            for xi in faces:
-                txi, bxi = np.full(len(xi), t), hc.b_at(xi)
-                bv, bvp = fw.ub(txi, xi), fwp.ub(txi, xi)
+            for xi, kxi, bxi in faces:
+                txi = np.full(len(xi), t)
+                bv, bvp = fw.ub(txi, xi, kxi), fwp.ub(txi, xi, kxi)
                 note("BD", np.abs(bv), bxi * (1.0 + mw))
                 note("BD-lip", np.abs(bv - bvp), bxi * dmass)
 

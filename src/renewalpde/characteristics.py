@@ -14,7 +14,11 @@ field needs no steps: each RK4 step adds the same multiple of its
 vector, so one running sum along the knots gives every position with
 the step loop's bits.  Up to the foot or the exit the trace picks up
 the growth factor ``exp(int (p - div v) ds)`` and a source integral,
-both by composite trapezoid on its knots (see ``transport.evaluate``).
+both by composite trapezoid on its knot widths, which a batch keeps in
+place of its knot times (see ``transport.evaluate``).  Running sums
+along the knots, of trapezoids and of constant-field steps, add row
+r - 1 into row r: ``np.cumsum``'s additions in its order, and so its
+bits, a whole row at a time where numpy would go one trace at a time.
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
 ``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``;
@@ -121,21 +125,34 @@ class TraceBatch:
     def truncated(self) -> np.ndarray:
         return self.exited & (self.exit_face < 0)
 
-    @cached_property
+    @property
     def trace_times(self) -> np.ndarray:
-        """Knot times of every trace, shaped like ``times``."""
+        """Knot times of every trace, shaped like ``times``; a new array on every read."""
         return np.fmax(self.times, self.exit_time)
 
     @cached_property
-    def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live knots: their mask over ``trace_times``, their times and their points.
-
-        The first knot is live; one that repeats the knot before it is not.
-        """
+    def _widths_and_live(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         ts = self.trace_times
         mask = np.ones(ts.shape, dtype=bool)
-        mask[1:] = ts[1:] != ts[:-1]
-        return mask, ts[mask], self.path[mask]
+        np.not_equal(ts[1:], ts[:-1], out=mask[1:])
+        # path[mask], gathered as rows of the flat path: the same points, faster
+        xk = np.compress(mask.ravel(), self.path.reshape(-1, self.path.shape[-1]), axis=0)
+        live = mask, ts[mask], xk
+        # the widths overwrite the times: forward in place, with no second buffer
+        return np.subtract(ts[:-1], ts[1:], out=ts[:-1]), live
+
+    @property
+    def widths(self) -> np.ndarray:
+        """Knot widths ``trace_times[:-1] - trace_times[1:]``, one row fewer than ``times``."""
+        return self._widths_and_live[0]
+
+    @property
+    def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live knots: their mask over ``times``, their trace times and their points.
+
+        The first knot is live; one that repeats the knot before it (width 0) is not.
+        """
+        return self._widths_and_live[1]
 
 
 def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -187,7 +204,7 @@ def _constant_path(c: np.ndarray, path: np.ndarray, times: np.ndarray, n: np.nda
     its substep count if never; the caller overwrites the rows past an exit.
     """
     np.multiply(np.diff(times, axis=0)[..., None] / 6, _rk4_sum(c), out=path[1:])
-    np.cumsum(path, axis=0, out=path)  # in place: path is the largest array of a trace
+    _running_sum(path)  # in place: path is the largest array of a trace
     if not np.all(np.isfinite(path)):
         raise ValueError("non-finite velocity along characteristic")
     rows, npts, d = path.shape
@@ -219,7 +236,9 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
                     np.unique(start + 1j * n, return_index=True, return_inverse=True)[1:])
     knots = np.array([np.linspace(start[p], t_floor, n[p] + 1)[np.minimum(np.arange(rows), n[p])]
                       for p in first]).reshape(-1, rows).T  # padded with its last knot
-    times = knots[:, which] if len(first) > 1 else np.broadcast_to(knots, (rows, npts))
+    # take, unlike knots[:, which], lays the times out in C order, as every array they meet
+    times = (np.take(knots, which, axis=1) if len(first) > 1
+             else np.broadcast_to(knots, (rows, npts)))
 
     path = np.empty((rows, npts, d))
     path[0] = pts
@@ -264,33 +283,55 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
     return TraceBatch(times, path, exited, exit_time, exit_point, exit_face)
 
 
-def _trapezoids(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Composite-trapezoid increments of ``g`` between consecutive knots ``ts``."""
-    inc = g[:-1] + g[1:]
-    inc *= 0.5  # in place: large fresh arrays page-fault
-    inc *= ts[:-1] - ts[1:]
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=0)`` in place, with its bits.
+
+    numpy accumulates along axis 0 one column at a time, which is slow on
+    wide rows.  Adding row r - 1 into row r makes the same additions in the
+    same order, a whole row at a time.  One column keeps ``np.cumsum``.
+    """
+    if a[:1].size <= 1:
+        return np.cumsum(a, axis=0, out=a)
+    rows = list(a)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(row, prev, out=row)
+    return a
+
+
+def _increments(g: np.ndarray, dt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Composite-trapezoid increments of ``g`` over the knot widths ``dt``, into ``out``.
+
+    ``out`` may be ``g[:-1]``: each increment is written after its knots are read.
+    """
+    if len(dt) == len(g):  # knot times, shaped like g
+        dt = dt[:-1] - dt[1:]
+    inc = np.add(g[:-1], g[1:], out=out)
+    inc *= 0.5
+    inc *= dt
     return inc
 
 
-def cumulative_trapezoid(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Running composite-trapezoid integral of ``g`` back from ``ts[0]``.
+def cumulative_trapezoid(g: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Running composite-trapezoid integral of ``g`` back from its first knot.
 
-    ``ts`` has the shape of ``g`` and descends along axis 0, one column
-    per trace for 2-D ``g``; the result has the shape of ``g`` with 0 in
-    its first row.
+    ``dt`` holds the knot widths ``ts[:-1] - ts[1:]`` of knot times ``ts``
+    that have the shape of ``g`` and descend along axis 0, one column per
+    trace for 2-D ``g``; the times themselves are also accepted.  The result
+    has the shape of ``g`` with 0 in its first row.
     """
     c = np.empty(g.shape)
     c[0] = 0.0
-    np.cumsum(_trapezoids(g, ts), axis=0, out=c[1:])
+    _running_sum(_increments(g, dt, out=c[1:]))
     return c
 
 
-def trapezoid_total(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def trapezoid_total(g: np.ndarray, dt: np.ndarray, overwrite_g: bool = False) -> np.ndarray:
     """The last row of :func:`cumulative_trapezoid`: numpy sums along axis 0 in the same
-    order, row by row, when there are several columns; one column it sums pairwise."""
+    order, row by row, when there are several columns; one column it sums pairwise.
+    With ``overwrite_g`` the increments of several columns are formed in ``g``."""
     if g.ndim == 1 or g.shape[1] == 1:
-        return cumulative_trapezoid(g, ts)[-1]
-    return np.sum(_trapezoids(g, ts), axis=0)
+        return cumulative_trapezoid(g, dt)[-1]
+    return np.sum(_increments(g, dt, out=g[:-1] if overwrite_g else None), axis=0)
 
 
 def trapezoid_weights(ts) -> np.ndarray:

@@ -12,9 +12,10 @@ stepping: the value at any t is obtained by a single trace from t back
 to the initial (or exit) time.
 
 Every trace runs on its own knot times (``TraceBatch.trace_times``),
-which stop at its exit time, so one composite trapezoid per trace
-gives both integrals and an exit is the last knot of its trace; one
-batch may stack the nodes at several times.
+which stop at its exit time, so one composite trapezoid per trace on
+the batch's knot widths (``TraceBatch.widths``) gives both integrals
+and an exit is the last knot of its trace; one batch may stack the
+nodes at several times.
 Coefficient callbacks are evaluated in batch, once on the knots of all
 traces up to and including the exits:
 ``p(t, pts)`` with pts of shape (P, d) returns (P,), and ``t`` is one
@@ -81,14 +82,14 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
 
     # Knots past an exit repeat the exit knot over zero-width intervals;
     # the coefficients there are never sampled and read as 0.
-    ts = batch.trace_times
+    dt = batch.widths
     live, tk, xk = batch.live
-    g = np.zeros(ts.shape)
+    g = np.zeros(live.shape)
     g[live] = lp.p(tk, xk) - lp.velocity.div(tk, xk)
-    qv = np.zeros(ts.shape)
+    qv = np.zeros(live.shape)
     qv[live] = lp.q(tk, xk)
 
-    datum = np.zeros(ts.shape[1])
+    datum = np.zeros(live.shape[1])
     interior = ~batch.exited
     if interior.any():
         datum[interior] = (interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
@@ -97,9 +98,9 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
     if inflow.any():
         datum[inflow] = lp.ub(batch.exit_time[inflow], batch.exit_point[inflow])
     with np.errstate(over="ignore", invalid="ignore"):
-        E = cumulative_trapezoid(g, ts)
+        E = cumulative_trapezoid(g, dt)
         np.exp(E, out=E)
-        vals = datum * E[-1] + trapezoid_total(np.multiply(qv, E, out=qv), ts)
+        vals = datum * E[-1] + trapezoid_total(np.multiply(qv, E, out=qv), dt, overwrite_g=True)
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
     return GridFn(grid, vals) if traced else vals

@@ -328,3 +328,70 @@ def test_trapezoid_sums_equal_a_loop_over_each_trace():
     # a single column longer than numpy's pairwise-summation block of 8
     t = np.linspace(2.0, 0.0, 41)
     assert characteristics.trapezoid_total(np.exp(t), t) == _loop_trapezoid(np.exp(t), t)[-1]
+
+
+
+def _numpy_increments(g, dt):
+    inc = g[:-1] + g[1:]
+    inc *= 0.5
+    inc *= dt
+    return inc
+
+
+def _spread(rng, shape):
+    """Values over six decades: a pairwise or reversed sum changes their last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+def test_running_sums_equal_numpy_cumsum():
+    # the row-by-row running sums make numpy's additions in numpy's order, so every
+    # result equals np.cumsum(axis=0) bit for bit
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.05, 2.9, 30)[:, None]
+    starts, substeps = np.repeat([0.5, 1.0, 2.0], len(x)), np.repeat([2, 4, 8], len(x))
+    b = trace_backward(VelocityField.constant([1.0]), starts, np.tile(x, (3, 1)), substeps,
+                       Domain(half_lengths=(3.0,)))
+    live, tk, _ = b.live
+    assert b.exited.any() and not b.exited.all() and (~live).any()
+    ts, dt = b.trace_times, b.widths
+    assert np.array_equal(dt, ts[:-1] - ts[1:])
+    assert np.array_equal(live[1:], ts[1:] != ts[:-1]) and np.array_equal(tk, ts[live])
+    g = _spread(rng, ts.shape)
+    g3 = _spread(rng, (17, 40, 2))
+    cases = {
+        "stacked ragged columns": (g, dt),
+        "knot times for widths": (g, ts),
+        "1-d column": (g[:, 5], dt[:, 5]),
+        "single 2-d column": (g[:, 5:6], dt[:, 5:6]),
+        "one row": (g[:1], dt[:0]),
+        "one 1-d row": (g[:1, 5], dt[:0, 5]),
+        "3-d": (g3, rng.uniform(0.0, 0.1, (16, 40, 1))),
+    }
+    for name, (gc, dtc) in cases.items():
+        inc = _numpy_increments(gc, dtc if len(dtc) < len(gc) else dtc[:-1] - dtc[1:])
+        ref = np.concatenate([np.zeros((1,) + gc.shape[1:]), np.cumsum(inc, axis=0)])
+        assert np.array_equal(characteristics.cumulative_trapezoid(gc, dtc), ref), name
+        if gc.ndim == 2:
+            assert np.array_equal(characteristics.trapezoid_total(gc, dtc), ref[-1]), name
+    # with overwrite_g the increments of several columns are formed in g itself
+    inc, scratch = _numpy_increments(g, dt), g.copy()
+    assert np.array_equal(characteristics.trapezoid_total(scratch, dt, overwrite_g=True),
+                          np.sum(inc, axis=0))
+    assert np.array_equal(scratch[:-1], inc)
+
+    # the constant-field path: stacked ragged columns padded past their own end,
+    # one trace of one coordinate, and one row
+    vec = np.array([1.0, 0.6])
+    dom = Domain(half_lengths=(2.0, 1.5))
+    lower, upper = np.array(dom.bounds()).T.copy()
+    pts = rng.uniform(0.0, 1.5, (12, 2))
+    n = np.repeat([2, 4, 8], 4)
+    times = trace_backward(VelocityField.constant(vec), np.repeat([0.25, 0.5, 1.0], 4), pts, n,
+                           dom).times
+    for cvec, t, p, k in ((vec, times, pts, n), (vec[:1], times[:, :1], pts[:1, :1], n[:1]),
+                          (vec, times[:1], pts, np.zeros(12, dtype=int))):
+        path = np.empty(t.shape + (len(cvec),))
+        path[0] = p
+        characteristics._constant_path(cvec, path, t, k, lower[:len(cvec)], upper[:len(cvec)])
+        inc = np.diff(t, axis=0)[..., None] / 6 * characteristics._rk4_sum(cvec)
+        assert np.array_equal(path, np.cumsum(np.concatenate([p[None], inc]), axis=0))

@@ -170,6 +170,26 @@ def test_fixed_point_residual():
     assert dist_X(again.states, slab.states) <= 2 * cfg.eps_fix
 
 
+@pytest.mark.parametrize("k", [1, 4])
+def test_norms_equal_the_per_state_loop(k):
+    # norm_X and dist_X sum every knot state in one pass; the result must equal a
+    # sum per state bit for bit.  numpy sums one column pairwise (k = 1) and
+    # several row by row (k = 4); values spread over eight decades
+    rng = np.random.default_rng(k)
+    grid = Grid(Domain(half_lengths=(2.0,)), (300,))
+
+    def states():
+        return [GridFn(grid, rng.standard_normal((grid.n_nodes, k))
+                       * 10.0 ** rng.uniform(-4, 4, (grid.n_nodes, k))) for _ in range(9)]
+
+    a, b = states(), states()
+    vol = grid.cell_volume
+    per = np.array([np.sum(np.abs(s.values), axis=0) * vol for s in a])
+    assert norm_X(a) == float(np.sum(np.max(per, axis=0)))
+    per = np.array([np.sum(np.abs(x.values - y.values), axis=0) * vol for x, y in zip(a, b)])
+    assert dist_X(a, b) == float(np.sum(np.max(per, axis=0)))
+
+
 def test_slab_restart_consistency():
     sys_ = build_sihr(SIHRParams(mu_i=0.2, rho=0.0))
     grid = Grid(sys_.domain, (128,))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from renewalpde import analysis
 from renewalpde.analysis import check_hypotheses
 from renewalpde.characteristics import VelocityField
 from renewalpde.config import PRESETS
@@ -227,3 +228,21 @@ def test_check_hypotheses_passes_every_preset(name):
         sys_, cells = contact_sihr(), (10, 8, 8)
     report = check_hypotheses(sys_, sys_.constants, Grid(sys_.domain, cells))
     assert report.passed, report.format()
+
+
+def test_check_hypotheses_brackets_each_point_set_once(monkeypatch):
+    # the grid nodes and each inflow face are bracketed once per audit, so a
+    # grid-mode contact builds one stencil per point set; bracketing at every
+    # call instead (no knots passed) must give the same report
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, (10, 8, 8))
+    builds = []
+    stencil = Grid.stencil
+    monkeypatch.setattr(Grid, "stencil", lambda self, pts: builds.append(1) or stencil(self, pts))
+    report = check_hypotheses(sys_, sys_.constants, grid, samples=12)
+    assert 1 <= len(builds) <= 1 + sys_.domain.m
+    builds.clear()
+    monkeypatch.setattr(analysis, "_Knots", lambda *a: None)
+    per_call = check_hypotheses(sys_, sys_.constants, grid, samples=12)
+    assert len(builds) > 1 + sys_.domain.m
+    assert report.checks == per_call.checks
