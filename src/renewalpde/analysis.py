@@ -524,7 +524,7 @@ def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
     rng = np.random.default_rng(seed)
     probes = _probe_fields(sys, grid, rng, samples)
     frozen = [[FrozenCoefficients(sys, h, [0.0], [f]) for h in range(sys.k)] for f in probes]
-    knot = np.zeros(1)
+    knot = frozen[0][0].times
     x, q2x = grid.points, hc.q2_at(grid.points)
     kx = _Knots(knot, 0.0, x, grid)
     faces = [(xi, _Knots(knot, 0.0, xi, grid), hc.b_at(xi))

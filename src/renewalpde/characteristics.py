@@ -299,11 +299,8 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _increments(g: np.ndarray, dt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Composite-trapezoid increments of ``g`` over the knot widths ``dt``, into ``out``.
-
-    ``out`` may be ``g[:-1]``: each increment is written after its knots are read.
-    """
-    if len(dt) == len(g):  # knot times, shaped like g
+    """Composite-trapezoid increments of ``g`` over the knot widths ``dt``, into ``out``."""
+    if len(dt) == len(g):  # knot times, shaped like g: see the ROADMAP item on widths only
         dt = dt[:-1] - dt[1:]
     inc = np.add(g[:-1], g[1:], out=out)
     inc *= 0.5
@@ -325,13 +322,12 @@ def cumulative_trapezoid(g: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return c
 
 
-def trapezoid_total(g: np.ndarray, dt: np.ndarray, overwrite_g: bool = False) -> np.ndarray:
+def trapezoid_total(g: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """The last row of :func:`cumulative_trapezoid`: numpy sums along axis 0 in the same
-    order, row by row, when there are several columns; one column it sums pairwise.
-    With ``overwrite_g`` the increments of several columns are formed in ``g``."""
+    order, row by row, when there are several columns; one column it sums pairwise."""
     if g.ndim == 1 or g.shape[1] == 1:
         return cumulative_trapezoid(g, dt)[-1]
-    return np.sum(_increments(g, dt, out=g[:-1] if overwrite_g else None), axis=0)
+    return np.sum(_increments(g, dt), axis=0)
 
 
 def trapezoid_weights(ts) -> np.ndarray:

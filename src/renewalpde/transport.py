@@ -100,7 +100,7 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         E = cumulative_trapezoid(g, dt)
         np.exp(E, out=E)
-        vals = datum * E[-1] + trapezoid_total(np.multiply(qv, E, out=qv), dt, overwrite_g=True)
+        vals = datum * E[-1] + trapezoid_total(np.multiply(qv, E, out=qv), dt)
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
     return GridFn(grid, vals) if traced else vals

@@ -373,11 +373,6 @@ def test_running_sums_equal_numpy_cumsum():
         assert np.array_equal(characteristics.cumulative_trapezoid(gc, dtc), ref), name
         if gc.ndim == 2:
             assert np.array_equal(characteristics.trapezoid_total(gc, dtc), ref[-1]), name
-    # with overwrite_g the increments of several columns are formed in g itself
-    inc, scratch = _numpy_increments(g, dt), g.copy()
-    assert np.array_equal(characteristics.trapezoid_total(scratch, dt, overwrite_g=True),
-                          np.sum(inc, axis=0))
-    assert np.array_equal(scratch[:-1], inc)
 
     # the constant-field path: stacked ragged columns padded past their own end,
     # one trace of one coordinate, and one row
