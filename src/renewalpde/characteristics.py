@@ -300,7 +300,7 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 
 def _increments(g: np.ndarray, dt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Composite-trapezoid increments of ``g`` over the knot widths ``dt``, into ``out``."""
-    if len(dt) == len(g):  # knot times, shaped like g: see the ROADMAP item on widths only
+    if len(dt) == len(g):  # knot times, shaped like g, as the loop oracles pass them
         dt = dt[:-1] - dt[1:]
     inc = np.add(g[:-1], g[1:], out=out)
     inc *= 0.5
