@@ -306,11 +306,13 @@ class _KnotSamples:
     not 0 (``support``) and, with ``ends``, at the first, middle and last
     knot, for the tolerance; knot j is row ``at[j]``.  ``ub`` is sampled
     in one call per inflow face, at the support (row r for ``support[r]``).
+    ``u[j]`` holds the component's N node values at knot j: a row of an
+    ``(n_knots, N)`` array or an entry of a list.
     """
 
-    def __init__(self, lp: LinearProblem, grid: Grid, times, states: Sequence[GridFn],
+    def __init__(self, lp: LinearProblem, grid: Grid, times, u: Sequence[np.ndarray],
                  phis: Sequence[TestFunction] = (), ends: bool = False):
-        self.lp, self.grid, self.states = lp, grid, states
+        self.lp, self.grid, self.u = lp, grid, u
         self.times = np.asarray(times, dtype=float)
         self.faces = [grid.face_grid(ax) for ax in range(grid.domain.m)]
         n = len(self.times)
@@ -342,7 +344,7 @@ class _KnotSamples:
             sel = np.flatnonzero(bt[:, j])
             prod = sp.prod[sel]
             phi_v = bt[sel, j, None] * prod
-            u = self.states[j].values[:, 0]
+            u = self.u[j]
             k, s = kappa[sel], sign[sel]
             diff = s * (u - k)
             up, sg = np.maximum(diff, 0.0), (diff > 0) * s
@@ -371,7 +373,7 @@ class _KnotSamples:
     def scales(self) -> tuple[float, ...]:
         """Sup of |u| over the knots; sups of |p|, |q|, |div v| at the first, middle and
         last; the mean cell width plus the mean knot step."""
-        umax = max(float(np.max(np.abs(s.values))) for s in self.states)
+        umax = max(float(np.max(np.abs(u))) for u in self.u)
         pinf, qsup, divsup = (max(0.0, *(float(np.max(np.abs(table[self.at[j]])))
                                          for j in self.ends))
                               for table in (self.p, self.q, self.divv))
@@ -395,7 +397,7 @@ def entropy_residual(lp: LinearProblem, times: np.ndarray, states: Sequence[Grid
     and div f(t,x,kappa) = kappa div v.  The coefficients are sampled
     only at the knots where phi's time factor is not 0.
     """
-    ks = _KnotSamples(lp, states[0].grid, times, states, [phi])
+    ks = _KnotSamples(lp, states[0].grid, times, [s.values[:, 0] for s in states], [phi])
     return float(ks.residuals([kappa], [sign])[0])
 
 
@@ -409,14 +411,14 @@ def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
     the source size; the test function's steepness cancels against its
     shrinking support and is deliberately left out.
     """
-    return _KnotSamples(lp, grid, times, states, ends=True).tolerance(kappa)
+    return _KnotSamples(lp, grid, times, [s.values[:, 0] for s in states],
+                        ends=True).tolerance(kappa)
 
 
 def frozen_component(sys: SystemDef, traj: Trajectory, h: int) -> tuple[LinearProblem, list[GridFn]]:
     """Scalar frozen problem and states of component h."""
-    lp = FrozenCoefficients(sys, h, traj.times, traj.states).linear_problem()
-    states = [GridFn(traj.grid, s.values[:, h]) for s in traj.states]
-    return lp, states
+    lp = FrozenCoefficients(sys, h, traj).linear_problem()
+    return lp, [GridFn(traj.grid, v) for v in traj.values[:, :, h]]
 
 
 def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
@@ -428,13 +430,11 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
     rng = np.random.default_rng(seed)
     t_end = float(traj.times[-1])
     bounds = traj.grid.domain.bounds()
-    frozen = [frozen_component(sys, traj, h) for h in range(sys.k)]
-    levels = [(min(float(np.min(s.values)) for s in states),
-               max(float(np.max(s.values)) for s in states)) for _, states in frozen]
+    lows, highs = np.min(traj.values, axis=(0, 1)), np.max(traj.values, axis=(0, 1))
     draws = []
     for _ in range(n_samples):
         h = int(rng.integers(0, sys.k))
-        lo, hi = levels[h]
+        lo, hi = float(lows[h]), float(highs[h])
         kappa = float(rng.uniform(lo - 0.1 * (hi - lo + 1e-6), hi + 0.1 * (hi - lo + 1e-6)))
         t_rad = float(rng.uniform(0.1, 0.45)) * max(t_end, 1e-6)
         t_c = float(rng.uniform(0.0, max(t_end - t_rad, 1e-9)))
@@ -443,12 +443,13 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
         sign = 1 if rng.uniform() < 0.5 else -1
         draws.append((h, kappa, sign, TestFunction(t_c, t_rad, x_c, x_r)))
     results = [{} for _ in draws]
-    for h, (lp, states) in enumerate(frozen):
+    for h in range(sys.k):
         mine = [i for i, d in enumerate(draws) if d[0] == h]
         if not mine:
             continue
         _, kappas, signs, phis = zip(*(draws[i] for i in mine))
-        ks = _KnotSamples(lp, traj.grid, traj.times, states, phis, ends=True)
+        lp, _ = frozen_component(sys, traj, h)
+        ks = _KnotSamples(lp, traj.grid, traj.times, traj.values[:, :, h], phis, ends=True)
         for i, kappa, sign, res in zip(mine, kappas, signs, ks.residuals(kappas, signs)):
             tol = ks.tolerance(kappa)
             results[i] = {"component": h, "kappa": kappa, "sign": sign,
@@ -523,7 +524,8 @@ def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
     """
     rng = np.random.default_rng(seed)
     probes = _probe_fields(sys, grid, rng, samples)
-    frozen = [[FrozenCoefficients(sys, h, [0.0], [f]) for h in range(sys.k)] for f in probes]
+    frozen = [[FrozenCoefficients(sys, h, Trajectory(grid, [0.0], f.values[None]))
+               for h in range(sys.k)] for f in probes]
     knot = frozen[0][0].times
     x, q2x = grid.points, hc.q2_at(grid.points)
     kx = _Knots(knot, 0.0, x, grid)

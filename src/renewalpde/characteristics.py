@@ -300,8 +300,6 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 
 def _increments(g: np.ndarray, dt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Composite-trapezoid increments of ``g`` over the knot widths ``dt``, into ``out``."""
-    if len(dt) == len(g):  # knot times, shaped like g, as the loop oracles pass them
-        dt = dt[:-1] - dt[1:]
     inc = np.add(g[:-1], g[1:], out=out)
     inc *= 0.5
     inc *= dt
@@ -313,8 +311,8 @@ def cumulative_trapezoid(g: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
     ``dt`` holds the knot widths ``ts[:-1] - ts[1:]`` of knot times ``ts``
     that have the shape of ``g`` and descend along axis 0, one column per
-    trace for 2-D ``g``; the times themselves are also accepted.  The result
-    has the shape of ``g`` with 0 in its first row.
+    trace for 2-D ``g``.  The result has the shape of ``g`` with 0 in its
+    first row.
     """
     c = np.empty(g.shape)
     c[0] = 0.0

@@ -61,7 +61,7 @@ def _save_states(outdir: Path, traj: Trajectory, sys_, n_save: int) -> None:
     index_rows = []
     for rank, j in enumerate(idx):
         fname = f"state_{rank:04d}.csv"
-        rows = np.column_stack([grid.points, traj.states[j].values])
+        rows = np.column_stack([grid.points, traj.values[j]])
         _write_csv(sdir / fname, coord_names + labels, rows)
         index_rows.append((rank, traj.times[j]))
     with open(sdir / "index.csv", "w", newline="\n") as fh:
@@ -88,7 +88,7 @@ def _save_series(outdir: Path, traj: Trajectory, sys_) -> None:
 
 
 def _positivity_certificate(traj: Trajectory) -> Certificate:
-    worst = min(float(np.min(s.values)) for s in traj.states)
+    worst = float(np.min(traj.values))
     measured = max(0.0, -worst)
     ok = worst >= -1e-12
     return Certificate("positivity", 1e-12, measured, ok,
@@ -150,7 +150,7 @@ def _oracle_certificate(traj: Trajectory, oracle) -> Certificate:
     for j, t in enumerate(traj.times):
         exact = oracle(t, grid.points)
         norm = float(np.sum(np.abs(exact))) * grid.cell_volume
-        err = float(np.sum(np.abs(traj.states[j].values[:, 0] - exact))) * grid.cell_volume
+        err = float(np.sum(np.abs(traj.values[j, :, 0] - exact))) * grid.cell_volume
         allowed = 0.02 if t <= 0.75 + 1e-9 else 0.05
         worst = max(worst, (err / max(norm, 1e-300)) / allowed)
     return Certificate("oracle", 1.0, worst, worst <= 1.0, 1.0 - worst, {})

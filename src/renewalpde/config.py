@@ -217,8 +217,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     for cert in certificates:
         _require(cert in KNOWN_CERTIFICATES,
                  f"certificates: unknown certificate '{cert}' (choose from {KNOWN_CERTIFICATES})")
-    _require("oracle" not in certificates or model.startswith("blowup"),
-             "certificates: 'oracle' only applies to the blow-up presets")
+    # a closed form and conserved mass belong to some models only: their presets list these
+    for cert in ("oracle", "mass-drift"):
+        _require(cert not in certificates or cert in preset.default_certificates,
+                 f"certificates: '{cert}' does not apply to model '{model}'")
 
     control = None
     if raw.get("control") is not None:

@@ -31,8 +31,8 @@ def cost_deaths(traj: Trajectory, mu_i, mu_h) -> float:
     for j, t in enumerate(traj.times):
         if wts[j] == 0.0:
             continue
-        i_vals = np.maximum(traj.states[j].values[:, 1], 0.0)
-        h_vals = np.maximum(traj.states[j].values[:, 2], 0.0)
+        i_vals = np.maximum(traj.values[j, :, 1], 0.0)
+        h_vals = np.maximum(traj.values[j, :, 2], 0.0)
         dens = mu_i(t, grid.points) * i_vals + mu_h(t, grid.points) * h_vals
         total += wts[j] * float(np.sum(dens)) * grid.cell_volume
     return total
@@ -40,7 +40,7 @@ def cost_deaths(traj: Trajectory, mu_i, mu_h) -> float:
 
 def cost_peak_infection(traj: Trajectory) -> float:
     """Largest nodal infective density seen at any knot."""
-    return max(float(np.max(np.maximum(s.values[:, 1], 0.0))) for s in traj.states)
+    return float(np.max(np.maximum(traj.values[:, :, 1], 0.0)))
 
 
 def profit(traj: Trajectory, f1, f2, K1=1.0, K2=1.0) -> float:
@@ -53,7 +53,7 @@ def profit(traj: Trajectory, f1, f2, K1=1.0, K2=1.0) -> float:
     for j, t in enumerate(traj.times):
         if wts[j] == 0.0:
             continue
-        u = traj.states[j].values
+        u = traj.values[j]
         dens = K1(t, grid.points) * f1(t, grid.points) * u[:, 0] \
             + K2(t, grid.points) * f2(t, grid.points) * u[:, 1]
         total += wts[j] * float(np.sum(dens)) * grid.cell_volume

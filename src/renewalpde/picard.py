@@ -13,18 +13,20 @@ the previous terminal state with a fresh ball, extends the solution
 until either the horizon or a genuine blow-up, which surfaces as a slab
 cascade shrinking below the minimum length.
 
-Within a slab the iterate is stored at uniform time knots and
-interpolated linearly in t between them; the per-knot linear solves use
-trace substeps aligned with the knots, so time quadrature of
-coefficients that are linear in the frozen state is exact.  Only the
-iterate changes from one sweep to the next.  So each slab attempt
-builds one :class:`SlabPlan` (per velocity, the traces of every grid
-node from every knot in one batch, the knot brackets of their live
-knots and exits, and the initial state at the feet), and every sweep of
-the attempt reads it.  A sweep gathers a frozen field with one stencil
-shifted to each point's knot interval j: row ``j·N + n`` of the stacked
-knot-j and knot-(j+1) values holds node n.  Kernel integrals are
-frozen per knot by ``integrate``; a dense kernel keeps its node matrix.
+Within a slab the iterate is one ``(n_knots, N, k)`` array of states at
+uniform time knots, interpolated linearly in t between them; the
+per-knot linear solves use trace substeps aligned with the knots, so
+time quadrature of coefficients that are linear in the frozen state is
+exact.  Only the iterate changes from one sweep to the next.  So each
+slab attempt builds one :class:`SlabPlan` (per velocity, the traces of
+every grid node from every knot in one batch, the knot brackets of
+their live knots and exits, and the initial state at the feet), and
+every sweep of the attempt reads it.  A sweep gathers a frozen field
+with one stencil shifted to each point's knot interval j, from the
+views ``values[:-1]`` and ``values[1:]`` of the knot array, each read
+as ``(K·N, k)``: row ``j·N + n`` holds node n at knot j and at j + 1.
+Kernel integrals are frozen per knot by ``integrate`` into one such
+array; a dense kernel keeps its node matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -113,54 +114,49 @@ def _bracket(times: np.ndarray, t):
 
 @dataclass
 class Trajectory:
-    """Knot times with one grid state per knot, plus per-slab diagnostics."""
+    """Knot times, the knot states as one C-contiguous ``(n_knots, N, k)`` array, diagnostics."""
 
+    grid: Grid
     times: np.ndarray
-    states: list[GridFn]
+    values: np.ndarray
     diagnostics: list[SlabDiagnostics] = field(default_factory=list)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.states) != len(self.times):
-            raise ValueError("one state per time knot required")
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        if self.values.shape != (len(self.times), self.grid.n_nodes, self.values.shape[-1]):
+            raise ValueError("values must be (n_knots, n_nodes, k), one state per time knot")
 
     @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
-
-    @property
-    def k(self) -> int:
-        return self.states[0].k
+    def states(self) -> list[GridFn]:
+        """One read-only grid function per knot, each a view of ``values``."""
+        view = self.values.view()
+        view.flags.writeable = False
+        return [GridFn(self.grid, v) for v in view]
 
     def state_at(self, t: float) -> GridFn:
         j, lam = _bracket(self.times, t)
-        a, b = self.states[int(j)], self.states[min(int(j) + 1, len(self.states) - 1)]
-        return GridFn(self.grid, (1 - lam) * a.values + lam * b.values)
+        a, b = self.values[int(j)], self.values[min(int(j) + 1, len(self.times) - 1)]
+        return GridFn(self.grid, (1 - lam) * a + lam * b)
 
     def component_masses(self) -> np.ndarray:
         """Per-knot, per-component L1 masses, shape (n_knots, k)."""
-        vol = self.grid.cell_volume
-        return np.array([np.sum(np.abs(s.values), axis=0) * vol for s in self.states])
+        return np.sum(np.abs(self.values), axis=1) * self.grid.cell_volume
 
     def component_sups(self) -> np.ndarray:
-        return np.array([np.max(np.abs(s.values), axis=0) for s in self.states])
+        return np.max(np.abs(self.values), axis=1)
 
 
-def _sup_l1(stacked: np.ndarray, vol: float) -> float:
-    """``sum_h sup_t ||component h||_L1`` of knot states stacked ``(n_knots, N, k)``,
-    which it overwrites; one sum over the nodes of every knot at once."""
-    per = np.sum(np.abs(stacked, out=stacked), axis=1) * vol
+def norm_X(u: Trajectory) -> float:
+    """sum_h sup_t ||component h||_L1 - the contraction norm, one sum over every knot."""
+    return float(np.sum(np.max(u.component_masses(), axis=0)))
+
+
+def dist_X(a: Trajectory, b: Trajectory) -> float:
+    """norm_X of a - b; the difference is a fresh array, so its abs is taken in place."""
+    diff = a.values - b.values
+    per = np.sum(np.abs(diff, out=diff), axis=1) * a.grid.cell_volume
     return float(np.sum(np.max(per, axis=0)))
-
-
-def norm_X(states: Sequence[GridFn]) -> float:
-    """sum_h sup_t ||component h||_L1 - the contraction norm."""
-    return _sup_l1(np.stack([s.values for s in states]), states[0].grid.cell_volume)
-
-
-def dist_X(a: Sequence[GridFn], b: Sequence[GridFn]) -> float:
-    return _sup_l1(np.stack([x.values for x in a]) - np.stack([y.values for y in b]),
-                   a[0].grid.cell_volume)
 
 
 class _Knots:
@@ -178,11 +174,12 @@ class _Knots:
         return s._replace(flat=s.flat + self.j * self.grid.n_nodes)
 
 
-def _pairs(vals: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-knot values ``(N, w)`` as ``(2, K·N, w)``: row ``j·N + n`` holds node n at knot
-    j in ``[0]`` and at knot j + 1 in ``[1]``; a single knot (K = 0) pairs with itself."""
-    s = np.stack(vals)
-    return np.stack([s[:-1], s[1:]] if len(s) > 1 else [s, s]).reshape(2, -1, s.shape[2])
+def _pairs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot values ``(K + 1, N, w)`` as two ``(K·N, w)`` views: row ``j·N + n`` holds node
+    n at knot j in the first and at knot j + 1 in the second; a single knot (K = 0) pairs
+    with itself."""
+    pair = (vals[:-1], vals[1:]) if len(vals) > 1 else (vals, vals)
+    return tuple(v.reshape(-1, vals.shape[2]) for v in pair)
 
 
 @dataclass(eq=False)
@@ -242,41 +239,38 @@ class FrozenCoefficients:
     site's); otherwise they bracket them here.
     """
 
-    def __init__(self, sys: SystemDef, h: int, times: np.ndarray, states: Sequence[GridFn]):
-        self.sys = sys
-        self.h = h
-        self.times = np.asarray(times, dtype=float)
-        self.states = list(states)
-        self.grid = states[0].grid
-        self.K = len(times) - 1
+    def __init__(self, sys: SystemDef, h: int, w: Trajectory):
+        self.sys, self.h, self.w = sys, h, w
+        self.times, self.grid = w.times, w.grid
+        self.K = len(self.times) - 1
         self._eta_p = self._freeze(sys.Kp[h], boundary=False)
         self._eta_q = self._freeze(sys.Kq[h], boundary=False)
         self._eta_u = self._freeze(sys.Ku[h], boundary=True)
-        self._w_pairs = cache(lambda: _pairs([s.values for s in states]))  # on first use
 
     def _freeze(self, kernel, boundary: bool):
         """Sampler ``sample(knots) -> (a, b)``, each (n, 1), of the integral at both knots
         of each point, or None when the field is identically zero."""
         if kernel is None or (boundary and self.sys.domain.m == 0):
             return None
-        K, knots = self.K, range(self.K + 1)
-        if kernel.x_independent:
-            pairs = _pairs([kernel.integrate(self.times[j], np.zeros((1, self.grid.dim)),
-                                             self.states[j]) for j in knots])
-            return lambda k: np.take(pairs, k.j, axis=1)
-        if boundary:
+        states = self.w.states
+        if boundary and not kernel.x_independent:
             # the integral is linear in the state, so blending it equals
             # integrating the blended state: exact at every exit
             def sample(k):
                 ab = np.empty((2, len(k.j), 1))
                 for jv in np.unique(k.j):
                     at = k.j == jv
-                    ab[:, at] = [kernel.integrate(self.times[n], k.pts[at], self.states[n])
-                                 for n in (jv, min(jv + 1, K))]
+                    ab[:, at] = [kernel.integrate(self.times[n], k.pts[at], states[n])
+                                 for n in (jv, min(jv + 1, self.K))]
                 return ab
             return sample
-        pairs = _pairs([kernel.integrate(self.times[j], self.grid.points, self.states[j])
-                        for j in knots])
+        pts = np.zeros((1, self.grid.dim)) if kernel.x_independent else self.grid.points
+        eta = np.empty((self.K + 1, len(pts), 1))
+        for j, f in enumerate(states):
+            eta[j] = kernel.integrate(self.times[j], pts, f)
+        pairs = _pairs(eta)
+        if kernel.x_independent:
+            return lambda k: [np.take(v, k.j, axis=0) for v in pairs]
         return lambda k: [interp_gather(k.stencil, v) for v in pairs]
 
     def _blend(self, sample, t, pts: np.ndarray, knots: _Knots | None) -> np.ndarray:
@@ -290,8 +284,8 @@ class FrozenCoefficients:
         return a
 
     def w_at(self, t, pts: np.ndarray, knots: _Knots | None = None) -> np.ndarray:
-        return self._blend(lambda k: [interp_gather(k.stencil, v) for v in self._w_pairs()], t,
-                           np.atleast_2d(pts), knots)
+        return self._blend(lambda k: [interp_gather(k.stencil, v) for v in _pairs(self.w.values)],
+                           t, np.atleast_2d(pts), knots)
 
     def p(self, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
@@ -319,7 +313,7 @@ class FrozenCoefficients:
         Given a plan site, its callbacks read the site's knots and
         ``w_pt``, the frozen state at the site's live knots.
         """
-        u0h = GridFn(self.grid, self.states[0].values[:, self.h])
+        u0h = GridFn(self.grid, self.w.values[0, :, self.h])
         vel = self.sys.velocities[self.h]
         if site is None:
             return LinearProblem(vel, self.p, self.q, self.ub, u0h)
@@ -331,24 +325,25 @@ class FrozenCoefficients:
 def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Trajectory:
     """One freeze-and-solve sweep: returns the slab trajectory u = T w.
 
-    ``plan`` is the slab attempt's :class:`SlabPlan` from ``w.states[0]``,
+    ``plan`` is the slab attempt's :class:`SlabPlan` from ``w``'s first knot,
     built here when not given.
     """
     grid, times = w.grid, w.times
     if plan is None:
         plan = SlabPlan(sys, w.states[0], times)
-    frozen = [FrozenCoefficients(sys, h, times, w.states) for h in range(sys.k)]
-    cols = np.empty((len(times) - 1, grid.n_nodes, sys.k))
+    frozen = [FrozenCoefficients(sys, h, w) for h in range(sys.k)]
+    vals = np.empty((len(times), grid.n_nodes, sys.k))
+    vals[0] = w.values[0]
     w_along = {}  # the frozen state at each site's live knots, shared by its components
     for h, site in enumerate(plan.sites):
         if site not in w_along:
             _, tk, xk = site.batch.live
             w_along[site] = frozen[h].w_at(tk, xk, site.knots)
         lp = frozen[h].linear_problem(site, w_along[site])
-        vals = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]), batch=site.batch,
-                        feet_u0=site.feet_u0[:, h])
-        cols[:, :, h] = vals.reshape(cols.shape[:2])
-    return Trajectory(times.copy(), [w.states[0]] + [GridFn(grid, c) for c in cols])
+        vals[1:, :, h] = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]),
+                                  batch=site.batch, feet_u0=site.feet_u0[:, h]
+                                  ).reshape(len(times) - 1, grid.n_nodes)
+    return Trajectory(grid, times.copy(), vals)
 
 
 def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
@@ -367,7 +362,7 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
             raise LocalExistenceError(t0, t0 + 2 * h)
         K = max(cfg.min_knots, int(math.ceil(h / _DT_TARGET)))
         times = t0 + np.linspace(0.0, h, K + 1)
-        w = Trajectory(times, [u_init] * (K + 1))
+        w = Trajectory(u_init.grid, times, np.repeat(u_init.values[None], K + 1, axis=0))
         plan = SlabPlan(sys, u_init, times)
         distances: list[float] = []
         ratios: list[float] = []
@@ -376,8 +371,8 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
                 u = apply_T(sys, w, plan)
             except BlowupError:
                 break
-            d = dist_X(u.states, w.states)
-            if not np.isfinite(d) or norm_X(u.states) > M:
+            d, norm = dist_X(u, w), norm_X(u)
+            if not np.isfinite(d) or norm > M:
                 break
             distances.append(d)
             if len(distances) >= 2:
@@ -390,7 +385,7 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
                 diag = SlabDiagnostics(t0=t0, t1=t0 + h, iterations=len(distances),
                                        distances=distances, ratios=ratios,
                                        theta=max(ratios) if ratios else 0.0,
-                                       ball=M, halvings=halvings, norm_X=norm_X(u.states))
+                                       ball=M, halvings=halvings, norm_X=norm)
                 u.diagnostics = [diag]
                 return u
         h *= 0.5
@@ -411,8 +406,7 @@ def solve(sys: SystemDef, grid: Grid, horizon: float, cfg: PicardConfig,
     u = u_init if u_init is not None else sys.initial_state(grid)
     if u.k != sys.k:
         raise ValueError("initial state has wrong component count")
-    times = [0.0]
-    states = [u]
+    times, values = [0.0], [u.values[None]]
     diags: list[SlabDiagnostics] = []
     t = 0.0
     h_next = cfg.slab_length
@@ -422,13 +416,13 @@ def solve(sys: SystemDef, grid: Grid, horizon: float, cfg: PicardConfig,
         h_try = min(h_next, horizon - t)
         slab = solve_slab(sys, u, t, cfg, h_init=h_try)
         times.extend(slab.times[1:].tolist())
-        states.extend(slab.states[1:])
+        values.append(slab.values[1:])
         diags.extend(slab.diagnostics)
-        u = slab.states[-1]
+        u = GridFn(u.grid, slab.values[-1])
         t = float(slab.times[-1])
         h_used = diags[-1].t1 - diags[-1].t0
         h_next = min(cfg.slab_length, 2.0 * h_used)
-    return Trajectory(np.array(times), states, diags)
+    return Trajectory(u.grid, np.array(times), np.concatenate(values), diags)
 
 
 @dataclass

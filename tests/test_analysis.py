@@ -212,7 +212,7 @@ def test_gronwall_reports_the_worst_knot_after_t0():
     assert cert.passed and cert.params["t_worst"] > 0.0
     assert cert.measured < cert.bound
     assert "no knot" not in cert.format()
-    one = Trajectory(traj.times[:1], traj.states[:1])
+    one = Trajectory(traj.grid, traj.times[:1], traj.values[:1])
     cert1 = gronwall_certificate(sys_, sys_.constants, one)
     assert cert1.passed and cert1.measured == cert1.bound
     assert cert1.format().endswith("+0.000% (no knot after t = 0)  PASS")

@@ -310,9 +310,10 @@ def test_trapezoid_sums_equal_a_loop_over_each_trace():
     live, _, _ = b.live
     assert b.exited.any() and not b.exited.all() and (~live).any()
     ts = b.trace_times
+    dt = ts[:-1] - ts[1:]
     g = np.sin(3.0 * ts) + np.cos(b.path[..., 0])
-    running = characteristics.cumulative_trapezoid(g, ts)
-    total = characteristics.trapezoid_total(g, ts)
+    running = characteristics.cumulative_trapezoid(g, dt)
+    total = characteristics.trapezoid_total(g, dt)
     for p in range(ts.shape[1]):
         n = int(live[:, p].sum())  # the trace's own knots; the rest repeat its last
         ref = _loop_trapezoid(g[:n, p], ts[:n, p])
@@ -322,12 +323,13 @@ def test_trapezoid_sums_equal_a_loop_over_each_trace():
     for p in (0, ts.shape[1] - 1):
         ref = _loop_trapezoid(g[:, p], ts[:, p])
         for shape in ((-1,), (-1, 1)):
-            gp, tp = g[:, p].reshape(shape), ts[:, p].reshape(shape)
-            assert np.array_equal(characteristics.cumulative_trapezoid(gp, tp).ravel(), ref)
-            assert np.array_equal(characteristics.trapezoid_total(gp, tp).ravel(), ref[-1:])
+            gp, dp = g[:, p].reshape(shape), dt[:, p].reshape(shape)
+            assert np.array_equal(characteristics.cumulative_trapezoid(gp, dp).ravel(), ref)
+            assert np.array_equal(characteristics.trapezoid_total(gp, dp).ravel(), ref[-1:])
     # a single column longer than numpy's pairwise-summation block of 8
     t = np.linspace(2.0, 0.0, 41)
-    assert characteristics.trapezoid_total(np.exp(t), t) == _loop_trapezoid(np.exp(t), t)[-1]
+    assert characteristics.trapezoid_total(np.exp(t), t[:-1] - t[1:]) \
+        == _loop_trapezoid(np.exp(t), t)[-1]
 
 
 
@@ -360,7 +362,7 @@ def test_running_sums_equal_numpy_cumsum():
     g3 = _spread(rng, (17, 40, 2))
     cases = {
         "stacked ragged columns": (g, dt),
-        "knot times for widths": (g, ts),
+        "widths from the knot times": (g, ts[:-1] - ts[1:]),
         "1-d column": (g[:, 5], dt[:, 5]),
         "single 2-d column": (g[:, 5:6], dt[:, 5:6]),
         "one row": (g[:1], dt[:0]),
@@ -368,7 +370,7 @@ def test_running_sums_equal_numpy_cumsum():
         "3-d": (g3, rng.uniform(0.0, 0.1, (16, 40, 1))),
     }
     for name, (gc, dtc) in cases.items():
-        inc = _numpy_increments(gc, dtc if len(dtc) < len(gc) else dtc[:-1] - dtc[1:])
+        inc = _numpy_increments(gc, dtc)
         ref = np.concatenate([np.zeros((1,) + gc.shape[1:]), np.cumsum(inc, axis=0)])
         assert np.array_equal(characteristics.cumulative_trapezoid(gc, dtc), ref), name
         if gc.ndim == 2:

@@ -114,6 +114,19 @@ def test_malformed_scalars_exit2(tmp_path):
         assert main(["run", str(path)]) == 2, field
 
 
+def test_oracle_and_mass_drift_only_for_presets_that_list_them(tmp_path, capsys):
+    # mass-drift needs conserved mass and oracle a closed form; elsewhere they cannot pass
+    for model, cert in (("cellgrowth", "mass-drift"), ("competitive", "mass-drift"),
+                        ("sihr", "oracle")):
+        path = write_config(tmp_path, model=model, certificates=[cert])
+        assert main(["run", str(path)]) == 2, (model, cert)
+        err = capsys.readouterr().err
+        assert f"'{cert}'" in err and f"'{model}'" in err
+    for model, cert in (("sihr-conservation", "mass-drift"), ("blowup-ode", "oracle"),
+                        ("blowup-transport", "oracle")):
+        assert config_from_dict({"model": model, "certificates": [cert]}).certificates == (cert,)
+
+
 def test_state_csv_roundtrip(tmp_path):
     path = write_config(tmp_path, horizon=0.25, cells=64, save_states=3)
     assert main(["run", str(path)]) == 0

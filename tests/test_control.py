@@ -45,9 +45,8 @@ def test_cost_deaths_linear_in_rates(decaying_sihr):
 
 def test_cost_peak_zero_and_decay(decaying_sihr):
     traj, _ = decaying_sihr
-    zeroed = [s * 0.0 for s in traj.states]
     from renewalpde.picard import Trajectory
-    assert cost_peak_infection(Trajectory(traj.times, zeroed)) == 0.0
+    assert cost_peak_infection(Trajectory(traj.grid, traj.times, traj.values * 0.0)) == 0.0
     # monotone decay: the peak is attained at the initial knot
     peak = cost_peak_infection(traj)
     assert peak == pytest.approx(float(np.max(traj.states[0].values[:, 1])), rel=1e-9)

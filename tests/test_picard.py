@@ -4,6 +4,7 @@ import pytest
 from renewalpde import kernels, picard
 from renewalpde.analysis import entropy_sweep, frozen_component
 from renewalpde.characteristics import VelocityField, trace_backward
+from renewalpde.config import PRESETS
 from renewalpde.domain import Domain, Grid, GridFn, interp_values, l1_norm
 from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr
@@ -24,9 +25,13 @@ from renewalpde.problem import SystemDef
 from renewalpde.transport import LinearProblem, evaluate, zero_field
 
 
+def knot_trajectory(times, states):
+    """The trajectory with one given grid state per knot."""
+    return Trajectory(states[0].grid, times, np.stack([s.values for s in states]))
+
+
 def constant_trajectory(sys_, grid, times):
-    u0 = sys_.initial_state(grid)
-    return Trajectory(np.asarray(times), [u0] * len(times))
+    return knot_trajectory(times, [sys_.initial_state(grid)] * len(times))
 
 
 def test_apply_T_constant_for_decoupled_system():
@@ -37,7 +42,7 @@ def test_apply_T_constant_for_decoupled_system():
     times = np.linspace(0.0, 0.5, 9)
     w1 = constant_trajectory(sys_, grid, times)
     u0 = sys_.initial_state(grid)
-    w2 = Trajectory(times, [u0 * (1.0 + 0.3 * j) for j in range(9)])
+    w2 = knot_trajectory(times, [u0 * (1.0 + 0.3 * j) for j in range(9)])
     a = apply_T(sys_, w1)
     b = apply_T(sys_, w2)
     for sa, sb in zip(a.states, b.states):
@@ -167,27 +172,47 @@ def test_fixed_point_residual():
     cfg = PicardConfig(slab_length=0.5)
     slab = solve_slab(sys_, sys_.initial_state(grid), 0.0, cfg)
     again = apply_T(sys_, slab)
-    assert dist_X(again.states, slab.states) <= 2 * cfg.eps_fix
+    assert dist_X(again, slab) <= 2 * cfg.eps_fix
 
 
-@pytest.mark.parametrize("k", [1, 4])
-def test_norms_equal_the_per_state_loop(k):
-    # norm_X and dist_X sum every knot state in one pass; the result must equal a
-    # sum per state bit for bit.  numpy sums one column pairwise (k = 1) and
-    # several row by row (k = 4); values spread over eight decades
-    rng = np.random.default_rng(k)
-    grid = Grid(Domain(half_lengths=(2.0,)), (300,))
-
-    def states():
-        return [GridFn(grid, rng.standard_normal((grid.n_nodes, k))
-                       * 10.0 ** rng.uniform(-4, 4, (grid.n_nodes, k))) for _ in range(9)]
-
-    a, b = states(), states()
-    vol = grid.cell_volume
-    per = np.array([np.sum(np.abs(s.values), axis=0) * vol for s in a])
+@pytest.mark.parametrize("case", [1, 4, "cellgrowth"])
+def test_norms_equal_the_per_state_loop(case):
+    # the masses, norm_X and dist_X sum every knot state in one pass; the result must
+    # equal a sum per state bit for bit.  numpy sums one column pairwise (k = 1) and
+    # several row by row (k = 4); values spread over eight decades, or a solved k = 1
+    # trajectory against its own knots in reverse
+    if case == "cellgrowth":
+        sys_ = PRESETS["cellgrowth"].build({})[0]
+        a = solve(sys_, Grid(sys_.domain, (192,)), 1.0, PicardConfig())
+        b = Trajectory(a.grid, a.times, a.values[::-1])
+    else:
+        rng = np.random.default_rng(case)
+        grid = Grid(Domain(half_lengths=(2.0,)), (300,))
+        a, b = (Trajectory(grid, np.arange(9.0), rng.standard_normal((9, grid.n_nodes, case))
+                           * 10.0 ** rng.uniform(-4, 4, (9, grid.n_nodes, case)))
+                for _ in range(2))
+    assert a.values.flags.c_contiguous and b.values.flags.c_contiguous
+    vol = a.grid.cell_volume
+    per = np.array([np.sum(np.abs(s.values), axis=0) * vol for s in a.states])
+    assert np.array_equal(a.component_masses(), per)
     assert norm_X(a) == float(np.sum(np.max(per, axis=0)))
-    per = np.array([np.sum(np.abs(x.values - y.values), axis=0) * vol for x, y in zip(a, b)])
+    per = np.array([np.sum(np.abs(x.values - y.values), axis=0) * vol
+                    for x, y in zip(a.states, b.states)])
     assert dist_X(a, b) == float(np.sum(np.max(per, axis=0)))
+
+
+def test_norms_and_sweeps_leave_their_inputs_unchanged():
+    # dist_X takes abs in place, which must only ever touch a fresh array; the inputs
+    # have negative entries, which an abs in place would flip
+    sys_ = build_sihr(SIHRParams(rho=0.1, kappa=0.2))
+    grid = Grid(sys_.domain, (32,))
+    rng = np.random.default_rng(5)
+    a, b = (Trajectory(grid, np.linspace(0.0, 0.25, 5),
+                       rng.uniform(-1.0, 1.0, (5, grid.n_nodes, sys_.k))) for _ in range(2))
+    kept = a.values.copy(), b.values.copy()
+    assert norm_X(a) > 0.0 and dist_X(a, b) > 0.0
+    apply_T(sys_, a)
+    assert np.array_equal(a.values, kept[0]) and np.array_equal(b.values, kept[1])
 
 
 def test_slab_restart_consistency():
@@ -305,7 +330,7 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
     u0 = sys_.initial_state(grid).values
     states = [GridFn(grid, u0 * (1.0 + 0.5 * j) + 0.1 * j * grid.points[:, :1])
               for j in range(len(times))]
-    frozen = FrozenCoefficients(sys_, 0, times, states)
+    frozen = FrozenCoefficients(sys_, 0, knot_trajectory(times, states))
 
     batch = trace_backward(vel, float(times[-1]), grid.points, 16, domain)
     T, X = batch.exit_time[batch.exited], batch.exit_point[batch.exited]
@@ -350,7 +375,7 @@ def test_traces_built_once_per_slab_attempt(monkeypatch):
 
     # a prebuilt plan gives the same sweep as a plan built inside it
     times = traj.times
-    w = Trajectory(times, [s * (1.0 + 0.1 * j) for j, s in enumerate(traj.states)])
+    w = knot_trajectory(times, [s * (1.0 + 0.1 * j) for j, s in enumerate(traj.states)])
     a = sweep(sys_, w, SlabPlan(sys_, w.states[0], times))
     b = sweep(sys_, w)
     for sa, sb in zip(a.states, b.states):
@@ -413,12 +438,12 @@ def test_plan_sweep_equals_planless_coefficients():
     times = np.linspace(0.0, 0.5, 5)
     u0 = sys_.initial_state(grid)
     states = [GridFn(grid, u0.values * (1.0 + 0.2 * j) + 0.01 * j) for j in range(len(times))]
-    w = Trajectory(times, states)
+    w = knot_trajectory(times, states)
     plan = SlabPlan(sys_, states[0], times)
 
     t0 = float(times[0])
     for h in range(sys_.k):
-        frozen = FrozenCoefficients(sys_, h, times, states)
+        frozen = FrozenCoefficients(sys_, h, w)
         site = plan.sites[h]
         _, tk, xk = site.batch.live
         assert np.array_equal(frozen.p(tk, xk, site.knots), frozen.p(tk, xk))
@@ -432,7 +457,7 @@ def test_plan_sweep_equals_planless_coefficients():
     # knot j of the sweep is the column block (j-1)N : jN of one stacked
     # evaluate; it equals the planless evaluate at that knot with its own trace
     swept = apply_T(sys_, w, plan)
-    planless = [FrozenCoefficients(sys_, h, times, states).linear_problem()
+    planless = [FrozenCoefficients(sys_, h, w).linear_problem()
                 for h in range(sys_.k)]
     for j in range(1, len(times)):
         for h in range(sys_.k):
@@ -565,7 +590,7 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
     u0 = sys_.initial_state(grid).values
     states = [GridFn(grid, u0 * (1.0 + 0.5 * j) + 0.1 * j * grid.points[:, :1])
               for j in range(n_knots)]
-    frozen = FrozenCoefficients(sys_, 1, times, states)
+    frozen = FrozenCoefficients(sys_, 1, knot_trajectory(times, states))
 
     rng = np.random.default_rng(3)
     n = 60

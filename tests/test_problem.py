@@ -10,7 +10,7 @@ from renewalpde.config import PRESETS
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
 from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
 from renewalpde.models import SIHRParams, CellGrowthParams, build_cell_growth, build_blowup, build_sihr
-from renewalpde.picard import FrozenCoefficients
+from renewalpde.picard import FrozenCoefficients, Trajectory
 from renewalpde.problem import HypothesisConstants, SystemDef
 
 from test_picard import contact_sihr
@@ -31,7 +31,7 @@ def state_with_i_mass(grid, mass):
 def frozen(sys_, h, w):
     """Component h's coefficients with the state frozen at w on one knot, which serves
     every time: kernels do not read t."""
-    return FrozenCoefficients(sys_, h, [0.0], [w])
+    return FrozenCoefficients(sys_, h, Trajectory(w.grid, [0.0], w.values[None]))
 
 
 def at(t, pts):
