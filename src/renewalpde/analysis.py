@@ -67,10 +67,10 @@ def _certificate(name: str, bound: float, measured: float, note: str = "",
 
 def _sample(fn, ts, pts: np.ndarray) -> np.ndarray:
     """``fn`` at every time of ``ts`` on every point, in one call with one time per point
-    (the times repeated, the points tiled), as ``(len(ts), len(pts), ...)``."""
+    (the times repeated, the points tiled), as ``(len(ts), len(pts), ...)``; None is 0."""
     ts = np.asarray(ts, dtype=float)
-    if not len(ts):
-        return np.zeros((0, len(pts)))
+    if fn is None or not len(ts):
+        return np.zeros((len(ts), len(pts)))
     out = np.asarray(fn(np.repeat(ts, len(pts)), np.tile(pts, (len(ts), 1))))
     return out.reshape(len(ts), len(pts), *out.shape[1:])
 

@@ -7,11 +7,12 @@ in time does so through its outer map ``P``/``Q``/``Ub``, which gets
 
 * :class:`WeightedMassKernel` - ``K(x, x') = g(x') e_c``: the integral
   is a weighted mass of one component and does not depend on the
-  evaluation point.  This is the fast path (O(N) per state).
+  evaluation point.  This is the fast path (O(N) per state); ``masses``
+  freezes it at every knot of a ``(n_knots, N, k)`` array in one reduction.
 * :class:`ScalarComponentKernel` - ``K(x, x') = g(x, x') e_c``: a dense
   (P x N) kernel matrix times the state, built blockwise.
 
-Both expose ``integrate(t, pts, f) -> (P, k_out)`` plus a declared sup
+Both expose ``integrate(t, pts, f) -> (P, 1)`` plus a declared sup
 bound used by the quantitative estimates.  ``t`` is accepted for the
 common call signature and not read.  Each kernel keeps what depends
 only on the last grid it integrated on: the node weights, or the dense
@@ -45,7 +46,6 @@ class WeightedMassKernel:
                 raise ValueError("non-constant weight needs an explicit sup bound")
             bound = abs(float(weight))
         self.bound = float(bound)
-        self.k_out = 1
         self._weights_grid = None
 
     def _node_weights(self, grid) -> np.ndarray:
@@ -56,13 +56,13 @@ class WeightedMassKernel:
             self._weights_grid = grid
         return self._weights
 
-    def mass(self, f: GridFn) -> float:
-        w = self._node_weights(f.grid)
-        return float(np.sum(w * f.values[:, self.comp]) * f.grid.cell_volume)
+    def masses(self, grid, values: np.ndarray) -> np.ndarray:
+        """The weighted mass of each state of ``values`` (n_knots, N, k), shape (n_knots,)."""
+        w = self._node_weights(grid)
+        return np.sum(w * values[:, :, self.comp], axis=1) * grid.cell_volume
 
     def integrate(self, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
-        val = self.mass(f)
-        return np.full((np.atleast_2d(pts).shape[0], 1), val)
+        return np.full((np.atleast_2d(pts).shape[0], 1), self.masses(f.grid, f.values[None])[0])
 
 
 class ScalarComponentKernel:
@@ -78,7 +78,6 @@ class ScalarComponentKernel:
         self.fn = fn
         self.comp = comp
         self.bound = float(bound)
-        self.k_out = 1
         self._matrix_grid = None
 
     def matrix(self, pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:

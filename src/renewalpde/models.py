@@ -51,14 +51,6 @@ def _sup_estimate(val, domain: Domain, t_max: float = 10.0, samples: int = 256) 
     return worst
 
 
-def _zero_q(t, pts, u, eta):
-    return np.zeros(np.atleast_2d(pts).shape[0])
-
-
-def _zero_b(t, pts, eta):
-    return np.zeros(np.atleast_2d(pts).shape[0])
-
-
 def bump(center: float, width: float, height: float = 1.0) -> Callable:
     """Smooth compactly supported profile in the age coordinate."""
 
@@ -194,7 +186,7 @@ def build_sihr(params: SIHRParams) -> SystemDef:
         lambda t, pts, eta: -mu_r(t, pts),
     )
     Q = (
-        _zero_q,
+        None,
         lambda t, pts, u, eta: eta[:, 0] * u[:, 0],
         lambda t, pts, u, eta: kappa(t, pts) * u[:, 1],
         lambda t, pts, u, eta: theta(t, pts) * u[:, 1] + eta_r(t, pts) * u[:, 2],
@@ -214,7 +206,7 @@ def build_sihr(params: SIHRParams) -> SystemDef:
         Ub0 = lambda t, pts, eta: s_b(t, pts)
         b_const = params.s_b_bound if params.s_b_bound is not None else _sup_estimate(
             params.s_b, domain)
-    Ub = (Ub0, _zero_b, _zero_b, _zero_b)
+    Ub = (Ub0, None, None, None)
 
     sup_mu_s = _sup_estimate(params.mu_s, domain)
     sup_mu_i = _sup_estimate(params.mu_i, domain)
@@ -311,8 +303,8 @@ def build_cell_growth(params: CellGrowthParams) -> SystemDef:
     return SystemDef(
         k=1, domain=domain, velocities=(vel,),
         P=(lambda t, pts, eta: -loss(t, pts),),
-        Q=(_zero_q,),
-        Ub=((lambda t, pts, eta: eta[:, 0]) if ku is not None else _zero_b,),
+        Q=(None,),
+        Ub=((lambda t, pts, eta: eta[:, 0]) if ku is not None else None,),
         Ku=(ku,), u0=u0, constants=constants, name="cellgrowth", labels=("N",))
 
 
@@ -388,10 +380,7 @@ def build_competitive(params: CompetitiveParams) -> SystemDef:
         lambda t, pts, eta: -mu1(t, pts) - f1(t, pts) - eta[:, 0],
         lambda t, pts, eta: -mu2(t, pts) - f2(t, pts) - eta[:, 0],
     )
-    Ub = (
-        (lambda t, pts, eta: eta[:, 0]) if n1 is not None else _zero_b,
-        (lambda t, pts, eta: eta[:, 0]) if n2 is not None else _zero_b,
-    )
+    Ub = tuple(None if n is None else (lambda t, pts, eta: eta[:, 0]) for n in (n1, n2))
 
     p1_sup = _sup_estimate(params.mu1, domain) + _sup_estimate(params.f1, domain)
     p2_sup = _sup_estimate(params.mu2, domain) + _sup_estimate(params.f2, domain)
@@ -400,7 +389,7 @@ def build_competitive(params: CompetitiveParams) -> SystemDef:
         B=max(b1_max, b2_max), C1=0.0, C2=0.0)
 
     return SystemDef(k=2, domain=domain, velocities=(AGE_VELOCITY, AGE_VELOCITY),
-                     P=P, Q=(_zero_q, _zero_q), Ub=Ub,
+                     P=P, Q=(None, None), Ub=Ub,
                      Kp=(k1, k2), Ku=(n1, n2), u0=u0,
                      constants=constants, name="competitive", labels=("u1", "u2"))
 
@@ -432,7 +421,7 @@ def build_blowup(variant: str = "ode"):
 
         sys = SystemDef(k=1, domain=domain, velocities=(vel,),
                         P=(lambda t, pts, eta: eta[:, 0],),
-                        Q=(_zero_q,), Ub=(_zero_b,), Kp=(window,),
+                        Q=(None,), Ub=(None,), Kp=(window,),
                         u0=lambda pts: indicator01(pts)[:, None],
                         constants=constants, name="blowup-ode")
         return sys, oracle
@@ -449,7 +438,7 @@ def build_blowup(variant: str = "ode"):
 
         sys = SystemDef(k=1, domain=domain, velocities=(vel,),
                         P=(lambda t, pts, eta: eta[:, 0],),
-                        Q=(_zero_q,), Ub=(_zero_b,), Kp=(window,),
+                        Q=(None,), Ub=(None,), Kp=(window,),
                         u0=lambda pts: indicator01(pts)[:, None],
                         constants=constants, name="blowup-transport")
         return sys, oracle

@@ -25,8 +25,8 @@ every sweep of the attempt reads it.  A sweep gathers a frozen field
 with one stencil shifted to each point's knot interval j, from the
 views ``values[:-1]`` and ``values[1:]`` of the knot array, each read
 as ``(K·N, k)``: row ``j·N + n`` holds node n at knot j and at j + 1.
-Kernel integrals are frozen per knot by ``integrate`` into one such
-array; a dense kernel keeps its node matrix.
+Kernel integrals are frozen per knot into one such array, a weighted
+mass at all knots in one reduction; a dense kernel keeps its node matrix.
 """
 
 from __future__ import annotations
@@ -229,12 +229,13 @@ class FrozenCoefficients:
     """Coefficient fields of one component with the state frozen at w.
 
     Nonlocal integrals are frozen per knot in one of three modes: const
-    (an x-independent kernel: one value per knot), grid (one
-    ``integrate`` on the grid nodes per knot, interpolated multilinearly
-    in space) and direct (a boundary kernel that depends on the
-    evaluation point: ``integrate`` at the exit points themselves).
+    (an x-independent kernel: all knots in one ``masses`` reduction), grid
+    (one ``integrate`` on the grid nodes per knot, interpolated
+    multilinearly in space) and direct (a boundary kernel that depends
+    on the evaluation point: ``integrate`` at the exit points themselves).
     Each is blended linearly in time; the outer maps P/Q/Ub are then
-    applied at the exact query points and times, one time per point.
+    applied at the exact query points and times, one time per point; an
+    undeclared Q/Ub is 0, and ``linear_problem`` hands None for it.
     Queries may pass the :class:`_Knots` of their points (a plan
     site's); otherwise they bracket them here.
     """
@@ -252,8 +253,11 @@ class FrozenCoefficients:
         of each point, or None when the field is identically zero."""
         if kernel is None or (boundary and self.sys.domain.m == 0):
             return None
+        if kernel.x_independent:
+            pairs = _pairs(kernel.masses(self.grid, self.w.values)[:, None, None])
+            return lambda k: [np.take(v, k.j, axis=0) for v in pairs]
         states = self.w.states
-        if boundary and not kernel.x_independent:
+        if boundary:
             # the integral is linear in the state, so blending it equals
             # integrating the blended state: exact at every exit
             def sample(k):
@@ -264,13 +268,10 @@ class FrozenCoefficients:
                                  for n in (jv, min(jv + 1, self.K))]
                 return ab
             return sample
-        pts = np.zeros((1, self.grid.dim)) if kernel.x_independent else self.grid.points
-        eta = np.empty((self.K + 1, len(pts), 1))
+        eta = np.empty((self.K + 1, self.grid.n_nodes, 1))
         for j, f in enumerate(states):
-            eta[j] = kernel.integrate(self.times[j], pts, f)
+            eta[j] = kernel.integrate(self.times[j], self.grid.points, f)
         pairs = _pairs(eta)
-        if kernel.x_independent:
-            return lambda k: [np.take(v, k.j, axis=0) for v in pairs]
         return lambda k: [interp_gather(k.stencil, v) for v in pairs]
 
     def _blend(self, sample, t, pts: np.ndarray, knots: _Knots | None) -> np.ndarray:
@@ -295,6 +296,8 @@ class FrozenCoefficients:
     def q(self, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
         """``w_pt`` is the frozen state at the points, interpolated here when not given."""
         pts = np.atleast_2d(pts)
+        if not self.sys.has_q[self.h]:
+            return np.zeros(len(pts))
         knots = knots or _Knots(self.times, t, pts, self.grid)
         eta = self._blend(self._eta_q, t, pts, knots)
         if w_pt is None:
@@ -303,6 +306,8 @@ class FrozenCoefficients:
 
     def ub(self, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
+        if not self.sys.has_ub[self.h]:
+            return np.zeros(len(pts))
         eta = self._blend(self._eta_u, t, pts, knots)
         return np.asarray(self.sys.Ub[self.h](t, pts, eta), dtype=float)
 
@@ -314,12 +319,13 @@ class FrozenCoefficients:
         ``w_pt``, the frozen state at the site's live knots.
         """
         u0h = GridFn(self.grid, self.w.values[0, :, self.h])
-        vel = self.sys.velocities[self.h]
-        if site is None:
-            return LinearProblem(vel, self.p, self.q, self.ub, u0h)
-        return LinearProblem(vel, lambda t, pts: self.p(t, pts, site.knots),
-                             lambda t, pts: self.q(t, pts, site.knots, w_pt),
-                             lambda t, pts: self.ub(t, pts, site.exits), u0h)
+        p, q, ub = self.p, self.q, self.ub
+        if site is not None:
+            p = lambda t, pts: self.p(t, pts, site.knots)
+            q = lambda t, pts: self.q(t, pts, site.knots, w_pt)
+            ub = lambda t, pts: self.ub(t, pts, site.exits)
+        return LinearProblem(self.sys.velocities[self.h], p, q if self.sys.has_q[self.h] else None,
+                             ub if self.sys.has_ub[self.h] else None, u0h)
 
 
 def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Trajectory:
@@ -334,12 +340,12 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
     frozen = [FrozenCoefficients(sys, h, w) for h in range(sys.k)]
     vals = np.empty((len(times), grid.n_nodes, sys.k))
     vals[0] = w.values[0]
-    w_along = {}  # the frozen state at each site's live knots, shared by its components
+    w_along = {}  # the frozen state at each site's live knots, for its sourced components
     for h, site in enumerate(plan.sites):
-        if site not in w_along:
+        if sys.has_q[h] and site not in w_along:
             _, tk, xk = site.batch.live
             w_along[site] = frozen[h].w_at(tk, xk, site.knots)
-        lp = frozen[h].linear_problem(site, w_along[site])
+        lp = frozen[h].linear_problem(site, w_along.get(site))
         vals[1:, :, h] = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]),
                                   batch=site.batch, feet_u0=site.feet_u0[:, h]
                                   ).reshape(len(times) - 1, grid.n_nodes)

@@ -18,9 +18,11 @@ through the solver's frozen coefficients.  Constants cannot be derived
 from black-box callbacks; declaring and auditing is the honest contract.
 
 Outer maps are vectorized over points: ``P(t, pts, eta)`` with pts of
-shape (P, d) and eta of shape (P, k_out) returns (P,); Q additionally
+shape (P, d) and eta of shape (P, 1) returns (P,); Q additionally
 receives the pointwise state u of shape (P, k).  The solver passes one
 time per point, ``t`` of shape (P,), as it does to velocity callbacks.
+An entry of ``Q`` or ``Ub`` may be None, a zero that costs no work;
+readers test ``SystemDef.has_q``/``has_ub``, not the entries.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class SystemDef:
     domain: Domain
     velocities: Sequence[VelocityField]
     P: Sequence[Callable]
-    Q: Sequence[Callable]
-    Ub: Sequence[Callable]
+    Q: Sequence[Callable | None]
+    Ub: Sequence[Callable | None]
     Kp: Sequence[Kernel | None] = None
     Kq: Sequence[Kernel | None] = None
     Ku: Sequence[Kernel | None] = None
@@ -125,6 +127,11 @@ class SystemDef:
             if len(row) != self.k:
                 raise ValueError(f"{attr} must have one entry per component")
             setattr(self, attr, row)
+        for attr, what in (("P", "callable"), ("Q", "callable or None"), ("Ub", "callable or None")):
+            for h, fn in enumerate(getattr(self, attr)):
+                if not (callable(fn) or (fn is None and attr != "P")):
+                    raise ValueError(f"{attr}[{h}] must be {what}, got {fn!r}")
+        self.has_q, self.has_ub = (tuple(fn is not None for fn in r) for r in (self.Q, self.Ub))
         if self.u0 is None:
             raise ValueError("initial datum callback is required")
         self._check_inflow()

@@ -6,7 +6,8 @@ For the affine scalar problem
 
 the solution at a point is read off its backward characteristic: the
 datum at the foot (or the boundary value at the exit time) times the
-growth factor, plus the growth-weighted source integral.  Evaluation is
+growth factor, plus the growth-weighted source integral.  A ``q`` or
+``ub`` of None is 0: its integral or boundary call is skipped.  Evaluation is
 pointwise per grid node, so there is no CFL restriction and no time
 stepping: the value at any t is obtained by a single trace from t back
 to the initial (or exit) time.
@@ -41,18 +42,13 @@ from .domain import BlowupError, Grid, GridFn, interp_values
 class LinearProblem:
     velocity: VelocityField
     p: Callable
-    q: Callable
-    ub: Callable
+    q: Callable | None
+    ub: Callable | None
     u0: GridFn
 
     def __post_init__(self):
         if self.u0.k != 1:
             raise ValueError("LinearProblem is scalar; u0 must have k = 1")
-
-
-def zero_field(t, pts):
-    pts = np.atleast_2d(pts)
-    return np.zeros(pts.shape[0])
 
 
 def auto_substeps(grid: Grid, span: float, vsup: float) -> int:
@@ -86,8 +82,9 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
     live, tk, xk = batch.live
     g = np.zeros(live.shape)
     g[live] = lp.p(tk, xk) - lp.velocity.div(tk, xk)
-    qv = np.zeros(live.shape)
-    qv[live] = lp.q(tk, xk)
+    if lp.q is not None:
+        qv = np.zeros(live.shape)
+        qv[live] = lp.q(tk, xk)
 
     datum = np.zeros(live.shape[1])
     interior = ~batch.exited
@@ -95,12 +92,14 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
         datum[interior] = (interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
                            if feet_u0 is None else feet_u0)
     inflow = batch.exit_face >= 0
-    if inflow.any():
+    if inflow.any() and lp.ub is not None:
         datum[inflow] = lp.ub(batch.exit_time[inflow], batch.exit_point[inflow])
     with np.errstate(over="ignore", invalid="ignore"):
         E = cumulative_trapezoid(g, dt)
         np.exp(E, out=E)
-        vals = datum * E[-1] + trapezoid_total(np.multiply(qv, E, out=qv), dt)
+        vals = datum * E[-1]
+        if lp.q is not None:
+            vals += trapezoid_total(np.multiply(qv, E, out=qv), dt)
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
     return GridFn(grid, vals) if traced else vals

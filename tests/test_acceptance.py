@@ -35,7 +35,9 @@ from renewalpde.models import (
     bump,
 )
 from renewalpde.picard import PicardConfig, lipschitz_probe, solve
-from renewalpde.transport import LinearProblem, evaluate, zero_field
+from renewalpde.transport import LinearProblem, evaluate
+
+from fields import const_field, zero_field
 
 V1 = VelocityField.constant([1.0])
 
@@ -43,14 +45,6 @@ V1 = VelocityField.constant([1.0])
 def report(criterion, ok, detail):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def const_field(c):
-    def fn(t, pts):
-        pts = np.atleast_2d(pts)
-        return np.full(pts.shape[0], float(c))
-
-    return fn
 
 
 @pytest.fixture(scope="module")

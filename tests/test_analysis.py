@@ -24,18 +24,12 @@ from renewalpde.kernels import ScalarComponentKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr, bump
 from renewalpde.picard import PicardConfig, Trajectory, solve, solve_slab
 from renewalpde.problem import HypothesisConstants, SystemDef
-from renewalpde.transport import LinearProblem, solve_series, zero_field
+from renewalpde.transport import LinearProblem, solve_series
+
+from fields import const_field, zero_field
 from test_picard import contact_sihr
 
 V1 = VelocityField.constant([1.0])
-
-
-def const_field(c):
-    def fn(t, pts):
-        pts = np.atleast_2d(pts)
-        return np.full(pts.shape[0], float(c))
-
-    return fn
 
 
 def smooth_u0(grid, center=1.5, width=1.0):
@@ -621,6 +615,11 @@ def _loop_time(phi, ts):
     return bt, dbt / phi.t_radius
 
 
+def or_zero(fn, t, pts):
+    """A coefficient of a linear problem at the points; a coefficient of None is 0."""
+    return np.zeros(len(pts)) if fn is None else np.asarray(fn(t, pts))
+
+
 def loop_residual(lp, grid, times, states, phi, kappa, sign):
     """The entropy residual of one sample, knot by knot, with one callback call per knot."""
     vol = grid.cell_volume
@@ -642,7 +641,7 @@ def loop_residual(lp, grid, times, states, phi, kappa, sign):
             up = np.maximum(-diff, 0.0)
             sg = -(diff < 0).astype(float)
         tp = _at(times[j], grid.points)
-        p, q = lp.p(tp, grid.points), lp.q(tp, grid.points)
+        p, q = lp.p(tp, grid.points), or_zero(lp.q, tp, grid.points)
         vel = np.atleast_2d(lp.velocity(tp, grid.points))
         divv = lp.velocity.div(tp, grid.points)
         grad = np.empty_like(dbx)
@@ -660,7 +659,7 @@ def loop_residual(lp, grid, times, states, phi, kappa, sign):
         fg = grid.face_grid(ax)
         fprod = _loop_space(phi, fg.points)[0]
         for j in support:
-            db = np.asarray(lp.ub(_at(times[j], fg.points), fg.points)) - kappa
+            db = or_zero(lp.ub, _at(times[j], fg.points), fg.points) - kappa
             upb = np.maximum(db, 0.0) if sign > 0 else np.maximum(-db, 0.0)
             total += wts[j] * lip * float(np.sum(upb * (bt[j] * fprod))) * fg.weight
     return float(total)
@@ -708,7 +707,7 @@ def loop_tolerance(lp, grid, times, states, kappa):
     rows = []
     for j in (0, len(times) // 2, len(times) - 1):
         tp = _at(times[j], grid.points)
-        rows.append((lp.p(tp, grid.points), lp.q(tp, grid.points),
+        rows.append((lp.p(tp, grid.points), or_zero(lp.q, tp, grid.points),
                      lp.velocity.div(tp, grid.points)))
     umax = max(float(np.max(np.abs(s.values))) for s in states)
     pinf, qsup, divsup = (max(0.0, *(float(np.max(np.abs(r[i]))) for r in rows))
@@ -793,6 +792,7 @@ def test_entropy_sweep_calls_each_callback_once_per_component(audited_run):
             setattr(sys_, attr, fns)
     audited = {r["component"] for r in results}
     faces = sys_.domain.m
-    expected = sorted([("P", h) for h in audited] + [("Q", h) for h in audited]
-                      + [("Ub", h) for h in audited for _ in range(faces)])
+    # a component's Q or Ub declared None is never called
+    expected = sorted([("P", h) for h in audited] + [("Q", h) for h in audited if sys_.has_q[h]]
+                      + [("Ub", h) for h in audited if sys_.has_ub[h] for _ in range(faces)])
     assert sorted(calls) == expected

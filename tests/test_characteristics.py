@@ -362,7 +362,6 @@ def test_running_sums_equal_numpy_cumsum():
     g3 = _spread(rng, (17, 40, 2))
     cases = {
         "stacked ragged columns": (g, dt),
-        "widths from the knot times": (g, ts[:-1] - ts[1:]),
         "1-d column": (g[:, 5], dt[:, 5]),
         "single 2-d column": (g[:, 5:6], dt[:, 5:6]),
         "one row": (g[:1], dt[:0]),

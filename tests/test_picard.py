@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from renewalpde.picard import (
     solve_slab,
 )
 from renewalpde.problem import SystemDef
-from renewalpde.transport import LinearProblem, evaluate, zero_field
+from renewalpde.transport import LinearProblem, evaluate
 
 
 def knot_trajectory(times, states):
@@ -271,7 +273,7 @@ def test_age_and_time_since_infection_oracle_with_two_inflow_faces():
 
     vel = VelocityField.constant([1.0, 1.0])
     t_end = 0.77
-    lp = LinearProblem(vel, lambda t, pts: np.full(len(pts), -mu), zero_field, ub,
+    lp = LinearProblem(vel, lambda t, pts: np.full(len(pts), -mu), None, ub,
                        GridFn.from_callback(grid, lambda pts: u0(pts[:, 0], pts[:, 1])))
     hit, face_a = check(t_end, evaluate(lp, t_end, grid).values[:, 0])
     # both faces are hit, each by many nodes
@@ -557,9 +559,12 @@ def test_kernel_node_data_built_once_per_grid(kind, monkeypatch):
     # building it at every call, as before, gives the same bits
     monkeypatch.setattr(*rebuild)
     fresh_sys = system()
+    kept_sweeps = len(sweeps)
     fresh = solve(fresh_sys, grid, 0.5, cfg)
     assert entropy_sweep(fresh_sys, fresh, n_samples=10) == audit
-    assert len(builds) > 2 + len(sweeps)
+    # it was built again at every freeze (a mass kernel freezes all knots in one
+    # reduction, a dense one integrates knot by knot): more than once per sweep
+    assert len(builds) - 2 > len(sweeps) - kept_sweeps
     assert np.array_equal(kept.times, fresh.times)
     for a, b in zip(kept.states, fresh.states):
         assert np.array_equal(a.values, b.values)
@@ -634,3 +639,115 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
     assert np.array_equal(frozen.ub(ts, pts), ref_ub)
     if kind == "dense":
         assert not frozen.p(ts, pts)[outside].any()
+
+
+def _zero(t, pts, *rest):
+    return np.zeros(np.atleast_2d(pts).shape[0])
+
+
+def _wrapped_like_a_tracer(sys_):
+    """``sys_`` with every P/Q/Ub entry wrapped after construction, None included, as an
+    outside tracer wraps them: a wrapped None raises when called, so the solver must read
+    ``has_q``/``has_ub`` and not the entries."""
+    def wrap(fn):
+        return lambda *args: fn(*args)
+
+    for attr in ("P", "Q", "Ub"):
+        setattr(sys_, attr, tuple(wrap(fn) for fn in getattr(sys_, attr)))
+    return sys_
+
+
+def _inflow_system(ub):
+    """One component on a half-line: fed through its inflow face only by ``ub``."""
+    mass = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=0, bound=1.0)
+    return SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
+                     velocities=(VelocityField.constant([1.0]),),
+                     P=(lambda t, pts, eta: -0.2 - 0.3 * eta[:, 0],),
+                     Q=(lambda t, pts, u, eta: 0.1 * eta[:, 0] * u[:, 0],), Ub=(ub,),
+                     Kp=(mass,), Kq=(mass,), u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
+
+
+@pytest.mark.parametrize("case", ["sihr", "inflow", "blowup-ode"])
+def test_none_coefficients_equal_explicit_zero_callbacks(case):
+    # sihr: four components on one site, S without a source, H and R without a datum;
+    # inflow: one component with an inflow face and no datum; blowup-ode: neither
+    if case == "sihr":
+        sys_ = build_sihr(SIHRParams(rho=0.08, kappa=0.3, theta=0.1, eta=0.2))
+        assert sys_.has_q == (False, True, True, True)
+        assert sys_.has_ub == (True, False, False, False)
+        cells, horizon = (64,), 0.5
+    elif case == "inflow":
+        sys_ = _inflow_system(None)
+        cells, horizon = (60,), 0.5
+    else:
+        sys_, _ = build_blowup("ode")
+        cells, horizon = (200,), 0.9
+    explicit = dataclasses.replace(sys_, Q=[f or _zero for f in sys_.Q],
+                                   Ub=[f or _zero for f in sys_.Ub])
+    assert all(explicit.has_q) and all(explicit.has_ub)
+    assert not (all(sys_.has_q) and all(sys_.has_ub))
+    grid = Grid(sys_.domain, cells)
+    ref = solve(explicit, grid, horizon, PicardConfig())
+    got = solve(_wrapped_like_a_tracer(sys_), grid, horizon, PicardConfig())
+    assert np.array_equal(got.times, ref.times)
+    assert np.array_equal(got.values, ref.values)
+    assert [d.iterations for d in got.diagnostics] == [d.iterations for d in ref.diagnostics]
+
+
+def test_state_interpolated_only_for_sites_with_a_source(monkeypatch):
+    calls = []
+    w_at = FrozenCoefficients.w_at
+    monkeypatch.setattr(FrozenCoefficients, "w_at",
+                        lambda self, t, pts, knots=None: calls.append(knots)
+                        or w_at(self, t, pts, knots))
+    # two sites: component 0 (speed 1) has no source, component 1 (speed 2) has one
+    sys_ = SystemDef(k=2, domain=Domain(half_lengths=(3.0,)),
+                     velocities=(VelocityField.constant([1.0]), VelocityField.constant([2.0])),
+                     P=(lambda t, pts, eta: np.full(len(pts), -0.1),) * 2,
+                     Q=(None, lambda t, pts, u, eta: 0.2 * u[:, 0]),
+                     Ub=(lambda t, pts, eta: np.full(len(pts), 0.5), None),
+                     u0=lambda pts: np.column_stack([np.exp(-(pts[:, 0] - 1.0) ** 2)] * 2))
+    grid = Grid(sys_.domain, (40,))
+    times = np.linspace(0.0, 0.5, 5)
+    w = constant_trajectory(sys_, grid, times)
+    plan = SlabPlan(sys_, w.states[0], times)
+    apply_T(sys_, w, plan)
+    assert calls == [plan.sites[1].knots]
+    # sihr: one site shared by the sourced I, H, R and the unsourced S, read once
+    sihr = build_sihr(SIHRParams(rho=0.08, kappa=0.3))
+    sgrid = Grid(sihr.domain, (32,))
+    sw = constant_trajectory(sihr, sgrid, times)
+    splan = SlabPlan(sihr, sw.states[0], times)
+    calls.clear()
+    apply_T(sihr, sw, splan)
+    assert calls == [splan.sites[0].knots]
+    # no source anywhere: a whole solve never interpolates the frozen state
+    calls.clear()
+    solve(dataclasses.replace(sys_, Q=(None, None)), grid, 0.5, PicardConfig())
+    assert calls == []
+
+
+@pytest.mark.parametrize("weight", [0.7, "callable"])
+@pytest.mark.parametrize("shape", [(7,), (201,), (1001,), (5, 3, 3)])
+def test_mass_freeze_equals_the_per_knot_integrate_loop(weight, shape):
+    # one reduction over every knot gives the bits of integrating knot by knot
+    dims = dict(half_lengths=(2.0,), full_lengths=(1.0,) * (len(shape) - 1))
+    grid = Grid(Domain(**dims), shape)
+    assert grid.n_nodes % 2 == 1
+    fn = (lambda pts: np.exp(-pts[:, 0]) * (1.0 + 0.1 * pts[:, -1])) \
+        if weight == "callable" else weight
+    kernel = WeightedMassKernel(fn, comp=1, bound=2.0)
+    rng = np.random.default_rng(grid.n_nodes)
+    times = np.linspace(0.0, 0.5, 9)
+    w = Trajectory(grid, times, rng.uniform(-1.0, 2.0, (len(times), grid.n_nodes, 2)))
+    loop = np.array([kernel.integrate(t, grid.points[:1], f)[0, 0]
+                     for t, f in zip(times, w.states)])
+    assert np.array_equal(kernel.masses(grid, w.values), loop)
+    # the frozen coefficient reads those values at each knot
+    sys_ = SystemDef(k=2, domain=grid.domain,
+                     velocities=(VelocityField.constant([1.0] + [0.0] * (grid.dim - 1)),) * 2,
+                     P=(lambda t, pts, eta: eta[:, 0],) * 2, Q=(None, None), Ub=(None, None),
+                     Kp=(kernel, None), u0=lambda pts: np.ones((len(pts), 2)))
+    frozen = FrozenCoefficients(sys_, 0, w)
+    pts = np.repeat(grid.points[:1], len(times), axis=0)
+    assert np.array_equal(frozen.p(times, pts), loop)

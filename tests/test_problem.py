@@ -148,6 +148,9 @@ def test_check_hypotheses_passes_one_time_per_point(sihr_grid):
     sys_, grid = sihr_grid
 
     def one_time_per_point(fn):
+        if fn is None:  # a zero source or datum is never called
+            return None
+
         def checked(t, pts, *rest):
             assert np.shape(t) == (np.atleast_2d(pts).shape[0],)
             return fn(t, pts, *rest)
@@ -246,3 +249,18 @@ def test_check_hypotheses_brackets_each_point_set_once(monkeypatch):
     per_call = check_hypotheses(sys_, sys_.constants, grid, samples=12)
     assert len(builds) > 1 + sys_.domain.m
     assert report.checks == per_call.checks
+
+
+@pytest.mark.parametrize("attr, entry, what", [
+    ("P", None, "callable"), ("P", 0.0, "callable"),
+    ("Q", 0.0, "callable or None"), ("Ub", "zero", "callable or None")])
+def test_system_rejects_a_malformed_coefficient_row(sihr_grid, attr, entry, what):
+    # found when the system is built, not deep inside a sweep
+    sys_, _ = sihr_grid
+    row = list(getattr(sys_, attr))
+    row[2] = entry
+    with pytest.raises(ValueError, match=rf"^{attr}\[2\] must be {what}, got "):
+        dataclasses.replace(sys_, **{attr: row})
+    if attr != "P":  # None is a zero source or datum
+        row[2] = None
+        assert not getattr(dataclasses.replace(sys_, **{attr: row}), f"has_{attr.lower()}")[2]

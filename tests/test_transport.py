@@ -5,19 +5,13 @@ from renewalpde import transport
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
 from renewalpde.models import bump
-from renewalpde.transport import LinearProblem, evaluate, solve_series, zero_field
+from renewalpde.transport import LinearProblem, evaluate, solve_series
+
+from fields import const_field, zero_field
 
 
 def make_grid(cells=400, length=4.0):
     return Grid(Domain(half_lengths=(length,)), (cells,))
-
-
-def const_field(c):
-    def fn(t, pts):
-        pts = np.atleast_2d(pts)
-        return np.full(pts.shape[0], float(c))
-
-    return fn
 
 
 def indicator_profile(grid, lo=0.0, hi=1.0):
@@ -340,3 +334,15 @@ def test_source_total_equals_a_loop_with_one_running_sum(monkeypatch):
         for r in range(1, n):
             src += 0.5 * (qe[r - 1] + qe[r]) * (ts[r - 1, c] - ts[r, c])
         assert got[c] == src
+
+
+def test_none_source_and_datum_equal_zero_callbacks():
+    # a q or ub of None skips the source integral or the boundary call, with the same bits
+    grid = make_grid(200, 4.0)
+    vel, p, u0 = VelocityField.constant([1.0]), const_field(-0.3), indicator_profile(grid)
+    for q, ub in ((None, const_field(1.0)), (const_field(0.2), None), (None, None)):
+        lean = LinearProblem(vel, p, q, ub, u0)
+        full = LinearProblem(vel, p, q or zero_field, ub or zero_field, u0)
+        for t in (0.5, 1.5):
+            assert np.array_equal(evaluate(lean, t, grid, substeps=32).values,
+                                  evaluate(full, t, grid, substeps=32).values)
