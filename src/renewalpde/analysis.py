@@ -415,12 +415,6 @@ def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
                         ends=True).tolerance(kappa)
 
 
-def frozen_component(sys: SystemDef, traj: Trajectory, h: int) -> tuple[LinearProblem, list[GridFn]]:
-    """Scalar frozen problem and states of component h."""
-    lp = FrozenCoefficients(sys, h, traj).linear_problem()
-    return lp, [GridFn(traj.grid, v) for v in traj.values[:, :, h]]
-
-
 def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
                   seed: int = 0) -> list[dict]:
     """Randomized entropy audit over components, levels, bumps and signs.
@@ -443,13 +437,14 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
         sign = 1 if rng.uniform() < 0.5 else -1
         draws.append((h, kappa, sign, TestFunction(t_c, t_rad, x_c, x_r)))
     results = [{} for _ in draws]
+    frozen = FrozenCoefficients(sys, traj)
     for h in range(sys.k):
         mine = [i for i, d in enumerate(draws) if d[0] == h]
         if not mine:
             continue
         _, kappas, signs, phis = zip(*(draws[i] for i in mine))
-        lp, _ = frozen_component(sys, traj, h)
-        ks = _KnotSamples(lp, traj.grid, traj.times, traj.values[:, :, h], phis, ends=True)
+        ks = _KnotSamples(frozen.linear_problem(h), traj.grid, traj.times,
+                          traj.values[:, :, h], phis, ends=True)
         for i, kappa, sign, res in zip(mine, kappas, signs, ks.residuals(kappas, signs)):
             tol = ks.tolerance(kappa)
             results[i] = {"component": h, "kappa": kappa, "sign": sign,
@@ -515,18 +510,17 @@ def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
     Each trial draws a time, probe fields w, w' and pointwise states u,
     u', and measures each bound's ratio measured/allowed on every grid
     node (P, Q) and inflow-face node (BD).  Each probe field is frozen
-    once per component at one knot, as the solver freezes it; kernels do
-    not read ``t``, so the knot serves every time.  The grid nodes and
-    each inflow face are bracketed once, one :class:`_Knots` each, so a
-    grid-mode field builds one stencil per point set.  Reports the worst
+    once for all components at one knot, as the solver freezes it;
+    kernels do not read ``t``, so the knot serves every time.  The grid
+    nodes and each inflow face are bracketed once, one :class:`_Knots`
+    each, so a grid-mode field builds one stencil per point set.  Reports the worst
     ratio per hypothesis, and a non-finite coefficient or ratio fails:
     callers decide what a failure means.
     """
     rng = np.random.default_rng(seed)
     probes = _probe_fields(sys, grid, rng, samples)
-    frozen = [[FrozenCoefficients(sys, h, Trajectory(grid, [0.0], f.values[None]))
-               for h in range(sys.k)] for f in probes]
-    knot = frozen[0][0].times
+    frozen = [FrozenCoefficients(sys, Trajectory(grid, [0.0], f.values[None])) for f in probes]
+    knot = frozen[0].times
     x, q2x = grid.points, hc.q2_at(grid.points)
     kx = _Knots(knot, 0.0, x, grid)
     faces = [(xi, _Knots(knot, 0.0, xi, grid), hc.b_at(xi))
@@ -547,16 +541,17 @@ def check_hypotheses(sys: SystemDef, hc: HypothesisConstants, grid: Grid,
         nu, nup = np.sum(np.abs(u), axis=1), np.sum(np.abs(up), axis=1)
         du = np.sum(np.abs(u - up), axis=1)
         tx = np.full(grid.n_nodes, t)
-        for fw, fwp in zip(frozen[trial], frozen[other]):
-            pv, pvp = fw.p(tx, x, kx), fwp.p(tx, x, kx)
+        fw, fwp = frozen[trial], frozen[other]
+        for h in range(sys.k):
+            pv, pvp = fw.p(h, tx, x, kx), fwp.p(h, tx, x, kx)
             note("P", np.abs(pv), hc.P1 + hc.P2 * mw)
             note("P-lip", np.abs(pv - pvp), hc.P2 * dmass)
-            qv, qvp = fw.q(tx, x, kx, w_pt=u), fwp.q(tx, x, kx, w_pt=up)
+            qv, qvp = fw.q(h, tx, x, kx, w_pt=u), fwp.q(h, tx, x, kx, w_pt=up)
             note("Q", np.abs(qv), hc.Q1 * nu + q2x * mw + hc.Q3 * nu * mw)
             note("Q-lip", np.abs(qv - qvp), hc.Q1 * du + hc.Q3 * mw * du + hc.Q3 * nup * dmass)
             for xi, kxi, bxi in faces:
                 txi = np.full(len(xi), t)
-                bv, bvp = fw.ub(txi, xi, kxi), fwp.ub(txi, xi, kxi)
+                bv, bvp = fw.ub(h, txi, xi, kxi), fwp.ub(h, txi, xi, kxi)
                 note("BD", np.abs(bv), bxi * (1.0 + mw))
                 note("BD-lip", np.abs(bv - bvp), bxi * dmass)
 

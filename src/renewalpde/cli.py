@@ -23,15 +23,14 @@ from .analysis import (
     apriori_linf_certificate,
     contraction_prediction,
     entropy_sweep,
-    frozen_component,
     gronwall_certificate,
 )
 from .config import (PRESETS, SIHR_DEFAULTS, ConfigError, RunConfig, control_spec,
                      effective_config_dict, load_config)
 from .control import optimize, sihr_kappa_objective
-from .domain import Grid, truncation_mass_report
+from .domain import Grid, GridFn, truncation_mass_report
 from .models import SIHRParams
-from .picard import LocalExistenceError, Trajectory, solve
+from .picard import FrozenCoefficients, LocalExistenceError, Trajectory, solve
 
 
 def _fmt(x: float) -> str:
@@ -126,10 +125,11 @@ def _apriori_certificates(sys_, traj: Trajectory, grid: Grid) -> list[Certificat
     labels = _component_labels(sys_)
     out = []
     t_end = float(traj.times[-1])
+    frozen = FrozenCoefficients(sys_, traj)
     for h in range(sys_.k):
-        lp, states = frozen_component(sys_, traj, h)
-        c1 = apriori_l1_certificate(lp, grid, t_end, u_t=states[-1])
-        c2 = apriori_linf_certificate(lp, grid, t_end, u_t=states[-1])
+        lp, u_t = frozen.linear_problem(h), GridFn(traj.grid, traj.values[-1, :, h])
+        c1 = apriori_l1_certificate(lp, grid, t_end, u_t=u_t)
+        c2 = apriori_linf_certificate(lp, grid, t_end, u_t=u_t)
         c1.name = f"apriori-l1[{labels[h]}]"
         c2.name = f"apriori-linf[{labels[h]}]"
         out.extend([c1, c2])

@@ -35,6 +35,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class Preset:
+    """``build(params)`` returns ``(system, oracle)``; ``config_from_dict`` refuses
+    ``params`` for a preset without ``params_cls``."""
+
     description: str
     build: Callable
     params_cls: type | None
@@ -70,18 +73,6 @@ def _build_competitive(overrides: dict):
     return build_competitive(CompetitiveParams(**base)), None
 
 
-def _build_blowup_ode(overrides: dict):
-    if overrides:
-        raise ConfigError("blow-up presets take no parameter overrides")
-    return build_blowup("ode")
-
-
-def _build_blowup_transport(overrides: dict):
-    if overrides:
-        raise ConfigError("blow-up presets take no parameter overrides")
-    return build_blowup("transport")
-
-
 PRESETS: dict[str, Preset] = {
     "sihr": Preset(
         "age-structured epidemic compartments with nonlocal contact",
@@ -101,11 +92,11 @@ PRESETS: dict[str, Preset] = {
         ("positivity", "gronwall", "contraction")),
     "blowup-ode": Preset(
         "quadratic feedback with static profile: mass 1/(1-t), blows up at 1",
-        _build_blowup_ode, None, (400,), 0.75,
+        lambda _: build_blowup("ode"), None, (400,), 0.75,
         ("positivity", "contraction", "entropy", "oracle")),
     "blowup-transport": Preset(
         "quadratic feedback riding a unit drift: support [t, t+1], blows up at 1",
-        _build_blowup_transport, None, (600,), 0.75,
+        lambda _: build_blowup("transport"), None, (600,), 0.75,
         ("positivity", "contraction", "entropy", "oracle")),
 }
 

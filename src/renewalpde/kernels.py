@@ -12,12 +12,14 @@ in time does so through its outer map ``P``/``Q``/``Ub``, which gets
 * :class:`ScalarComponentKernel` - ``K(x, x') = g(x, x') e_c``: a dense
   (P x N) kernel matrix times the state, built blockwise.
 
-Both expose ``integrate(t, pts, f) -> (P, 1)`` plus a declared sup
-bound used by the quantitative estimates.  ``t`` is accepted for the
-common call signature and not read.  Each kernel keeps what depends
-only on the last grid it integrated on: the node weights, or the dense
-matrix at the grid's own nodes while it fits ``_MATRIX_BUDGET``.  So a
-solve and the audits after it build it once per grid.
+Both expose ``integrate(t, pts, f) -> (P, 1)``; ``t`` is accepted for
+the common call signature and not read.  The sup bounds that the
+quantitative estimates use are declared in the system's
+``HypothesisConstants``, not on the kernels.  Each kernel keeps what
+depends only on the last grid it integrated on: the node weights, or
+the dense matrix at the grid's own nodes while it fits
+``_MATRIX_BUDGET``.  So a solve and the audits after it build it once
+per grid.
 """
 
 from __future__ import annotations
@@ -37,15 +39,9 @@ class WeightedMassKernel:
 
     x_independent = True
 
-    def __init__(self, weight: Callable[[np.ndarray], np.ndarray] | float, comp: int = 0,
-                 bound: float | None = None):
+    def __init__(self, weight: Callable[[np.ndarray], np.ndarray] | float, comp: int = 0):
         self.weight = weight
         self.comp = comp
-        if bound is None:
-            if not np.isscalar(weight):
-                raise ValueError("non-constant weight needs an explicit sup bound")
-            bound = abs(float(weight))
-        self.bound = float(bound)
         self._weights_grid = None
 
     def _node_weights(self, grid) -> np.ndarray:
@@ -74,10 +70,9 @@ class ScalarComponentKernel:
 
     x_independent = False
 
-    def __init__(self, fn: Callable, comp: int = 0, bound: float = 1.0):
+    def __init__(self, fn: Callable, comp: int = 0):
         self.fn = fn
         self.comp = comp
-        self.bound = float(bound)
         self._matrix_grid = None
 
     def matrix(self, pts: np.ndarray, nodes: np.ndarray) -> np.ndarray:

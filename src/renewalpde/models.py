@@ -174,7 +174,7 @@ def build_sihr(params: SIHRParams) -> SystemDef:
         if params.rho_bound is None:
             raise ValueError("structured contact kernel needs rho_bound")
         rho_max = float(params.rho_bound)
-        contact = ScalarComponentKernel(params.rho, comp=1, bound=rho_max)
+        contact = ScalarComponentKernel(params.rho, comp=1)
     else:
         rho_max = abs(float(params.rho))
         contact = WeightedMassKernel(float(params.rho), comp=1) if params.rho else None
@@ -198,7 +198,7 @@ def build_sihr(params: SIHRParams) -> SystemDef:
             raise ValueError("natality weight needs a sup bound")
         nat_bound = params.natality_bound if params.natality_bound is not None \
             else abs(float(params.natality_weight))
-        ku0 = WeightedMassKernel(params.natality_weight, comp=0, bound=nat_bound)
+        ku0 = WeightedMassKernel(params.natality_weight, comp=0)
         Ub0 = lambda t, pts, eta: eta[:, 0]
         b_const = nat_bound
     else:
@@ -284,7 +284,7 @@ def build_cell_growth(params: CellGrowthParams) -> SystemDef:
         raise ValueError("birth weight callback needs a sup bound")
     b_bound = params.birth_bound if params.birth_bound is not None \
         else abs(float(params.birth_weight))
-    ku = WeightedMassKernel(params.birth_weight, comp=0, bound=b_bound) \
+    ku = WeightedMassKernel(params.birth_weight, comp=0) \
         if (callable(params.birth_weight) or params.birth_weight) else None
 
     u0_age = params.u0 or bump(1.0, 0.9, 1.0)
@@ -343,7 +343,7 @@ def _competition_kernel(c, bound, other_comp: int):
         if bound is None:
             raise ValueError("competition kernel callback needs a sup bound")
         return ScalarComponentKernel(
-            lambda x, xp: c(xp[..., 0], x[..., 0]), comp=other_comp, bound=bound), float(bound)
+            lambda x, xp: c(xp[..., 0], x[..., 0]), comp=other_comp), float(bound)
     if float(c) == 0.0:
         return None, 0.0
     return WeightedMassKernel(float(c), comp=other_comp), abs(float(c))
@@ -353,7 +353,7 @@ def _natality_kernel(beta, bound, comp: int):
     if callable(beta):
         if bound is None:
             raise ValueError("natality weight callback needs a sup bound")
-        return WeightedMassKernel(lambda pts: beta(pts[:, 0]), comp=comp, bound=bound), float(bound)
+        return WeightedMassKernel(lambda pts: beta(pts[:, 0]), comp=comp), float(bound)
     if float(beta) == 0.0:
         return None, 0.0
     return WeightedMassKernel(float(beta), comp=comp), abs(float(beta))
@@ -413,7 +413,7 @@ def build_blowup(variant: str = "ode"):
 
     if variant == "ode":
         domain = Domain(full_lengths=(1.5,), full_bounds=((-0.5, 1.5),))
-        window = WeightedMassKernel(lambda pts: indicator01(pts), comp=0, bound=1.0)
+        window = WeightedMassKernel(lambda pts: indicator01(pts), comp=0)
         vel = VelocityField.constant([0.0])
 
         def oracle(t, pts):

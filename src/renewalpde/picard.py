@@ -1,10 +1,11 @@
 """Freeze-and-solve fixed-point iteration with time-slab continuation.
 
 One application of the operator freezes the nonlocal and pointwise
-state arguments of every coefficient at the previous iterate w and
-solves the resulting k independent linear problems along
-characteristics.  On a short enough slab the operator contracts on a
-ball of radius M in the sup-in-time L1-in-space norm, so the iteration
+state arguments of every coefficient at the previous iterate w, once
+for the whole system (:class:`FrozenCoefficients`), and solves the
+resulting k independent linear problems along characteristics.  On a
+short enough slab the operator contracts on a ball of radius M in the
+sup-in-time L1-in-space norm, so the iteration
 converges; the solver measures the contraction factor instead of
 trusting an a-priori slab length, and halves the slab whenever the
 measured factor exceeds the configured target, the ball is violated or
@@ -25,8 +26,10 @@ every sweep of the attempt reads it.  A sweep gathers a frozen field
 with one stencil shifted to each point's knot interval j, from the
 views ``values[:-1]`` and ``values[1:]`` of the knot array, each read
 as ``(K·N, k)``: row ``j·N + n`` holds node n at knot j and at j + 1.
-Kernel integrals are frozen per knot into one such array, a weighted
-mass at all knots in one reduction; a dense kernel keeps its node matrix.
+Kernel integrals are frozen per knot into one such array, each kernel
+object once per role (interior or boundary) however many rows name it,
+a weighted mass at all knots in one reduction; a dense kernel keeps
+its node matrix.
 """
 
 from __future__ import annotations
@@ -226,27 +229,36 @@ class SlabPlan:
 
 
 class FrozenCoefficients:
-    """Coefficient fields of one component with the state frozen at w.
+    """Coefficient fields of every component with the state frozen at w.
 
-    Nonlocal integrals are frozen per knot in one of three modes: const
-    (an x-independent kernel: all knots in one ``masses`` reduction), grid
-    (one ``integrate`` on the grid nodes per knot, interpolated
-    multilinearly in space) and direct (a boundary kernel that depends
-    on the evaluation point: ``integrate`` at the exit points themselves).
-    Each is blended linearly in time; the outer maps P/Q/Ub are then
-    applied at the exact query points and times, one time per point; an
-    undeclared Q/Ub is 0, and ``linear_problem`` hands None for it.
-    Queries may pass the :class:`_Knots` of their points (a plan
-    site's); otherwise they bracket them here.
+    Each distinct kernel object is frozen once per role (interior for
+    ``Kp``/``Kq``, boundary for ``Ku``), whichever rows name it, in one
+    of three modes: const (an x-independent kernel: all knots in one
+    ``masses`` reduction), grid (one ``integrate`` on the grid nodes per
+    knot, interpolated multilinearly in space) and direct (a boundary
+    kernel that depends on the evaluation point: ``integrate`` at the
+    exit points themselves).  Each is blended linearly in time; the
+    outer maps P/Q/Ub of component h are then applied at the exact query
+    points and times, one time per point; an undeclared Q/Ub is 0, and
+    ``linear_problem`` hands None for it.  Queries may pass the
+    :class:`_Knots` of their points (a plan site's); otherwise they
+    bracket them here.
     """
 
-    def __init__(self, sys: SystemDef, h: int, w: Trajectory):
-        self.sys, self.h, self.w = sys, h, w
+    def __init__(self, sys: SystemDef, w: Trajectory):
+        self.sys, self.w = sys, w
         self.times, self.grid = w.times, w.grid
         self.K = len(self.times) - 1
-        self._eta_p = self._freeze(sys.Kp[h], boundary=False)
-        self._eta_q = self._freeze(sys.Kq[h], boundary=False)
-        self._eta_u = self._freeze(sys.Ku[h], boundary=True)
+        samplers = {}
+
+        def freeze(kernel, boundary: bool):
+            if (kernel, boundary) not in samplers:
+                samplers[kernel, boundary] = self._freeze(kernel, boundary)
+            return samplers[kernel, boundary]
+
+        self._eta_p, self._eta_q = ([freeze(kern, False) for kern in row]
+                                    for row in (sys.Kp, sys.Kq))
+        self._eta_u = [freeze(kern, True) for kern in sys.Ku]
 
     def _freeze(self, kernel, boundary: bool):
         """Sampler ``sample(knots) -> (a, b)``, each (n, 1), of the integral at both knots
@@ -288,44 +300,43 @@ class FrozenCoefficients:
         return self._blend(lambda k: [interp_gather(k.stencil, v) for v in _pairs(self.w.values)],
                            t, np.atleast_2d(pts), knots)
 
-    def p(self, t, pts, knots: _Knots | None = None):
+    def p(self, h: int, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_p, t, pts, knots)
-        return np.asarray(self.sys.P[self.h](t, pts, eta), dtype=float)
+        eta = self._blend(self._eta_p[h], t, pts, knots)
+        return np.asarray(self.sys.P[h](t, pts, eta), dtype=float)
 
-    def q(self, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
+    def q(self, h: int, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
         """``w_pt`` is the frozen state at the points, interpolated here when not given."""
         pts = np.atleast_2d(pts)
-        if not self.sys.has_q[self.h]:
+        if not self.sys.has_q[h]:
             return np.zeros(len(pts))
         knots = knots or _Knots(self.times, t, pts, self.grid)
-        eta = self._blend(self._eta_q, t, pts, knots)
+        eta = self._blend(self._eta_q[h], t, pts, knots)
         if w_pt is None:
             w_pt = self.w_at(t, pts, knots)
-        return np.asarray(self.sys.Q[self.h](t, pts, w_pt, eta), dtype=float)
+        return np.asarray(self.sys.Q[h](t, pts, w_pt, eta), dtype=float)
 
-    def ub(self, t, pts, knots: _Knots | None = None):
+    def ub(self, h: int, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
-        if not self.sys.has_ub[self.h]:
+        if not self.sys.has_ub[h]:
             return np.zeros(len(pts))
-        eta = self._blend(self._eta_u, t, pts, knots)
-        return np.asarray(self.sys.Ub[self.h](t, pts, eta), dtype=float)
+        eta = self._blend(self._eta_u[h], t, pts, knots)
+        return np.asarray(self.sys.Ub[h](t, pts, eta), dtype=float)
 
-    def linear_problem(self, site: _Site | None = None,
+    def linear_problem(self, h: int, site: _Site | None = None,
                        w_pt: np.ndarray | None = None) -> LinearProblem:
         """The frozen scalar problem of component h.
 
         Given a plan site, its callbacks read the site's knots and
         ``w_pt``, the frozen state at the site's live knots.
         """
-        u0h = GridFn(self.grid, self.w.values[0, :, self.h])
-        p, q, ub = self.p, self.q, self.ub
-        if site is not None:
-            p = lambda t, pts: self.p(t, pts, site.knots)
-            q = lambda t, pts: self.q(t, pts, site.knots, w_pt)
-            ub = lambda t, pts: self.ub(t, pts, site.exits)
-        return LinearProblem(self.sys.velocities[self.h], p, q if self.sys.has_q[self.h] else None,
-                             ub if self.sys.has_ub[self.h] else None, u0h)
+        knots, exits = (site.knots, site.exits) if site is not None else (None, None)
+        sys = self.sys
+        return LinearProblem(
+            sys.velocities[h], lambda t, pts: self.p(h, t, pts, knots),
+            (lambda t, pts: self.q(h, t, pts, knots, w_pt)) if sys.has_q[h] else None,
+            (lambda t, pts: self.ub(h, t, pts, exits)) if sys.has_ub[h] else None,
+            GridFn(self.grid, self.w.values[0, :, h]))
 
 
 def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Trajectory:
@@ -337,15 +348,15 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
     grid, times = w.grid, w.times
     if plan is None:
         plan = SlabPlan(sys, w.states[0], times)
-    frozen = [FrozenCoefficients(sys, h, w) for h in range(sys.k)]
+    frozen = FrozenCoefficients(sys, w)
     vals = np.empty((len(times), grid.n_nodes, sys.k))
     vals[0] = w.values[0]
     w_along = {}  # the frozen state at each site's live knots, for its sourced components
     for h, site in enumerate(plan.sites):
         if sys.has_q[h] and site not in w_along:
             _, tk, xk = site.batch.live
-            w_along[site] = frozen[h].w_at(tk, xk, site.knots)
-        lp = frozen[h].linear_problem(site, w_along.get(site))
+            w_along[site] = frozen.w_at(tk, xk, site.knots)
+        lp = frozen.linear_problem(h, site, w_along.get(site))
         vals[1:, :, h] = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]),
                                   batch=site.batch, feet_u0=site.feet_u0[:, h]
                                   ).reshape(len(times) - 1, grid.n_nodes)

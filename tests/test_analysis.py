@@ -13,7 +13,6 @@ from renewalpde.analysis import (
     entropy_residual,
     entropy_sweep,
     entropy_tolerance,
-    frozen_component,
     gronwall_certificate,
     linear_stability_certificate,
 )
@@ -22,7 +21,7 @@ from renewalpde.config import PRESETS
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
 from renewalpde.kernels import ScalarComponentKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr, bump
-from renewalpde.picard import PicardConfig, Trajectory, solve, solve_slab
+from renewalpde.picard import FrozenCoefficients, PicardConfig, Trajectory, solve, solve_slab
 from renewalpde.problem import HypothesisConstants, SystemDef
 from renewalpde.transport import LinearProblem, solve_series
 
@@ -367,14 +366,30 @@ def test_entropy_detector_fires_on_static_jump():
     assert res < -10.0 * tol
 
 
-def test_frozen_component_matches_states():
+def frozen_problems(sys_, traj):
+    """Each component's frozen linear problem and its states, one grid function per knot."""
+    frozen = FrozenCoefficients(sys_, traj)
+    return [(frozen.linear_problem(h), [GridFn(traj.grid, v) for v in traj.values[:, :, h]])
+            for h in range(sys_.k)]
+
+
+def test_frozen_linear_problem_matches_states():
     sys_ = build_sihr(SIHRParams(rho=0.1, kappa=0.2))
     grid = Grid(sys_.domain, (64,))
     traj = solve(sys_, grid, 0.5, PicardConfig())
-    lp, states = frozen_component(sys_, traj, 1)
-    assert len(states) == len(traj.times)
-    assert np.array_equal(states[3].values[:, 0], traj.states[3].values[:, 1])
-    assert np.array_equal(lp.u0.values[:, 0], traj.states[0].values[:, 1])
+    frozen = FrozenCoefficients(sys_, traj)
+    x, t = grid.points, np.full(grid.n_nodes, 0.3)
+    for h in range(sys_.k):
+        lp = frozen.linear_problem(h)
+        assert lp.velocity is sys_.velocities[h]
+        assert np.array_equal(lp.u0.values[:, 0], traj.states[0].values[:, h])
+        assert np.array_equal(lp.p(t, x), frozen.p(h, t, x))
+        # an undeclared source or datum is None: S has no source, I, H and R no datum
+        assert (lp.q is None) == (h == 0) and (lp.ub is None) == (h != 0)
+    assert np.array_equal(frozen.linear_problem(1).q(t, x), frozen.q(1, t, x))
+    xi = grid.face_grid(0).points
+    ti = np.full(len(xi), 0.3)
+    assert np.array_equal(frozen.linear_problem(0).ub(ti, xi), frozen.ub(0, ti, xi))
 
 
 def test_certificates_pass_one_time_per_point(grid6):
@@ -416,7 +431,7 @@ def test_entropy_sweep_equals_single_sample_calls(case, monkeypatch):
                         lambda *a: phis.append(TestFunction(*a)) or phis[-1])
     results = entropy_sweep(sys_, traj, n_samples=20, seed=3)
     assert len(phis) == len(results) == 20
-    frozen = [frozen_component(sys_, traj, h) for h in range(sys_.k)]
+    frozen = frozen_problems(sys_, traj)
     for r, phi in zip(results, phis):
         lp, states = frozen[r["component"]]
         assert entropy_residual(lp, traj.times, states, phi, r["kappa"], r["sign"]) == r["residual"]
@@ -446,7 +461,8 @@ def test_entropy_sweep_builds_one_kernel_matrix(monkeypatch):
     monkeypatch.setattr(ScalarComponentKernel, "_node_matrix", lambda self, grid: None)
     calls.clear()
     assert entropy_sweep(sys_, traj, n_samples=20, seed=3) == results
-    assert len(calls) == 2 * len(traj.times)
+    # Kp[S] and Kq[I] are one kernel object, integrated once per knot
+    assert len(calls) == len(traj.times)
 
 
 def test_entropy_sweep_samples_each_knot_once():
@@ -725,7 +741,7 @@ def loop_sweep(sys_, traj, n_samples, seed):
     grid = traj.grid
     t_end = float(traj.times[-1])
     bounds = grid.domain.bounds()
-    frozen = [frozen_component(sys_, traj, h) for h in range(sys_.k)]
+    frozen = frozen_problems(sys_, traj)
     levels = [(min(float(np.min(s.values)) for s in states),
                max(float(np.max(s.values)) for s in states)) for _, states in frozen]
     results = []

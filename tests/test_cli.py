@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import yaml
 
+from renewalpde.analysis import apriori_l1_certificate, apriori_linf_certificate
 from renewalpde.cli import list_presets, main, run
-from renewalpde.config import ConfigError, config_from_dict
+from renewalpde.config import PRESETS, ConfigError, config_from_dict, load_config
+from renewalpde.domain import Grid, GridFn
+from renewalpde.picard import FrozenCoefficients, solve
 
 
 def write_config(tmp_path, name="run.yaml", **overrides):
@@ -125,6 +128,37 @@ def test_oracle_and_mass_drift_only_for_presets_that_list_them(tmp_path, capsys)
     for model, cert in (("sihr-conservation", "mass-drift"), ("blowup-ode", "oracle"),
                         ("blowup-transport", "oracle")):
         assert config_from_dict({"model": model, "certificates": [cert]}).certificates == (cert,)
+
+
+# sihr on a coarse grid and short horizon; cellgrowth at its default grid and horizon
+@pytest.mark.parametrize("model, cells, horizon", [("sihr", 64, 0.5), ("cellgrowth", 192, 3.0)])
+def test_apriori_certificates_equal_the_frozen_problems(tmp_path, model, cells, horizon):
+    # one apriori-l1 and one apriori-linf line per component, each the certificate of
+    # the component's frozen linear problem at the final state of the same solve
+    path = write_config(tmp_path, model=model, cells=cells, horizon=horizon,
+                        certificates=["apriori"])
+    assert main(["run", str(path)]) == 0
+    lines = (tmp_path / "out" / "certificates.txt").read_text().splitlines()
+    cfg = load_config(path)
+    sys_, _ = PRESETS[model].build(cfg.params)
+    grid = Grid(sys_.domain, cfg.cells)
+    traj = solve(sys_, grid, horizon, cfg.picard)
+    frozen = FrozenCoefficients(sys_, traj)
+    labels = sys_.labels or [f"u{h}" for h in range(sys_.k)]
+    for h, label in enumerate(labels):
+        u_t = GridFn(grid, traj.values[-1, :, h])
+        for kind, certify in (("l1", apriori_l1_certificate), ("linf", apriori_linf_certificate)):
+            cert = certify(frozen.linear_problem(h), grid, horizon, u_t=u_t)
+            cert.name = f"apriori-{kind}[{label}]"
+            assert [ln for ln in lines if ln.startswith(cert.name + ":")] == [cert.format()]
+    assert sum(ln.startswith("apriori-") for ln in lines) == 2 * sys_.k
+
+
+@pytest.mark.parametrize("model", ["blowup-ode", "blowup-transport"])
+def test_blowup_presets_refuse_params(tmp_path, capsys, model):
+    path = write_config(tmp_path, model=model, params={"rate": 1.0})
+    assert main(["run", str(path)]) == 2
+    assert "takes no parameter overrides" in capsys.readouterr().err
 
 
 def test_state_csv_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from renewalpde import kernels, picard
-from renewalpde.analysis import entropy_sweep, frozen_component
+from renewalpde.analysis import entropy_sweep
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.config import PRESETS
 from renewalpde.domain import Domain, Grid, GridFn, interp_values, l1_norm
@@ -332,7 +332,7 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
     u0 = sys_.initial_state(grid).values
     states = [GridFn(grid, u0 * (1.0 + 0.5 * j) + 0.1 * j * grid.points[:, :1])
               for j in range(len(times))]
-    frozen = FrozenCoefficients(sys_, 0, knot_trajectory(times, states))
+    frozen = FrozenCoefficients(sys_, knot_trajectory(times, states))
 
     batch = trace_backward(vel, float(times[-1]), grid.points, 16, domain)
     T, X = batch.exit_time[batch.exited], batch.exit_point[batch.exited]
@@ -340,7 +340,7 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
         assert set(batch.exit_face[batch.exited]) == {0, 1}
     assert len(T) >= 20
 
-    got = frozen.ub(T, X)
+    got = frozen.ub(0, T, X)
     expected = np.empty(len(T))
     for i, (t, x) in enumerate(zip(T, X)):
         j = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
@@ -444,28 +444,48 @@ def test_plan_sweep_equals_planless_coefficients():
     plan = SlabPlan(sys_, states[0], times)
 
     t0 = float(times[0])
+    frozen = FrozenCoefficients(sys_, w)
     for h in range(sys_.k):
-        frozen = FrozenCoefficients(sys_, h, w)
         site = plan.sites[h]
         _, tk, xk = site.batch.live
-        assert np.array_equal(frozen.p(tk, xk, site.knots), frozen.p(tk, xk))
-        assert np.array_equal(frozen.q(tk, xk, site.knots), frozen.q(tk, xk))
+        assert np.array_equal(frozen.p(h, tk, xk, site.knots), frozen.p(h, tk, xk))
+        assert np.array_equal(frozen.q(h, tk, xk, site.knots), frozen.q(h, tk, xk))
         assert np.array_equal(frozen.w_at(tk, xk, site.knots), frozen.w_at(tk, xk))
         inflow = site.batch.exit_face >= 0
         T, X = site.batch.exit_time[inflow], site.batch.exit_point[inflow]
         assert len(T) > 0
-        assert np.array_equal(frozen.ub(T, X, site.exits), frozen.ub(T, X))
+        assert np.array_equal(frozen.ub(h, T, X, site.exits), frozen.ub(h, T, X))
 
     # knot j of the sweep is the column block (j-1)N : jN of one stacked
     # evaluate; it equals the planless evaluate at that knot with its own trace
     swept = apply_T(sys_, w, plan)
-    planless = [FrozenCoefficients(sys_, h, w).linear_problem()
-                for h in range(sys_.k)]
+    planless = [frozen.linear_problem(h) for h in range(sys_.k)]
     for j in range(1, len(times)):
         for h in range(sys_.k):
             substeps = picard._SUBSTEPS_PER_INTERVAL * j
             u = evaluate(planless[h], float(times[j]), grid, substeps=substeps, t0=t0)
             assert np.array_equal(swept.states[j].values[:, h], u.values[:, 0])
+
+
+def test_sweep_freezes_once_and_integrates_each_kernel_once(monkeypatch):
+    # Kp[S] and Kq[I] are one contact kernel: a sweep builds one FrozenCoefficients
+    # for all four components and integrates the contact once per knot (K + 1
+    # calls), not once per row that names it
+    sys_ = contact_sihr()
+    assert sys_.Kp[0] is sys_.Kq[1]
+    grid = Grid(sys_.domain, (6, 5, 4))
+    times = np.linspace(0.0, 0.25, 5)
+    w = constant_trajectory(sys_, grid, times)
+    plan = SlabPlan(sys_, w.states[0], times)
+    integrals, freezes = [], []
+    integrate, init = ScalarComponentKernel.integrate, FrozenCoefficients.__init__
+    monkeypatch.setattr(ScalarComponentKernel, "integrate",
+                        lambda self, *a: integrals.append(self) or integrate(self, *a))
+    monkeypatch.setattr(FrozenCoefficients, "__init__",
+                        lambda self, *a: freezes.append(a) or init(self, *a))
+    apply_T(sys_, w, plan)
+    assert integrals == [sys_.Kp[0]] * len(times)
+    assert len(freezes) == 1
 
 
 def test_kernel_matrix_built_once_per_slab_attempt(monkeypatch):
@@ -517,7 +537,7 @@ def test_kernel_node_data_built_once_per_grid(kind, monkeypatch):
             return np.exp(-pts[:, 0])
 
         def system():
-            mass = WeightedMassKernel(weight, comp=0, bound=1.0)
+            mass = WeightedMassKernel(weight, comp=0)
             return SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
                              velocities=(VelocityField.constant([1.0]),),
                              P=(lambda t, pts, eta: -0.3 * eta[:, 0],),
@@ -552,7 +572,7 @@ def test_kernel_node_data_built_once_per_grid(kind, monkeypatch):
     assert len(sweeps) >= 3
     assert builds == [grid.n_nodes]
     audit = entropy_sweep(sys_, kept, n_samples=10)
-    frozen_component(sys_, kept, 0)
+    FrozenCoefficients(sys_, kept).linear_problem(0)
     assert builds == [grid.n_nodes]
     solve(sys_, coarse, 0.25, cfg)
     assert builds == [grid.n_nodes, coarse.n_nodes]
@@ -580,7 +600,7 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
     domain = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
     grid = Grid(domain, (10, 7))
     if kind == "mass":
-        kernel = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=1, bound=1.0)
+        kernel = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=1)
     else:
         kernel = ScalarComponentKernel(lambda x, xp: (1.0 + 0.3 * x[..., 1])
                                        * np.exp(-xp[..., 0] - (x[..., 1] - xp[..., 1]) ** 2),
@@ -595,7 +615,7 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
     u0 = sys_.initial_state(grid).values
     states = [GridFn(grid, u0 * (1.0 + 0.5 * j) + 0.1 * j * grid.points[:, :1])
               for j in range(n_knots)]
-    frozen = FrozenCoefficients(sys_, 1, knot_trajectory(times, states))
+    frozen = FrozenCoefficients(sys_, knot_trajectory(times, states))
 
     rng = np.random.default_rng(3)
     n = 60
@@ -634,11 +654,11 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
 
     assert np.array_equal(frozen.w_at(ts, pts), ref_w)
     assert not frozen.w_at(ts, pts)[outside].any()
-    assert np.array_equal(frozen.p(ts, pts), ref_p)
-    assert np.array_equal(frozen.q(ts, pts), ref_p)
-    assert np.array_equal(frozen.ub(ts, pts), ref_ub)
+    assert np.array_equal(frozen.p(1, ts, pts), ref_p)
+    assert np.array_equal(frozen.q(1, ts, pts), ref_p)
+    assert np.array_equal(frozen.ub(1, ts, pts), ref_ub)
     if kind == "dense":
-        assert not frozen.p(ts, pts)[outside].any()
+        assert not frozen.p(1, ts, pts)[outside].any()
 
 
 def _zero(t, pts, *rest):
@@ -659,7 +679,7 @@ def _wrapped_like_a_tracer(sys_):
 
 def _inflow_system(ub):
     """One component on a half-line: fed through its inflow face only by ``ub``."""
-    mass = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=0, bound=1.0)
+    mass = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=0)
     return SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
                      velocities=(VelocityField.constant([1.0]),),
                      P=(lambda t, pts, eta: -0.2 - 0.3 * eta[:, 0],),
@@ -736,7 +756,7 @@ def test_mass_freeze_equals_the_per_knot_integrate_loop(weight, shape):
     assert grid.n_nodes % 2 == 1
     fn = (lambda pts: np.exp(-pts[:, 0]) * (1.0 + 0.1 * pts[:, -1])) \
         if weight == "callable" else weight
-    kernel = WeightedMassKernel(fn, comp=1, bound=2.0)
+    kernel = WeightedMassKernel(fn, comp=1)
     rng = np.random.default_rng(grid.n_nodes)
     times = np.linspace(0.0, 0.5, 9)
     w = Trajectory(grid, times, rng.uniform(-1.0, 2.0, (len(times), grid.n_nodes, 2)))
@@ -748,6 +768,6 @@ def test_mass_freeze_equals_the_per_knot_integrate_loop(weight, shape):
                      velocities=(VelocityField.constant([1.0] + [0.0] * (grid.dim - 1)),) * 2,
                      P=(lambda t, pts, eta: eta[:, 0],) * 2, Q=(None, None), Ub=(None, None),
                      Kp=(kernel, None), u0=lambda pts: np.ones((len(pts), 2)))
-    frozen = FrozenCoefficients(sys_, 0, w)
+    frozen = FrozenCoefficients(sys_, w)
     pts = np.repeat(grid.points[:1], len(times), axis=0)
-    assert np.array_equal(frozen.p(times, pts), loop)
+    assert np.array_equal(frozen.p(0, times, pts), loop)

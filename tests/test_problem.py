@@ -28,10 +28,10 @@ def state_with_i_mass(grid, mass):
     return GridFn(grid, vals)
 
 
-def frozen(sys_, h, w):
-    """Component h's coefficients with the state frozen at w on one knot, which serves
-    every time: kernels do not read t."""
-    return FrozenCoefficients(sys_, h, Trajectory(w.grid, [0.0], w.values[None]))
+def frozen(sys_, w):
+    """The coefficients with the state frozen at w on one knot, which serves every
+    time: kernels do not read t."""
+    return FrozenCoefficients(sys_, Trajectory(w.grid, [0.0], w.values[None]))
 
 
 def at(t, pts):
@@ -42,15 +42,15 @@ def test_frozen_p_decoupled_mortality():
     sys_ = build_sihr(SIHRParams(mu_s=0.1, rho=0.0))
     grid = Grid(sys_.domain, (100,))
     x = grid.points
-    assert frozen(sys_, 0, GridFn.zeros(grid, 4)).p(at(0.0, x), x) == pytest.approx(-0.1)
+    assert frozen(sys_, GridFn.zeros(grid, 4)).p(0, at(0.0, x), x) == pytest.approx(-0.1)
     w2 = state_with_i_mass(grid, 5.0)
-    assert frozen(sys_, 0, w2).p(at(0.3, x), x) == pytest.approx(-0.1)
+    assert frozen(sys_, w2).p(0, at(0.3, x), x) == pytest.approx(-0.1)
 
 
 def test_frozen_p_with_contact_mass(sihr_grid):
     sys_, grid = sihr_grid
     w = state_with_i_mass(grid, 2.0)
-    got = frozen(sys_, 0, w).p(at(0.0, grid.points), grid.points)
+    got = frozen(sys_, w).p(0, at(0.0, grid.points), grid.points)
     # independent quadrature oracle for the contact integral
     lam = np.sum(w.values[:, 1]) * grid.cell_volume
     assert got == pytest.approx(np.full(grid.n_nodes, -0.1 - lam), rel=1e-12)
@@ -61,7 +61,7 @@ def test_frozen_p_blowup_window():
     sys_, _ = build_blowup("ode")
     grid = Grid(sys_.domain, (400,))
     w = GridFn.from_callback(grid, lambda pts: ((pts[:, 0] >= 0) & (pts[:, 0] <= 1)).astype(float))
-    got = frozen(sys_, 0, w).p(at(0.0, grid.points), grid.points)
+    got = frozen(sys_, w).p(0, at(0.0, grid.points), grid.points)
     assert np.max(np.abs(got - 1.0)) <= 0.005
 
 
@@ -70,18 +70,18 @@ def test_frozen_q_zero_and_sihr(sihr_grid):
     x = grid.points
     bsys, _ = build_blowup("ode")
     bgrid = Grid(bsys.domain, (64,))
-    bq = frozen(bsys, 0, GridFn(bgrid, np.ones(64))).q(at(0.1, bgrid.points), bgrid.points,
-                                                     w_pt=np.full((64, 1), 2.0))
+    bq = frozen(bsys, GridFn(bgrid, np.ones(64))).q(0, at(0.1, bgrid.points), bgrid.points,
+                                                  w_pt=np.full((64, 1), 2.0))
     assert np.all(bq == 0.0)
     # q for the hospitalized compartment: quarantine inflow kappa * I
     u = np.tile([0.0, 2.0, 0.0, 0.0], (grid.n_nodes, 1))
-    got = frozen(sys_, 2, GridFn.zeros(grid, 4)).q(at(0.0, x), x, w_pt=u)
+    got = frozen(sys_, GridFn.zeros(grid, 4)).q(2, at(0.0, x), x, w_pt=u)
     assert got == pytest.approx(0.6)
     # q for the infective compartment: contact pressure times S
     w = state_with_i_mass(grid, 1.5)
     u2 = np.tile([2.0, 0.0, 0.0, 0.0], (grid.n_nodes, 1))
     lam = np.sum(w.values[:, 1]) * grid.cell_volume
-    got2 = frozen(sys_, 1, w).q(at(0.0, x), x, w_pt=u2)
+    got2 = frozen(sys_, w).q(1, at(0.0, x), x, w_pt=u2)
     assert got2 == pytest.approx(np.full(grid.n_nodes, lam * 2.0), rel=1e-12)
     assert got2 == pytest.approx(3.0, rel=1e-9)
 
@@ -90,7 +90,7 @@ def test_frozen_q_vanishes_at_zero_state(sihr_grid):
     sys_, grid = sihr_grid
     zeros = GridFn.zeros(grid, 4)
     for h in range(4):
-        got = frozen(sys_, h, zeros).q(at(0.2, grid.points), grid.points, w_pt=zeros.values)
+        got = frozen(sys_, zeros).q(h, at(0.2, grid.points), grid.points, w_pt=zeros.values)
         assert np.all(got == 0.0)
 
 
@@ -98,9 +98,9 @@ def test_frozen_ub_sihr(sihr_grid):
     sys_, grid = sihr_grid
     w = state_with_i_mass(grid, 1.0)
     xi = grid.face_grid(0).points
-    assert frozen(sys_, 0, w).ub(at(0.0, xi), xi) == pytest.approx(1.0)
+    assert frozen(sys_, w).ub(0, at(0.0, xi), xi) == pytest.approx(1.0)
     for h in (1, 2, 3):
-        assert np.all(frozen(sys_, h, w).ub(at(0.0, xi), xi) == 0.0)
+        assert np.all(frozen(sys_, w).ub(h, at(0.0, xi), xi) == 0.0)
 
 
 def test_frozen_ub_cell_growth_total_mass():
@@ -109,7 +109,7 @@ def test_frozen_ub_cell_growth_total_mass():
     rng = np.random.default_rng(4)
     w = GridFn(grid, np.abs(rng.normal(size=grid.n_nodes)))
     xi = grid.face_grid(0).points
-    assert frozen(sys_, 0, w).ub(at(0.0, xi), xi) == pytest.approx(l1_norm(w), rel=1e-9)
+    assert frozen(sys_, w).ub(0, at(0.0, xi), xi) == pytest.approx(l1_norm(w), rel=1e-9)
 
 
 def test_frozen_p_lipschitz_in_state(sihr_grid):
@@ -121,7 +121,7 @@ def test_frozen_p_lipschitz_in_state(sihr_grid):
         a = GridFn(grid, rng.normal(size=(grid.n_nodes, 4)))
         b = GridFn(grid, rng.normal(size=(grid.n_nodes, 4)))
         for h in range(4):
-            lhs = np.abs(frozen(sys_, h, a).p(at(0.1, x), x) - frozen(sys_, h, b).p(at(0.1, x), x))
+            lhs = np.abs(frozen(sys_, a).p(h, at(0.1, x), x) - frozen(sys_, b).p(h, at(0.1, x), x))
             assert np.all(lhs <= P2 * l1_norm(a - b) * (1 + 1e-9))
 
 
@@ -135,7 +135,7 @@ def test_frozen_ub_sihr_natality_flag():
     w = GridFn(grid, vals)
     s_mass = np.sum(vals[:, 0]) * grid.cell_volume
     xi = grid.face_grid(0).points
-    assert frozen(sys_, 0, w).ub(at(0.0, xi), xi) == pytest.approx(0.5 * s_mass, rel=1e-12)
+    assert frozen(sys_, w).ub(0, at(0.0, xi), xi) == pytest.approx(0.5 * s_mass, rel=1e-12)
 
 
 def test_check_hypotheses_sihr_passes(sihr_grid):
@@ -187,7 +187,7 @@ def test_check_hypotheses_detects_quadratic_growth():
     line = Domain(full_lengths=(1.5,), full_bounds=((-0.5, 1.5),))
     still = VelocityField.constant([0.0])
     cases = [
-        (line, still, dict(P=square, Kp=WeightedMassKernel(window, comp=0, bound=1.0)),
+        (line, still, dict(P=square, Kp=WeightedMassKernel(window, comp=0)),
          HypothesisConstants(P1=0.0, P2=1.0), "P"),
         (line, still, dict(P=square, Kp=ScalarComponentKernel(lambda x, xp: window(xp) + 0 * x[..., 0])),
          HypothesisConstants(P1=0.0, P2=1.0), "P"),
@@ -249,6 +249,22 @@ def test_check_hypotheses_brackets_each_point_set_once(monkeypatch):
     per_call = check_hypotheses(sys_, sys_.constants, grid, samples=12)
     assert len(builds) > 1 + sys_.domain.m
     assert report.checks == per_call.checks
+
+
+def test_check_hypotheses_freezes_each_probe_once(monkeypatch):
+    # one FrozenCoefficients per probe field serves all four components
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, (6, 5, 4))
+    probes, freezes = [], []
+    probe_fields, init = analysis._probe_fields, FrozenCoefficients.__init__
+    monkeypatch.setattr(analysis, "_probe_fields",
+                        lambda *a: probes.extend(probe_fields(*a)) or probes)
+    monkeypatch.setattr(FrozenCoefficients, "__init__",
+                        lambda self, *a: freezes.append(a[1]) or init(self, *a))
+    check_hypotheses(sys_, sys_.constants, grid, samples=6)
+    assert len(probes) == 6 + 4
+    assert len(freezes) == len(probes)
+    assert all(np.array_equal(w.values[0], f.values) for w, f in zip(freezes, probes))
 
 
 @pytest.mark.parametrize("attr, entry, what", [
