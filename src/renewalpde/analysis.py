@@ -415,11 +415,12 @@ def entropy_tolerance(lp: LinearProblem, grid: Grid, times: np.ndarray,
                         ends=True).tolerance(kappa)
 
 
-def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
-                  seed: int = 0) -> list[dict]:
+def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50, seed: int = 0,
+                  frozen: FrozenCoefficients | None = None) -> list[dict]:
     """Randomized entropy audit over components, levels, bumps and signs.
 
     Draws every sample first, then audits each component's samples at once.
+    ``frozen`` is the system frozen at ``traj``, built here when not given.
     """
     rng = np.random.default_rng(seed)
     t_end = float(traj.times[-1])
@@ -437,7 +438,7 @@ def entropy_sweep(sys: SystemDef, traj: Trajectory, n_samples: int = 50,
         sign = 1 if rng.uniform() < 0.5 else -1
         draws.append((h, kappa, sign, TestFunction(t_c, t_rad, x_c, x_r)))
     results = [{} for _ in draws]
-    frozen = FrozenCoefficients(sys, traj)
+    frozen = frozen or FrozenCoefficients(sys, traj)
     for h in range(sys.k):
         mine = [i for i, d in enumerate(draws) if d[0] == h]
         if not mine:

@@ -112,8 +112,8 @@ def _contraction_certificate(sys_, traj: Trajectory, grid: Grid) -> Certificate:
                        {"slabs": len(traj.diagnostics), "predicted_lt_1": checked})
 
 
-def _entropy_certificate(sys_, traj: Trajectory, samples: int, seed: int) -> Certificate:
-    results = entropy_sweep(sys_, traj, n_samples=samples, seed=seed)
+def _entropy_certificate(frozen: FrozenCoefficients, samples: int, seed: int) -> Certificate:
+    results = entropy_sweep(frozen.sys, frozen.w, n_samples=samples, seed=seed, frozen=frozen)
     ratios = [r["residual"] / max(r["tol"], 1e-300) for r in results]
     measured = max(0.0, -min(ratios))
     ok = all(r["ok"] for r in results)
@@ -121,13 +121,12 @@ def _entropy_certificate(sys_, traj: Trajectory, samples: int, seed: int) -> Cer
                        {"samples": len(results)})
 
 
-def _apriori_certificates(sys_, traj: Trajectory, grid: Grid) -> list[Certificate]:
-    labels = _component_labels(sys_)
+def _apriori_certificates(frozen: FrozenCoefficients, grid: Grid) -> list[Certificate]:
+    labels = _component_labels(frozen.sys)
     out = []
-    t_end = float(traj.times[-1])
-    frozen = FrozenCoefficients(sys_, traj)
-    for h in range(sys_.k):
-        lp, u_t = frozen.linear_problem(h), GridFn(traj.grid, traj.values[-1, :, h])
+    t_end = float(frozen.times[-1])
+    for h in range(frozen.sys.k):
+        lp, u_t = frozen.linear_problem(h), GridFn(frozen.grid, frozen.w.values[-1, :, h])
         c1 = apriori_l1_certificate(lp, grid, t_end, u_t=u_t)
         c2 = apriori_linf_certificate(lp, grid, t_end, u_t=u_t)
         c1.name = f"apriori-l1[{labels[h]}]"
@@ -158,6 +157,8 @@ def _oracle_certificate(traj: Trajectory, oracle) -> Certificate:
 
 def run_certificates(sys_, traj: Trajectory, grid: Grid, cfg: RunConfig, oracle) -> list[Certificate]:
     certs: list[Certificate] = []
+    frozen = (FrozenCoefficients(sys_, traj)  # one freeze for the entropy and a-priori lines
+              if {"entropy", "apriori"} & set(cfg.certificates) else None)
     for name in cfg.certificates:
         if name == "positivity":
             certs.append(_positivity_certificate(traj))
@@ -170,9 +171,9 @@ def run_certificates(sys_, traj: Trajectory, grid: Grid, cfg: RunConfig, oracle)
         elif name == "contraction":
             certs.append(_contraction_certificate(sys_, traj, grid))
         elif name == "entropy":
-            certs.append(_entropy_certificate(sys_, traj, cfg.entropy_samples, cfg.seed))
+            certs.append(_entropy_certificate(frozen, cfg.entropy_samples, cfg.seed))
         elif name == "apriori":
-            certs.extend(_apriori_certificates(sys_, traj, grid))
+            certs.extend(_apriori_certificates(frozen, grid))
         elif name == "mass-drift":
             certs.append(_mass_drift_certificate(traj))
         elif name == "oracle":

@@ -277,23 +277,30 @@ def linf_norm(f: GridFn) -> float:
     return float(np.max(np.sum(np.abs(f.values), axis=1)))
 
 
-def interp_gather(stencil: Stencil, values: np.ndarray) -> np.ndarray:
+def interp_gather(stencil: Stencil, values: np.ndarray, lam=None) -> np.ndarray:
     """Node values interpolated with a :meth:`Grid.stencil`; 0 outside the box.
 
-    ``values`` is (N,) or (N, k); the result matches.
+    ``values`` is (N,) or (N, k); the result matches.  Given ``lam``, ``values`` is the
+    ``(K + 1, N, k)`` knot states read at rows ``j·N + n`` of each point's knot interval j,
+    and corner c weighs ``values[:-1]`` by ``w_c·(1 - lam)`` and ``values[1:]`` by ``w_c·lam``
+    (one knot: ``values`` twice), the time blend folded into the weights.  The sum runs
+    component-major, ``(k, P)``, so every multiply spans all P points.
     """
     vals = np.asarray(values, dtype=float)
-    scalar = vals.ndim == 1
-    if scalar:
-        vals = vals[:, None]
-    out = np.zeros((len(stencil.inside), vals.shape[1]))
+    K = max(len(vals) - 1, 1)
+    sides = [(vals.reshape(len(vals), -1), None)] if lam is None else \
+        [(v.reshape(-1, v.shape[2]), f) for v, f in ((vals[:K], 1.0 - lam), (vals[-K:], lam))]
+    sides = [(np.ascontiguousarray(v.T), f) for v, f in sides]
+    out = np.zeros((sides[0][0].shape[0], len(stencil.inside)))
     corner = np.empty_like(out)  # one buffer for every corner: large fresh arrays page-fault
+    folded = np.empty(out.shape[1])
     for flat, w in zip(stencil.flat, stencil.weight):
-        np.take(vals, flat, axis=0, out=corner, mode="clip")  # "raise" would buffer ``out``
-        corner *= w[:, None]
-        out += corner
-    out[~stencil.inside] = 0.0
-    return out[:, 0] if scalar else out
+        for v, f in sides:
+            np.take(v, flat, axis=1, out=corner, mode="clip")  # "raise" would buffer ``out``
+            corner *= w if f is None else np.multiply(w, f, out=folded)
+            out += corner
+    out[:, ~stencil.inside] = 0.0
+    return out[0] if vals.ndim == 1 else out.T
 
 
 def interp_values(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -22,10 +22,10 @@ exact.  Only the iterate changes from one sweep to the next.  So each
 slab attempt builds one :class:`SlabPlan` (per velocity, the traces of
 every grid node from every knot in one batch, the knot brackets of
 their live knots and exits, and the initial state at the feet), and
-every sweep of the attempt reads it.  A sweep gathers a frozen field
-with one stencil shifted to each point's knot interval j, from the
-views ``values[:-1]`` and ``values[1:]`` of the knot array, each read
-as ``(K·N, k)``: row ``j·N + n`` holds node n at knot j and at j + 1.
+every sweep of the attempt reads it.  A sweep reads a frozen field
+with one gather per point: the stencil shifted to its knot interval j
+weighs ``values[:-1]`` and ``values[1:]`` (knots j and j + 1) by each
+corner's weight times 1 - lam and lam, the blend in time folded in.
 Kernel integrals are frozen per knot into one such array, each kernel
 object once per role (interior or boundary) however many rows name it,
 a weighted mass at all knots in one reduction; a dense kernel keeps
@@ -165,7 +165,8 @@ def dist_X(a: Trajectory, b: Trajectory) -> float:
 class _Knots:
     """Query points with the knot interval ``j`` and weight ``lam`` of each one's time.
 
-    ``stencil``, made on first use, reads node n of interval j at row ``j·N + n``."""
+    ``stencil``, made on first use, reads node n of interval j at row ``j·N + n``: the
+    points' :meth:`Grid.stencil` with its node indices shifted in place."""
 
     def __init__(self, times: np.ndarray, t, pts: np.ndarray, grid: Grid):
         self.j, self.lam = _bracket(times, np.broadcast_to(t, pts.shape[:1]))
@@ -174,15 +175,15 @@ class _Knots:
     @cached_property
     def stencil(self) -> Stencil:
         s = self.grid.stencil(self.pts)
-        return s._replace(flat=s.flat + self.j * self.grid.n_nodes)
+        np.add(s.flat, self.j * self.grid.n_nodes, out=s.flat)
+        return s
 
 
-def _pairs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knot values ``(K + 1, N, w)`` as two ``(K·N, w)`` views: row ``j·N + n`` holds node
-    n at knot j in the first and at knot j + 1 in the second; a single knot (K = 0) pairs
-    with itself."""
-    pair = (vals[:-1], vals[1:]) if len(vals) > 1 else (vals, vals)
-    return tuple(v.reshape(-1, vals.shape[2]) for v in pair)
+def _blend(a: np.ndarray, b: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``(1 - lam)·a + lam·b`` of two fresh ``(n, 1)`` arrays, in place."""
+    a *= (1.0 - lam)[:, None]
+    a += np.multiply(b, lam[:, None], out=b)
+    return a
 
 
 @dataclass(eq=False)
@@ -261,13 +262,14 @@ class FrozenCoefficients:
         self._eta_u = [freeze(kern, True) for kern in sys.Ku]
 
     def _freeze(self, kernel, boundary: bool):
-        """Sampler ``sample(knots) -> (a, b)``, each (n, 1), of the integral at both knots
-        of each point, or None when the field is identically zero."""
+        """Sampler ``sample(knots) -> (n, 1)`` of the integral blended linearly in t
+        between each point's two knots; zeros when the field is identically zero."""
         if kernel is None or (boundary and self.sys.domain.m == 0):
-            return None
+            return lambda k: np.zeros((len(k.j), 1))
         if kernel.x_independent:
-            pairs = _pairs(kernel.masses(self.grid, self.w.values)[:, None, None])
-            return lambda k: [np.take(v, k.j, axis=0) for v in pairs]
+            mass = kernel.masses(self.grid, self.w.values)[:, None]
+            lo, hi = (mass[:-1], mass[1:]) if self.K else (mass, mass)
+            return lambda k: _blend(np.take(lo, k.j, axis=0), np.take(hi, k.j, axis=0), k.lam)
         states = self.w.states
         if boundary:
             # the integral is linear in the state, so blending it equals
@@ -278,31 +280,20 @@ class FrozenCoefficients:
                     at = k.j == jv
                     ab[:, at] = [kernel.integrate(self.times[n], k.pts[at], states[n])
                                  for n in (jv, min(jv + 1, self.K))]
-                return ab
+                return _blend(ab[0], ab[1], k.lam)
             return sample
         eta = np.empty((self.K + 1, self.grid.n_nodes, 1))
         for j, f in enumerate(states):
             eta[j] = kernel.integrate(self.times[j], self.grid.points, f)
-        pairs = _pairs(eta)
-        return lambda k: [interp_gather(k.stencil, v) for v in pairs]
-
-    def _blend(self, sample, t, pts: np.ndarray, knots: _Knots | None) -> np.ndarray:
-        """Blend each point's samples at its two knots linearly in t; None samples 0."""
-        if sample is None:
-            return np.zeros((pts.shape[0], 1))
-        knots = knots or _Knots(self.times, t, pts, self.grid)
-        a, b = sample(knots)  # fresh arrays, blended in place
-        a *= (1.0 - knots.lam)[:, None]
-        a += np.multiply(b, knots.lam[:, None], out=b)
-        return a
+        return lambda k: interp_gather(k.stencil, eta, k.lam)
 
     def w_at(self, t, pts: np.ndarray, knots: _Knots | None = None) -> np.ndarray:
-        return self._blend(lambda k: [interp_gather(k.stencil, v) for v in _pairs(self.w.values)],
-                           t, np.atleast_2d(pts), knots)
+        knots = knots or _Knots(self.times, t, np.atleast_2d(pts), self.grid)
+        return interp_gather(knots.stencil, self.w.values, knots.lam)
 
     def p(self, h: int, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._blend(self._eta_p[h], t, pts, knots)
+        eta = self._eta_p[h](knots or _Knots(self.times, t, pts, self.grid))
         return np.asarray(self.sys.P[h](t, pts, eta), dtype=float)
 
     def q(self, h: int, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
@@ -311,7 +302,7 @@ class FrozenCoefficients:
         if not self.sys.has_q[h]:
             return np.zeros(len(pts))
         knots = knots or _Knots(self.times, t, pts, self.grid)
-        eta = self._blend(self._eta_q[h], t, pts, knots)
+        eta = self._eta_q[h](knots)
         if w_pt is None:
             w_pt = self.w_at(t, pts, knots)
         return np.asarray(self.sys.Q[h](t, pts, w_pt, eta), dtype=float)
@@ -320,7 +311,7 @@ class FrozenCoefficients:
         pts = np.atleast_2d(pts)
         if not self.sys.has_ub[h]:
             return np.zeros(len(pts))
-        eta = self._blend(self._eta_u[h], t, pts, knots)
+        eta = self._eta_u[h](knots or _Knots(self.times, t, pts, self.grid))
         return np.asarray(self.sys.Ub[h](t, pts, eta), dtype=float)
 
     def linear_problem(self, h: int, site: _Site | None = None,

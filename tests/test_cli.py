@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 import yaml
 
 from renewalpde.analysis import apriori_l1_certificate, apriori_linf_certificate
-from renewalpde.cli import list_presets, main, run
+from renewalpde.cli import list_presets, main, run, run_certificates
 from renewalpde.config import PRESETS, ConfigError, config_from_dict, load_config
 from renewalpde.domain import Grid, GridFn
 from renewalpde.picard import FrozenCoefficients, solve
@@ -152,6 +153,23 @@ def test_apriori_certificates_equal_the_frozen_problems(tmp_path, model, cells, 
             cert.name = f"apriori-{kind}[{label}]"
             assert [ln for ln in lines if ln.startswith(cert.name + ":")] == [cert.format()]
     assert sum(ln.startswith("apriori-") for ln in lines) == 2 * sys_.k
+
+
+def test_entropy_and_apriori_freeze_the_final_trajectory_once(monkeypatch):
+    # one FrozenCoefficients serves both kinds of line, which read as when run alone
+    cfg = config_from_dict({"model": "sihr", "cells": 64, "horizon": 0.5,
+                            "certificates": ["entropy", "apriori"]})
+    sys_, _ = PRESETS["sihr"].build(cfg.params)
+    grid = Grid(sys_.domain, cfg.cells)
+    traj = solve(sys_, grid, cfg.horizon, cfg.picard)
+    alone = [c.format() for name in cfg.certificates for c in run_certificates(
+        sys_, traj, grid, dataclasses.replace(cfg, certificates=(name,)), None)]
+    frozen, init = [], FrozenCoefficients.__init__
+    monkeypatch.setattr(FrozenCoefficients, "__init__",
+                        lambda self, *a: frozen.append(a) or init(self, *a))
+    both = [c.format() for c in run_certificates(sys_, traj, grid, cfg, None)]
+    assert len(frozen) == 1 and frozen[0][1] is traj
+    assert both == alone
 
 
 @pytest.mark.parametrize("model", ["blowup-ode", "blowup-transport"])

@@ -7,7 +7,7 @@ from renewalpde import kernels, picard
 from renewalpde.analysis import entropy_sweep
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.config import PRESETS
-from renewalpde.domain import Domain, Grid, GridFn, interp_values, l1_norm
+from renewalpde.domain import Domain, Grid, GridFn, interp_gather, interp_values, l1_norm
 from renewalpde.kernels import ScalarComponentKernel, WeightedMassKernel
 from renewalpde.models import SIHRParams, build_blowup, build_sihr
 from renewalpde.picard import (
@@ -25,6 +25,11 @@ from renewalpde.picard import (
 )
 from renewalpde.problem import SystemDef
 from renewalpde.transport import LinearProblem, evaluate
+
+# a grid-mode frozen field (the state, a dense kernel's integral) folds the time
+# blend into its stencil weights; it matches blending two gathers of the knots
+# to this many times the largest reference value
+FOLD_RTOL = 1e-15
 
 
 def knot_trajectory(times, states):
@@ -396,11 +401,11 @@ def test_feet_datum_gathered_once_per_slab_attempt(monkeypatch):
         plans[-1] = plan_cls(*a, **k)
         return plans[-1]
 
-    def record_gather(stencil, values):
+    def record_gather(stencil, *args):
         # a plan gathers nothing but the initial state at its feet
         if plans and plans[-1] is None:
             feet_gathers.append(len(plans))
-        return gather(stencil, values)
+        return gather(stencil, *args)
 
     monkeypatch.setattr(picard, "SlabPlan", record_plan)
     monkeypatch.setattr(picard, "interp_gather", record_gather)
@@ -652,13 +657,93 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
         ref_p[i] = (1.0 - lm) * eta(a, x) + lm * eta(b, x)
         ref_ub[i] = ref_p[i] if kind == "mass" else (1.0 - lm) * direct[0, i] + lm * direct[1, i]
 
-    assert np.array_equal(frozen.w_at(ts, pts), ref_w)
-    assert not frozen.w_at(ts, pts)[outside].any()
-    assert np.array_equal(frozen.p(1, ts, pts), ref_p)
-    assert np.array_equal(frozen.q(1, ts, pts), ref_p)
+    # the grid-mode fields fold the time blend into the stencil weights, which
+    # rounds differently from blending two gathers: equal within FOLD_RTOL of
+    # the largest reference value.  The const and direct fields blend as before.
+    def assert_folded(got, ref):
+        assert np.max(np.abs(got - ref)) <= FOLD_RTOL * np.max(np.abs(ref))
+        assert not got[outside].any()
+
+    assert_folded(frozen.w_at(ts, pts), ref_w)
+    for got in (frozen.p(1, ts, pts), frozen.q(1, ts, pts)):
+        if kind == "dense":
+            assert_folded(got, ref_p)
+        else:
+            assert np.array_equal(got, ref_p)
     assert np.array_equal(frozen.ub(1, ts, pts), ref_ub)
-    if kind == "dense":
-        assert not frozen.p(1, ts, pts)[outside].any()
+
+
+def _two_gather_blend(knots, values):
+    """The reference of a folded gather: gather knot j and knot j + 1 (a single knot
+    twice) through the shifted stencil, then blend the two in t."""
+    pair = (values[:-1], values[1:]) if len(values) > 1 else (values, values)
+    a, b = (interp_gather(knots.stencil, v.reshape(-1, values.shape[2])) for v in pair)
+    lam = knots.lam[:, None]
+    return (1.0 - lam) * a + lam * b
+
+
+@pytest.mark.parametrize("case", ["sihr", "contact", "single-knot", "halved"])
+def test_folded_gather_equals_two_gathers_blended(case):
+    # the frozen state and a grid-mode kernel field at a plan site's live knots
+    # (1-D sihr, 10x8x8 contact) or along a whole trajectory (one knot; uneven
+    # knots as slab halving leaves them), plus points in and beyond the box
+    # and times past both end knots
+    if case == "sihr":
+        sys_ = build_sihr(SIHRParams(rho=0.08, kappa=0.3))
+        grid, times = Grid(sys_.domain, (96,)), np.linspace(0.0, 0.25, 9)
+    else:
+        sys_ = contact_sihr()
+        grid = Grid(sys_.domain, (10, 8, 8) if case == "contact" else (6, 5, 4))
+        times = {"contact": np.linspace(0.0, 0.25, 5), "single-knot": np.array([0.3]),
+                 "halved": np.concatenate([np.linspace(0.0, 0.25, 5),
+                                           np.linspace(0.25, 0.3125, 5)[1:]])}[case]
+    u0 = sys_.initial_state(grid).values
+    rng = np.random.default_rng(len(times))
+    w = Trajectory(grid, times, u0 * rng.uniform(0.5, 1.5, (len(times), 1, sys_.k)))
+    frozen = FrozenCoefficients(sys_, w)
+    lo, hi = np.array(sys_.domain.bounds()).T
+    pts = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (400, grid.dim))
+    ts = rng.uniform(times[0] - 0.05, times[-1] + 0.05, len(pts))
+    if len(times) > 1:
+        _, tk, xk = SlabPlan(sys_, GridFn(grid, u0), times).sites[1].batch.live
+        pts, ts = np.concatenate([xk, pts]), np.concatenate([tk, ts])
+    outside = ~sys_.domain.contains(pts)
+    assert outside.any() and not outside.all()
+    knots = picard._Knots(times, ts, pts, grid)
+
+    kernel = sys_.Kq[1]  # the contact on the grid, the mass kernel of sihr
+    eta = np.stack([kernel.integrate(t, grid.points, f) for t, f in zip(times, w.states)])
+    fields = [(frozen.w_at, w.values), (lambda t, x, k: interp_gather(k.stencil, eta, k.lam), eta)]
+    if not kernel.x_independent:
+        fields.append((lambda t, x, k: frozen._eta_q[1](k), eta))
+    for read, values in fields:
+        got, ref = read(ts, pts, knots), _two_gather_blend(knots, values)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= FOLD_RTOL * np.max(np.abs(ref))
+        assert not got[outside].any()
+        assert got.tobytes() == read(ts, pts, knots).tobytes()
+
+
+def test_knot_stencil_holds_one_index_and_one_weight_array(monkeypatch):
+    # a site's stencil is the grid's own, its node indices shifted to each knot
+    # interval in place: no shifted copy, and no folded weights kept after a sweep
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, (6, 5, 4))
+    times = np.linspace(0.0, 0.25, 5)
+    built, stencil = [], Grid.stencil
+    monkeypatch.setattr(Grid, "stencil",
+                        lambda self, pts: built.append(stencil(self, pts)) or built[-1])
+    plan = SlabPlan(sys_, sys_.initial_state(grid), times)
+    apply_T(sys_, constant_trajectory(sys_, grid, times), plan)
+    knots = plan.sites[1].knots
+    s, P = knots.stencil, len(knots.j)
+    assert any(b is s for b in built)
+    assert s.flat.shape == s.weight.shape == (2 ** grid.dim, P)
+    assert s.flat.dtype.kind == "i" and s.weight.dtype.kind == "f"
+    assert s.flat.base is None and s.weight.base is None
+    assert np.array_equal(s.flat, stencil(grid, knots.pts).flat + knots.j * grid.n_nodes)
+    arrays = [a for a in (*vars(knots).values(), *s) if isinstance(a, np.ndarray)]
+    assert [a.shape for a in arrays if a.size > grid.dim * P] == [s.flat.shape] * 2
 
 
 def _zero(t, pts, *rest):
