@@ -5,14 +5,18 @@ A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 interior foot point, or leaves the box at the exit time ``T(t, x)``:
 through an inflow face ``x_i = 0`` of a half-line axis, where it picks
 up the boundary datum, or through a truncation face, where it carries
-0.  Each trace of a call has its own start time and knots.  RK4 steps
-only the live traces; a trace that lands outside stops, and after the
-last substep one batched bisection refines every exit of the call,
-each within its own substep.  A trace's knots are clamped from below
-at its exit time, so an exit ends the trace's integrals.  A constant
-field needs no steps: each RK4 step adds the same multiple of its
-vector, so one running sum along the knots gives every position with
-the step loop's bits.  Up to the foot or the exit the trace picks up
+0.  Each trace of a call has its own start time and knots; the traces
+that share both form a knot column, the unit of storage: its knots and
+its positions in one unpadded ``(n + 1, N, d)`` array.  One RK4 loop
+steps the live traces of every column; a trace that lands outside
+stops, and after the last substep one batched bisection refines every
+exit of the call, each within its own substep.  A reader that takes
+every trace at once gets the columns stacked, each padded with its
+last knot.  A trace's knots are clamped from below at its exit time,
+so an exit ends the trace's integrals.  A constant field needs no
+steps: each RK4 step adds the same multiple of its vector, so one
+running sum along the knots gives every position with the step loop's
+bits.  Up to the foot or the exit the trace picks up
 the growth factor ``exp(int (p - div v) ds)`` and a source integral,
 both by composite trapezoid on its knot widths, which a batch keeps in
 place of its knot times (see ``transport.evaluate``).  Running sums
@@ -96,30 +100,75 @@ def rk4_step(v: VelocityField, t0, x: np.ndarray, dt) -> np.ndarray:
 
 @dataclass
 class TraceBatch:
-    """Characteristics traced at once, each from its own start on its own knot times.
+    """Characteristics traced at once, grouped in knot columns, one per (start, substeps).
 
-    ``times[j, p]`` is knot j of trace p, from its start ``times[0, p]``
-    down to the floor and then repeated.  ``path[j, p]`` is the position
-    of trace p at knot j, reached at ``trace_times[j, p]``: ``times[j, p]``
-    clamped from below at the trace's exit time, so knots past an exit
-    repeat the exit point over zero-width intervals.  ``exited`` marks
-    traces that left the box through any face.  ``exit_face`` is the
-    axis of an inflow face, or -1 for a truncation face, which
-    ``truncated`` also marks; the datum there is 0.  Traces that did not
-    exit end at a foot.  A batch is not changed once built: its derived
-    knot arrays are computed once and shared by every reader.
+    The knot column is the unit of storage.  Column c holds the traces that
+    share a start time and a substep count n_c: ``knots[:n_c + 1, c]`` are
+    their knot times, from the start down to the floor (the table pads each
+    column with its last knot up to the longest), and ``paths[c]`` their
+    positions there, an unpadded ``(n_c + 1, N_c, d)`` array whose axis 1
+    takes the column's traces in ascending order.  ``column[p]`` is the
+    column of trace p; columns are numbered in ascending order of start,
+    then of substeps.  A trace's positions past its exit repeat the exit
+    point.  ``exited`` marks traces that left the box through any face.
+    ``exit_face`` is the axis of an inflow face, or -1 for a truncation
+    face, which ``truncated`` also marks; the datum there is 0.  Traces
+    that did not exit end at a foot.
+
+    Readers that take every trace at once see the columns stacked:
+    ``times[j, p]`` is knot j of trace p and ``path[j, p]`` its position,
+    each column padded with its last knot and position.  A trace is at
+    ``path[j, p]`` at ``trace_times[j, p]``: ``times[j, p]`` clamped from
+    below at its exit time, so knots past an exit repeat the exit point over
+    zero-width intervals.  A batch of one column is its own stack.  A batch
+    is not changed once built: its derived knot arrays are computed once and
+    shared by every reader.
     """
 
-    times: np.ndarray
-    path: np.ndarray
+    knots: np.ndarray
+    paths: tuple[np.ndarray, ...]
+    column: np.ndarray
     exited: np.ndarray
     exit_time: np.ndarray
     exit_point: np.ndarray
     exit_face: np.ndarray
 
+    @cached_property
+    def _members(self) -> list:
+        return _column_members(self.column, len(self.paths))
+
+    def split(self) -> list["TraceBatch"]:
+        """One batch per knot column, in column order; each shares its column's arrays."""
+        return [TraceBatch(self.knots[:len(p), c:c + 1], (p,), np.zeros(len(p[0]), dtype=int),
+                           self.exited[m], self.exit_time[m], self.exit_point[m],
+                           self.exit_face[m])
+                for c, (p, m) in enumerate(zip(self.paths, self._members))]
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """Knot times of every trace, ``(rows, traces)``."""
+        return _stack(self.knots, self.column)
+
+    @property
+    def path(self) -> np.ndarray:
+        """Positions of every trace, shaped like ``times`` plus d; a new array on every read
+        of a batch of several columns."""
+        if len(self.paths) == 1:
+            return self.paths[0]
+        path = np.empty(self.knots.shape[:1] + self.exit_point.shape)
+        for p, m in zip(self.paths, self._members):
+            path[:len(p), m] = p
+            path[len(p):, m] = p[-1]
+        return path
+
     @property
     def feet(self) -> np.ndarray:
-        return self.path[-1]
+        if len(self.paths) == 1:
+            return self.paths[0][-1]
+        feet = np.empty(self.exit_point.shape)
+        for p, m in zip(self.paths, self._members):
+            feet[m] = p[-1]
+        return feet
 
     @property
     def truncated(self) -> np.ndarray:
@@ -135,8 +184,9 @@ class TraceBatch:
         ts = self.trace_times
         mask = np.ones(ts.shape, dtype=bool)
         np.not_equal(ts[1:], ts[:-1], out=mask[1:])
+        path = self.path
         # path[mask], gathered as rows of the flat path: the same points, faster
-        xk = np.compress(mask.ravel(), self.path.reshape(-1, self.path.shape[-1]), axis=0)
+        xk = np.compress(mask.ravel(), path.reshape(-1, path.shape[-1]), axis=0)
         live = mask, ts[mask], xk
         # the widths overwrite the times: forward in place, with no second buffer
         return np.subtract(ts[:-1], ts[1:], out=ts[:-1]), live
@@ -153,6 +203,23 @@ class TraceBatch:
         The first knot is live; one that repeats the knot before it (width 0) is not.
         """
         return self._widths_and_live[1]
+
+
+def _stack(knots: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The knot table's column of every trace, ``(rows, traces)``."""
+    if knots.shape[1] == 1:
+        return np.broadcast_to(knots, (len(knots), len(column)))
+    # take, unlike knots[:, column], lays the times out in C order, as every array they meet
+    return np.take(knots, column, axis=1)
+
+
+def _column_members(column: np.ndarray, n_columns: int) -> list:
+    """The traces of each knot column, in ascending order: a slice where the columns
+    come one after another, as stacked starts lay them out, else an index array."""
+    bounds = np.cumsum(np.bincount(column, minlength=n_columns)).tolist()
+    order = column if np.all(column[1:] >= column[:-1]) else np.argsort(column, kind="stable")
+    return [slice(lo, hi) if order is column else order[lo:hi]
+            for lo, hi in zip([0] + bounds, bounds)]
 
 
 def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -219,9 +286,10 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
     """Trace every point of ``pts`` backward from its time in ``t`` to ``t_floor``.
 
     ``t`` and ``substeps`` are scalars or one per point: trace p steps on
-    ``np.linspace(t[p], t_floor, substeps[p] + 1)``, padded with its last
-    knot to the longest.  A constant field is summed in one pass, any other
-    stepped knot by knot; one :func:`_refine_exit` call locates all exits.
+    ``np.linspace(t[p], t_floor, substeps[p] + 1)``, and traces that share both
+    share a knot column.  A constant field is summed in one pass over the columns
+    stacked; any other is stepped knot by knot, every live trace of every column
+    in one RK4 loop.  One :func:`_refine_exit` call locates all exits.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts, d = pts.shape
@@ -230,57 +298,89 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
         raise ValueError("cannot trace to a floor above t")
     n = np.where(np.abs(start - t_floor) < 1e-15, 0,
                  np.maximum(1, np.broadcast_to(substeps, (npts,)).astype(int)))
-    rows = int(n.max(initial=0)) + 1
     scalar = np.ndim(t) == np.ndim(substeps) == 0  # one knot column, nothing to group
-    first, which = ((np.zeros(1, dtype=int), np.zeros(npts, dtype=int)) if scalar else
-                    np.unique(start + 1j * n, return_index=True, return_inverse=True)[1:])
+    first, column = ((np.zeros(1, dtype=int), np.zeros(npts, dtype=int)) if scalar else
+                     np.unique(start + 1j * n, return_index=True, return_inverse=True)[1:])
+    rows = int(n.max(initial=0)) + 1
     knots = np.array([np.linspace(start[p], t_floor, n[p] + 1)[np.minimum(np.arange(rows), n[p])]
                       for p in first]).reshape(-1, rows).T  # padded with its last knot
-    # take, unlike knots[:, which], lays the times out in C order, as every array they meet
-    times = (np.take(knots, which, axis=1) if len(first) > 1
-             else np.broadcast_to(knots, (rows, npts)))
+    steps = n[first]
+    members = _column_members(column, len(first))
 
-    path = np.empty((rows, npts, d))
-    path[0] = pts
     lower, upper = np.array(domain.bounds()).T.copy()
     if v.vec is not None:
-        exit_step = _constant_path(v.vec, path, times, n, lower, upper)
+        # one running sum over the columns stacked; each column copies out its own rows
+        # once the exits are held
+        stacked, times = np.empty((rows, npts, d)), _stack(knots, column)
+        stacked[0] = pts
+        exit_step = _constant_path(v.vec, stacked, times, n, lower, upper)
+        x_hi = stacked[exit_step, np.arange(npts)]  # where a trace was as its exit substep began
     else:
-        x = pts.copy()
-        live = np.arange(npts)
+        stacked = None
+        paths = tuple(np.empty((k + 1,) + pts[m].shape) for k, m in zip(steps, members))
+        for path, m in zip(paths, members):
+            path[0] = pts[m]
         exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
-        ends = set(n[first].tolist())  # rows at which some column ends
+        x_hi = np.empty((npts, d))  # where each exited trace was at the start of that substep
+        # x holds every trace, the live ones compacted in x_live
+        x, x_live = pts.copy(), pts.copy()
+        live, at = np.arange(npts), column
+        running = list(zip(steps, paths, members))
+        ends = set(steps.tolist())  # rows at which some column ends
         for j in range(rows - 1):
             if j in ends:
-                live = live[n[live] > j]
+                keep = n[live] > j
+                live, at, x_live = live[keep], at[keep], x_live[keep]
+                running = [r for r in running if r[0] > j]
             if not live.size:
-                path[j + 1:] = x
-                break
+                break  # the rows left lie past the exit of every trace that has them
             # one column: its knots are scalars, which step faster than a time per trace
             s, s_next = ((knots[j, 0], knots[j + 1, 0]) if len(first) == 1
-                         else (times[j, live], times[j + 1, live]))
-            x_new = rk4_step(v, s, x[live], s_next - s)
+                         else (np.take(knots[j], at), np.take(knots[j + 1], at)))
+            x_new = rk4_step(v, s, x_live, s_next - s)
             if not np.all(np.isfinite(x_new)):
                 raise ValueError("non-finite velocity along characteristic")
             out = _outside(x_new, lower, upper)
-            exit_step[live[out]] = j
-            live = live[~out]
-            x[live] = x_new[~out]
-            path[j + 1] = x
+            if out.any():
+                gone = live[out]
+                exit_step[gone] = j
+                x_hi[gone] = x_live[out]
+                keep = ~out
+                live, at, x_new = live[keep], at[keep], x_new[keep]
+            x_live = x_new
+            x[live] = x_live
+            for _, path, m in running:
+                path[j + 1] = x[m]
 
     exited = exit_step < n
     exit_time, exit_face = np.full(npts, np.nan), np.full(npts, -1, dtype=int)
     exit_point = np.full((npts, d), np.nan)
     if exited.any():
-        # each exited trace, where it was at the start of its exit substep
         e = np.nonzero(exited)[0]
-        k = exit_step[e]
+        k, c = exit_step[e], column[e]
         exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
-            v, which[e] * rows + k, start[e], times[k, e], path[k, e], times[k + 1, e],
+            v, c * rows + k, start[e], knots[k, c], x_hi[e], knots[k + 1, c],
             lower, upper, domain.m)
-        past = (np.arange(rows)[:, None] > exit_step) & exited
+    if stacked is None:
+        for path, m in zip(paths, members):
+            _hold_exits(path, exit_step[m], exited[m], exit_point[m])
+    else:
+        _hold_exits(stacked, exit_step, exited, exit_point)
+        paths = (stacked,) if len(first) == 1 else tuple(stacked[:k + 1, m].copy()
+                                                         for k, m in zip(steps, members))
+    batch = TraceBatch(knots, paths, column, exited, exit_time, exit_point, exit_face)
+    batch._members = members  # cached properties this call has computed already
+    if stacked is not None:
+        batch.times = times
+    return batch
+
+
+def _hold_exits(path: np.ndarray, exit_step: np.ndarray, exited: np.ndarray,
+                exit_point: np.ndarray) -> None:
+    """Overwrite the positions of each exited trace past its exit substep with its exit point."""
+    if exited.any():
+        past = (np.arange(len(path))[:, None] > exit_step) & exited
         path[past] = np.broadcast_to(exit_point, path.shape)[past]
-    return TraceBatch(times, path, exited, exit_time, exit_point, exit_face)
 
 
 def _running_sum(a: np.ndarray) -> np.ndarray:

@@ -260,6 +260,7 @@ class FrozenCoefficients:
         self._eta_p, self._eta_q = ([freeze(kern, False) for kern in row]
                                     for row in (sys.Kp, sys.Kq))
         self._eta_u = [freeze(kern, True) for kern in sys.Ku]
+        self._kept: dict = {}
 
     def _freeze(self, kernel, boundary: bool):
         """Sampler ``sample(knots) -> (n, 1)`` of the integral blended linearly in t
@@ -287,13 +288,26 @@ class FrozenCoefficients:
             eta[j] = kernel.integrate(self.times[j], self.grid.points, f)
         return lambda k: interp_gather(k.stencil, eta, k.lam)
 
+    def _field(self, sampler, knots: _Knots, keep: bool) -> np.ndarray:
+        """``sampler(knots)``.  Given the caller's knots (a plan site's), it is kept,
+        read-only, for this object's life: every row that names the kernel on the
+        site reads the same values, and an outer map cannot change them for another."""
+        if not keep:
+            return sampler(knots)
+        key = (sampler, knots)
+        if key not in self._kept:
+            self._kept[key] = eta = sampler(knots)
+            eta.flags.writeable = False
+        return self._kept[key]
+
     def w_at(self, t, pts: np.ndarray, knots: _Knots | None = None) -> np.ndarray:
         knots = knots or _Knots(self.times, t, np.atleast_2d(pts), self.grid)
         return interp_gather(knots.stencil, self.w.values, knots.lam)
 
     def p(self, h: int, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
-        eta = self._eta_p[h](knots or _Knots(self.times, t, pts, self.grid))
+        eta = self._field(self._eta_p[h], knots or _Knots(self.times, t, pts, self.grid),
+                          knots is not None)
         return np.asarray(self.sys.P[h](t, pts, eta), dtype=float)
 
     def q(self, h: int, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
@@ -301,8 +315,8 @@ class FrozenCoefficients:
         pts = np.atleast_2d(pts)
         if not self.sys.has_q[h]:
             return np.zeros(len(pts))
-        knots = knots or _Knots(self.times, t, pts, self.grid)
-        eta = self._eta_q[h](knots)
+        keep, knots = knots is not None, knots or _Knots(self.times, t, pts, self.grid)
+        eta = self._field(self._eta_q[h], knots, keep)
         if w_pt is None:
             w_pt = self.w_at(t, pts, knots)
         return np.asarray(self.sys.Q[h](t, pts, w_pt, eta), dtype=float)
@@ -311,7 +325,8 @@ class FrozenCoefficients:
         pts = np.atleast_2d(pts)
         if not self.sys.has_ub[h]:
             return np.zeros(len(pts))
-        eta = self._eta_u[h](knots or _Knots(self.times, t, pts, self.grid))
+        eta = self._field(self._eta_u[h], knots or _Knots(self.times, t, pts, self.grid),
+                          knots is not None)
         return np.asarray(self.sys.Ub[h](t, pts, eta), dtype=float)
 
     def linear_problem(self, h: int, site: _Site | None = None,

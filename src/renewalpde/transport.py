@@ -16,7 +16,10 @@ Every trace runs on its own knot times (``TraceBatch.trace_times``),
 which stop at its exit time, so one composite trapezoid per trace on
 the batch's knot widths (``TraceBatch.widths``) gives both integrals
 and an exit is the last knot of its trace; one batch may stack the
-nodes at several times.
+nodes at several times.  A series of output times is one trace batch:
+the nodes at each time form one knot column, all are traced in one call,
+and each time is then evaluated on its own column alone, so every state
+is still one trace from t = 0.
 Coefficient callbacks are evaluated in batch, once on the knots of all
 traces up to and including the exits:
 ``p(t, pts)`` with pts of shape (P, d) returns (P,), and ``t`` is one
@@ -109,10 +112,27 @@ def solve_series(lp: LinearProblem, times: Sequence[float], grid: Grid,
                  substeps: int | None = None) -> list[GridFn]:
     """Evaluate at each requested time, tracing from t = 0 every time.
 
-    There is no time marching, hence no error accumulation across the
-    requested times; each state is exact up to ODE and quadrature error.
+    One trace call serves every output time: the grid nodes at each distinct
+    time form one knot column, all columns step in one RK4 loop, and each is
+    then evaluated on its own unpadded knots, as :func:`evaluate` would at
+    that time alone.  There is no time marching, hence no error accumulation
+    across the requested times; each state is exact up to ODE and quadrature
+    error.
     """
     ts = list(times)
     if any(b < a for a, b in zip(ts, ts[1:])) or (ts and ts[0] < 0):
         raise ValueError("times must be ascending and nonnegative")
-    return [evaluate(lp, t, grid, substeps) for t in ts]
+    if not ts:
+        return []
+    tu, repeat = np.unique(ts, return_inverse=True)
+    n = [auto_substeps(grid, t, lp.velocity.sup) if substeps is None else substeps for t in tu]
+    N = grid.n_nodes
+    # columns come in the order of their start times, one per distinct time; the
+    # batch is not kept, so each column's arrays go once it is evaluated
+    columns = trace_backward(lp.velocity, np.repeat(tu, N), np.tile(grid.points, (len(tu), 1)),
+                             np.repeat(n, N), grid.domain).split()
+    vals = []
+    for c, t in enumerate(tu):
+        column, columns[c] = columns[c], None
+        vals.append(evaluate(lp, t, grid, batch=column))
+    return [GridFn(grid, vals[i].copy()) for i in repeat]

@@ -114,8 +114,10 @@ def test_constant_field_sum_equals_step_loop(case, monkeypatch):
     monkeypatch.setattr(VelocityField, "__call__", no_callbacks)
     got = trace_backward(v, t, pts, substeps, domain, t_floor=floor)
     for f in dataclasses.fields(got):
-        assert np.array_equal(getattr(got, f.name), getattr(reference, f.name),
-                              equal_nan=True), f.name
+        a, b = getattr(got, f.name), getattr(reference, f.name)
+        # a tuple holds one array per knot column
+        for x, y in zip(a, b, strict=True) if isinstance(a, tuple) else [(a, b)]:
+            assert np.array_equal(x, y, equal_nan=True), f.name
     if case in ("inflow-and-foot", "stacked"):
         assert got.exited.any() and not got.exited.all()
     if case == "stacked":
@@ -233,7 +235,10 @@ def _assert_stacked_equals_separate(v, domain, starts, substeps, pts, t_floor=0.
     for i, (t, k) in enumerate(zip(starts, substeps)):
         one = trace_backward(v, t, pts, k, domain, t_floor=t_floor)
         cols = slice(i * n, (i + 1) * n)
-        # the column is the separate call's knots, padded with its last knot
+        # knot column i is stored unpadded: the separate call's knots and path
+        assert np.array_equal(b.knots[:k + 1, i], one.knots[:, 0])
+        assert np.array_equal(b.paths[i], one.path)
+        # stacked, the column is the separate call's knots, padded with its last knot
         assert np.array_equal(b.times[:k + 1, cols], one.times)
         assert np.all(b.times[k + 1:, cols] == one.times[-1])
         assert np.array_equal(b.path[:k + 1, cols], one.path)

@@ -493,6 +493,42 @@ def test_sweep_freezes_once_and_integrates_each_kernel_once(monkeypatch):
     assert len(freezes) == 1
 
 
+def test_sweep_gathers_each_kernel_field_once_per_site(monkeypatch):
+    # S and I share the drift site, and the contact is both S's Kp and I's Kq:
+    # a sweep gathers it once for both, and the state once on each of the two
+    # sites with a sourced row; 3 gathers, where one per row makes 4
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, (10, 8, 8))
+    times = np.linspace(0.0, 0.25, 5)
+    w = knot_trajectory(times, [GridFn(grid, sys_.initial_state(grid).values * (1.0 + 0.1 * j))
+                                for j in range(len(times))])
+    plan = SlabPlan(sys_, w.states[0], times)
+    assert plan.sites[0] is plan.sites[1]
+    gathers = []
+    gather = picard.interp_gather
+    monkeypatch.setattr(picard, "interp_gather", lambda *a: gathers.append(1) or gather(*a))
+    kept = apply_T(sys_, w, plan)
+    assert len(gathers) == 3
+
+    # gathering afresh for every row gives the same bits
+    gathers.clear()
+    monkeypatch.setattr(FrozenCoefficients, "_field",
+                        lambda self, sampler, knots, keep: sampler(knots))
+    fresh = apply_T(sys_, w, plan)
+    assert len(gathers) == 4
+    assert np.array_equal(kept.values, fresh.values)
+
+    # a kept field is read-only: an outer map that writes to it raises
+    monkeypatch.undo()
+
+    def writes(t, pts, eta):
+        eta *= 2.0
+        return -eta[:, 0]
+
+    with pytest.raises(ValueError, match="read-only"):
+        apply_T(dataclasses.replace(sys_, P=(writes,) + sys_.P[1:]), w, plan)
+
+
 def test_kernel_matrix_built_once_per_slab_attempt(monkeypatch):
     calls = []
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from renewalpde import transport
+from renewalpde import characteristics, transport
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.domain import Domain, Grid, GridFn, l1_norm
 from renewalpde.models import bump
@@ -217,6 +219,90 @@ def test_series_l1_continuity():
     # shifted indicators at distance 0.25 differ by exactly 0.5 in L1
     assert dist <= 0.5 + 4 * grid.dx[0]
     assert dist >= 0.5 - 4 * grid.dx[0]
+
+
+def _series_problem(velocity):
+    """Age x 1-D space: traces leave through the inflow face a = 0 and the
+    truncation face y = -1; the coefficients vary in t, a and y."""
+    grid = Grid(Domain(half_lengths=(2.0,), full_lengths=(1.0,)), (12, 10))
+    a, y = grid.points.T
+    u0 = GridFn(grid, np.exp(-4.0 * (a - 1.0) ** 2) * (1.0 + 0.5 * y))
+
+    def p(t, pts):
+        return -0.2 + 0.1 * t * pts[:, 0]
+
+    def q(t, pts):
+        return 0.05 * (1.0 + pts[:, 1] ** 2) + 0.0 * t
+
+    def ub(t, pts):
+        return 1.0 + t + 0.25 * pts[:, 1]
+
+    return grid, LinearProblem(velocity, p, q, ub, u0)
+
+
+def _t_dependent_velocity():
+    def fn(t, x):
+        x = np.atleast_2d(x)
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+        return np.column_stack([1.0 + 0.2 * t, 1.2 + 0.3 * x[:, 1]])
+
+    return VelocityField(fn, lambda t, x: np.full(np.atleast_2d(x).shape[0], 0.3), sup=2.2)
+
+
+@pytest.mark.parametrize("velocity, substeps", [
+    ("callable", None), ("callable", 12), ("constant", None), ("constant", 12)])
+def test_series_equals_one_evaluate_per_time(velocity, substeps, monkeypatch):
+    # one trace call and one exit bisection serve every output time; each state
+    # has the bits of tracing its time alone.  t = 0 comes first, 0.3 repeats
+    v = _t_dependent_velocity() if velocity == "callable" else VelocityField.constant([1.0, 1.5])
+    grid, lp = _series_problem(v)
+    ts = [0.0, 0.3, 0.3, 0.7, 1.0]
+    reference = [evaluate(lp, t, grid, substeps) for t in ts]
+    last = trace_backward(v, 1.0, grid.points, substeps or 16, grid.domain)
+    assert set(last.exit_face[last.exited]) == {0, -1}
+
+    traces, refines = [], []
+    trace, refine = transport.trace_backward, characteristics._refine_exit
+    monkeypatch.setattr(transport, "trace_backward", lambda *a, **k: traces.append(1)
+                        or trace(*a, **k))
+    monkeypatch.setattr(characteristics, "_refine_exit", lambda *a, **k: refines.append(1)
+                        or refine(*a, **k))
+    got = solve_series(lp, ts, grid, substeps)
+    assert len(traces) == len(refines) == 1
+    assert len(got) == len(ts)
+    for u, ref in zip(got, reference):
+        assert np.array_equal(u.values, ref.values)
+    assert got[1] is not got[2] and not np.shares_memory(got[1].values, got[2].values)
+    assert solve_series(lp, [], grid, substeps) == []
+
+
+def test_series_peak_memory_is_that_of_its_last_time():
+    # the linear-transport benchmark problem: nine output times on [0, 3].  Each
+    # knot column is its own unpadded array, freed once evaluated, so the series
+    # peaks about where one evaluate at its last time does; stacking the nine
+    # columns in one padded array would double it
+    grid = make_grid(400, 8.0)
+
+    def vel(t, x):
+        x = np.atleast_2d(x)
+        return 1.0 + 0.5 * x / (1.0 + x)
+
+    v = VelocityField(vel, lambda t, x: 0.5 / (1.0 + np.atleast_2d(x)[:, 0]) ** 2, 1.5)
+    lp = LinearProblem(v, const_field(-0.2), lambda t, x: 0.1 * np.exp(-x[:, 0]),
+                       lambda t, x: 1.0 + 0.5 * np.sin(3.0 * t),
+                       GridFn.from_callback(grid, bump(1.5, 1.0)))
+    ts = np.linspace(0.0, 3.0, 9)
+    evaluate(lp, ts[-1], grid)
+    tracemalloc.start()
+    try:
+        evaluate(lp, ts[-1], grid)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve_series(lp, ts, grid)
+        series = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series <= 1.25 * one
 
 
 def test_constant_state_away_from_boundary():
