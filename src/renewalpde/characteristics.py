@@ -10,19 +10,18 @@ that share both form a knot column, the unit of storage: its knots and
 its positions in one unpadded ``(n + 1, N, d)`` array.  One RK4 loop
 steps the live traces of every column; a trace that lands outside
 stops, and after the last substep one batched bisection refines every
-exit of the call, each within its own substep.  A reader that takes
-every trace at once gets the columns stacked, each padded with its
-last knot.  A trace's knots are clamped from below at its exit time,
-so an exit ends the trace's integrals.  A constant field needs no
-steps: each RK4 step adds the same multiple of its vector, so one
-running sum along the knots gives every position with the step loop's
-bits.  Up to the foot or the exit the trace picks up
-the growth factor ``exp(int (p - div v) ds)`` and a source integral,
-both by composite trapezoid on its knot widths, which a batch keeps in
-place of its knot times (see ``transport.evaluate``).  Running sums
-along the knots, of trapezoids and of constant-field steps, add row
-r - 1 into row r: ``np.cumsum``'s additions in its order, and so its
-bits, a whole row at a time where numpy would go one trace at a time.
+exit of the call, each within its own substep.  Every reader takes the
+traces column by column, on the column's own rows.  A trace's knots
+are clamped from below at its exit time, so an exit ends the trace's
+integrals.  A constant field needs no steps: each RK4 step adds the
+same multiple of its vector, so one running sum along a column's knots
+gives every position with the step loop's bits.  Up to the foot or the
+exit the trace picks up the growth factor ``exp(int (p - div v) ds)``
+and a source integral, both by composite trapezoid on its knot widths
+(``TraceBatch.trapezoids``).  Running sums along the knots, of
+trapezoids and of constant-field steps, make ``np.cumsum``'s additions
+in its order, and so have its bits: on wide rows they add row r - 1
+into row r, a whole row at a time where numpy goes one trace at a time.
 
 Velocity callbacks must broadcast: ``fn(t, x)`` with ``x`` of shape
 ``(P, d)`` and ``t`` a scalar or a length-P vector returns ``(P, d)``;
@@ -98,31 +97,30 @@ def rk4_step(v: VelocityField, t0, x: np.ndarray, dt) -> np.ndarray:
     return x + dtc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TraceBatch:
     """Characteristics traced at once, grouped in knot columns, one per (start, substeps).
 
-    The knot column is the unit of storage.  Column c holds the traces that
-    share a start time and a substep count n_c: ``knots[:n_c + 1, c]`` are
-    their knot times, from the start down to the floor (the table pads each
-    column with its last knot up to the longest), and ``paths[c]`` their
-    positions there, an unpadded ``(n_c + 1, N_c, d)`` array whose axis 1
-    takes the column's traces in ascending order.  ``column[p]`` is the
-    column of trace p; columns are numbered in ascending order of start,
-    then of substeps.  A trace's positions past its exit repeat the exit
-    point.  ``exited`` marks traces that left the box through any face.
-    ``exit_face`` is the axis of an inflow face, or -1 for a truncation
-    face, which ``truncated`` also marks; the datum there is 0.  Traces
-    that did not exit end at a foot.
+    The knot column is the only layout.  Column c holds the traces that
+    share a start time and a substep count n_c, ``members[c]`` of the batch
+    in ascending order; ``column[p]`` is the column of trace p, and columns
+    are numbered in ascending order of start, then of substeps.
+    ``knots[:n_c + 1, c]`` are their knot times, from the start down to the
+    floor (the small table pads each column with its last knot up to the
+    longest), and ``paths[c]`` their positions there, an unpadded
+    ``(n_c + 1, N_c, d)`` array.  A trace's positions past its exit repeat
+    the exit point, and ``feet[p]`` is trace p's last position.  ``exited``
+    marks traces that left the box through any face.  ``exit_face`` is the
+    axis of an inflow face, or -1 for a truncation face, which ``truncated``
+    also marks; the datum there is 0.  Traces that did not exit end at a
+    foot.
 
-    Readers that take every trace at once see the columns stacked:
-    ``times[j, p]`` is knot j of trace p and ``path[j, p]`` its position,
-    each column padded with its last knot and position.  A trace is at
-    ``path[j, p]`` at ``trace_times[j, p]``: ``times[j, p]`` clamped from
-    below at its exit time, so knots past an exit repeat the exit point over
-    zero-width intervals.  A batch of one column is its own stack.  A batch
-    is not changed once built: its derived knot arrays are computed once and
-    shared by every reader.
+    Column c's traces are at ``paths[c][j]`` at ``trace_times(c)[j]``: the
+    knots clamped from below at each trace's exit time, so knots past an
+    exit repeat the exit point over zero-width intervals.  ``widths`` and
+    ``live`` hold those intervals and the knots the integrals read in one
+    flat order: the columns one after another (``spans``), each row by row.
+    A batch is not changed once built; its derived arrays are computed once.
     """
 
     knots: np.ndarray
@@ -132,85 +130,109 @@ class TraceBatch:
     exit_time: np.ndarray
     exit_point: np.ndarray
     exit_face: np.ndarray
+    feet: np.ndarray
 
     @cached_property
-    def _members(self) -> list:
+    def members(self) -> list:
+        """The traces of each knot column, a slice or an index array."""
         return _column_members(self.column, len(self.paths))
 
     def split(self) -> list["TraceBatch"]:
         """One batch per knot column, in column order; each shares its column's arrays."""
         return [TraceBatch(self.knots[:len(p), c:c + 1], (p,), np.zeros(len(p[0]), dtype=int),
                            self.exited[m], self.exit_time[m], self.exit_point[m],
-                           self.exit_face[m])
-                for c, (p, m) in enumerate(zip(self.paths, self._members))]
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        """Knot times of every trace, ``(rows, traces)``."""
-        return _stack(self.knots, self.column)
-
-    @property
-    def path(self) -> np.ndarray:
-        """Positions of every trace, shaped like ``times`` plus d; a new array on every read
-        of a batch of several columns."""
-        if len(self.paths) == 1:
-            return self.paths[0]
-        path = np.empty(self.knots.shape[:1] + self.exit_point.shape)
-        for p, m in zip(self.paths, self._members):
-            path[:len(p), m] = p
-            path[len(p):, m] = p[-1]
-        return path
-
-    @property
-    def feet(self) -> np.ndarray:
-        if len(self.paths) == 1:
-            return self.paths[0][-1]
-        feet = np.empty(self.exit_point.shape)
-        for p, m in zip(self.paths, self._members):
-            feet[m] = p[-1]
-        return feet
+                           self.exit_face[m], self.feet[m])
+                for c, (p, m) in enumerate(zip(self.paths, self.members))]
 
     @property
     def truncated(self) -> np.ndarray:
         return self.exited & (self.exit_face < 0)
 
-    @property
-    def trace_times(self) -> np.ndarray:
-        """Knot times of every trace, shaped like ``times``; a new array on every read."""
-        return np.fmax(self.times, self.exit_time)
+    def trace_times(self, c: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Knot times of column c's traces, ``(n_c + 1, N_c)``, into ``out`` or a new array."""
+        return np.fmax(self.knots[:len(self.paths[c]), c, None], self.exit_time[self.members[c]],
+                       out=out)
 
     @cached_property
-    def _widths_and_live(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        ts = self.trace_times
-        mask = np.ones(ts.shape, dtype=bool)
-        np.not_equal(ts[1:], ts[:-1], out=mask[1:])
-        path = self.path
-        # path[mask], gathered as rows of the flat path: the same points, faster
-        xk = np.compress(mask.ravel(), path.reshape(-1, path.shape[-1]), axis=0)
-        live = mask, ts[mask], xk
-        # the widths overwrite the times: forward in place, with no second buffer
-        return np.subtract(ts[:-1], ts[1:], out=ts[:-1]), live
+    def spans(self) -> list[slice]:
+        """Where each column's knots lie in the flat knot order of :attr:`live`: column
+        after column, the ``(n_c + 1) N_c`` knots of each row by row."""
+        ends = np.cumsum([p.shape[0] * p.shape[1] for p in self.paths], dtype=int).tolist()
+        return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+    @cached_property
+    def _widths_and_live(self):
+        spans, d = self.spans, self.exit_point.shape[1]
+        ts = np.empty(spans[-1].stop if spans else 0)
+        mask = np.empty(ts.shape, dtype=bool)
+        for c, (path, at) in enumerate(zip(self.paths, spans)):
+            t = self.trace_times(c, out=ts[at].reshape(path.shape[:2]))
+            live = mask[at].reshape(t.shape)
+            live[0] = len(t) > 1
+            np.not_equal(t[1:], t[:-1], out=live[1:])
+        tk = ts[mask]
+        xk, hi = np.empty((len(tk), d)), 0
+        for path, at in zip(self.paths, spans):
+            lo, hi = hi, hi + np.count_nonzero(mask[at])
+            # path[live], gathered as rows of the flat path: the same points, faster
+            np.compress(mask[at], path.reshape(-1, d), axis=0, out=xk[lo:hi])
+            # the widths overwrite the times: forward in place, with no second buffer
+            t = ts[at].reshape(path.shape[:2])
+            np.subtract(t[:-1], t[1:], out=t[:-1])
+            t[-1] = 0.0
+        return ts, (mask, tk, xk)
 
     @property
     def widths(self) -> np.ndarray:
-        """Knot widths ``trace_times[:-1] - trace_times[1:]``, one row fewer than ``times``."""
+        """Knot widths in the flat knot order of :attr:`live`: ``trace_times(c)[:-1] -
+        trace_times(c)[1:]`` on column c's rows but its last, which holds 0."""
         return self._widths_and_live[0]
 
     @property
     def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live knots: their mask over ``times``, their trace times and their points.
+        """The live knots: their mask over the knots of every column (column c's is
+        ``mask[spans[c]]``, row by row), then their trace times and their points.
 
-        The first knot is live; one that repeats the knot before it (width 0) is not.
+        A live knot ends an interval of nonzero width or starts the first one: a
+        knot that repeats the knot before it (width 0) is not live, nor is the only
+        knot of a column with no substeps.
         """
         return self._widths_and_live[1]
 
+    def trapezoids(self, g: np.ndarray, q: np.ndarray | None = None):
+        """Growth factor ``exp(int g)`` of every trace and, given ``q``, its source
+        integral ``int q exp(int g)`` (inner integral from the trace's start), by
+        composite trapezoid on its own knots.  ``g`` and ``q`` hold a value at every
+        knot in the flat order of :attr:`live`, 0 where not live; ``q`` is overwritten.
 
-def _stack(knots: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """The knot table's column of every trace, ``(rows, traces)``."""
-    if knots.shape[1] == 1:
-        return np.broadcast_to(knots, (len(knots), len(column)))
-    # take, unlike knots[:, column], lays the times out in C order, as every array they meet
-    return np.take(knots, column, axis=1)
+        The columns, equally wide, are read as one ``(rows, N)`` array, each on its
+        own rows: every step spans them all, and the knot pairs across two columns
+        have width 0 and are not read.  Sums add a column's rows in order, with
+        ``np.cumsum``'s bits."""
+        N = self.paths[0].shape[1] if self.paths else 1
+        if any(p.shape[1] != N for p in self.paths):
+            raise ValueError("the knot columns of the batch must be equally wide")
+        G, dt = g.reshape(-1, N), self.widths.reshape(-1, N)[:-1]
+        rows = [(at.start // N, len(p) - 1, m)
+                for at, p, m in zip(self.spans, self.paths, self.members)]
+        growth = np.empty(len(self.exited))
+        if q is None:  # the growth exponent's total alone
+            inc = _increments(G, dt)
+            for r, n, m in rows:
+                growth[m] = _row_total(inc[r:r + n])
+            return np.exp(growth, out=growth), None
+        E = np.empty(G.shape)
+        _increments(G, dt, out=E[1:])
+        for r, n, _ in rows:
+            E[r] = 0.0
+            _running_sum(E[r + 1:r + n + 1])
+        np.exp(E, out=E)
+        Q = q.reshape(-1, N)
+        Q *= E
+        inc, source = _increments(Q, dt), np.empty(len(self.exited))
+        for r, n, m in rows:
+            growth[m], source[m] = E[r + n], _row_total(inc[r:r + n])
+        return growth, source
 
 
 def _column_members(column: np.ndarray, n_columns: int) -> list:
@@ -261,24 +283,26 @@ def _refine_exit(v, bracket: np.ndarray, start: np.ndarray, s_hi: np.ndarray, x_
     return T, xT, face
 
 
-def _constant_path(c: np.ndarray, path: np.ndarray, times: np.ndarray, n: np.ndarray,
-                   lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Trace under the constant velocity ``c`` into ``path`` with the step loop's bits, no loop.
+def _constant_path(steps: np.ndarray, path: np.ndarray, lower: np.ndarray,
+                   upper: np.ndarray) -> np.ndarray:
+    """Trace one knot column under a constant velocity into ``path`` with the step loop's
+    bits, no loop.
 
-    Every RK4 step adds ``dt/6 (c + 2c + 2c + c)``, so one running sum of those
-    increments along the knots gives every position, in the loop's order.  Returns
-    the substep in which each trace left, from its first row outside the box, or
-    its substep count if never; the caller overwrites the rows past an exit.
+    ``steps[r]`` is the column's RK4 step r, ``dt/6 (c + 2c + 2c + c)`` for the
+    vector c, so one running sum of the steps along the knots gives every position,
+    in the loop's order.  Returns the substep in which each trace left, from its
+    first row outside the box, or n if never; the caller overwrites the rows past
+    an exit.
     """
-    np.multiply(np.diff(times, axis=0)[..., None] / 6, _rk4_sum(c), out=path[1:])
+    path[1:] = steps
     _running_sum(path)  # in place: path is the largest array of a trace
     if not np.all(np.isfinite(path)):
         raise ValueError("non-finite velocity along characteristic")
     rows, npts, d = path.shape
     out = _outside(path.reshape(-1, d), lower, upper).reshape(rows, npts)
-    out &= np.arange(rows)[:, None] <= n  # rows past a trace's own substeps are padding
     out[0] = False  # the loop never tests a trace's start
-    return np.where(out.any(axis=0), out.argmax(axis=0) - 1, n)
+    first = out.argmax(axis=0)  # 0 for a trace that never left
+    return np.where(first > 0, first - 1, rows - 1)
 
 
 def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domain,
@@ -287,9 +311,9 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
 
     ``t`` and ``substeps`` are scalars or one per point: trace p steps on
     ``np.linspace(t[p], t_floor, substeps[p] + 1)``, and traces that share both
-    share a knot column.  A constant field is summed in one pass over the columns
-    stacked; any other is stepped knot by knot, every live trace of every column
-    in one RK4 loop.  One :func:`_refine_exit` call locates all exits.
+    share a knot column.  A constant field is summed along each column in place;
+    any other is stepped knot by knot, every live trace of every column in one RK4
+    loop.  One :func:`_refine_exit` call locates all exits.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     npts, d = pts.shape
@@ -308,20 +332,18 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
     members = _column_members(column, len(first))
 
     lower, upper = np.array(domain.bounds()).T.copy()
+    paths = tuple(np.empty((k + 1,) + pts[m].shape) for k, m in zip(steps, members))
+    for path, m in zip(paths, members):
+        path[0] = pts[m]
+    exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
+    x_hi = np.empty((npts, d))  # where each exited trace was at the start of that substep
     if v.vec is not None:
-        # one running sum over the columns stacked; each column copies out its own rows
-        # once the exits are held
-        stacked, times = np.empty((rows, npts, d)), _stack(knots, column)
-        stacked[0] = pts
-        exit_step = _constant_path(v.vec, stacked, times, n, lower, upper)
-        x_hi = stacked[exit_step, np.arange(npts)]  # where a trace was as its exit substep began
+        # every RK4 step of every knot column, (rows - 1, columns, 1, d)
+        rk4 = (np.diff(knots, axis=0) / 6)[..., None, None] * _rk4_sum(v.vec)
+        for c, (path, m) in enumerate(zip(paths, members)):
+            exit_step[m] = k = _constant_path(rk4[:len(path) - 1, c], path, lower, upper)
+            x_hi[m] = path[k, np.arange(len(k))]
     else:
-        stacked = None
-        paths = tuple(np.empty((k + 1,) + pts[m].shape) for k, m in zip(steps, members))
-        for path, m in zip(paths, members):
-            path[0] = pts[m]
-        exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
-        x_hi = np.empty((npts, d))  # where each exited trace was at the start of that substep
         # x holds every trace, the live ones compacted in x_live
         x, x_live = pts.copy(), pts.copy()
         live, at = np.arange(npts), column
@@ -361,18 +383,12 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
         exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
             v, c * rows + k, start[e], knots[k, c], x_hi[e], knots[k + 1, c],
             lower, upper, domain.m)
-    if stacked is None:
         for path, m in zip(paths, members):
             _hold_exits(path, exit_step[m], exited[m], exit_point[m])
-    else:
-        _hold_exits(stacked, exit_step, exited, exit_point)
-        paths = (stacked,) if len(first) == 1 else tuple(stacked[:k + 1, m].copy()
-                                                         for k, m in zip(steps, members))
-    batch = TraceBatch(knots, paths, column, exited, exit_time, exit_point, exit_face)
-    batch._members = members  # cached properties this call has computed already
-    if stacked is not None:
-        batch.times = times
-    return batch
+    feet = np.empty((npts, d))
+    for path, m in zip(paths, members):
+        feet[m] = path[-1]
+    return TraceBatch(knots, paths, column, exited, exit_time, exit_point, exit_face, feet)
 
 
 def _hold_exits(path: np.ndarray, exit_step: np.ndarray, exited: np.ndarray,
@@ -386,12 +402,14 @@ def _hold_exits(path: np.ndarray, exit_step: np.ndarray, exited: np.ndarray,
 def _running_sum(a: np.ndarray) -> np.ndarray:
     """``np.cumsum(a, axis=0)`` in place, with its bits.
 
-    numpy accumulates along axis 0 one column at a time, which is slow on
-    wide rows.  Adding row r - 1 into row r makes the same additions in the
-    same order, a whole row at a time.  One column keeps ``np.cumsum``.
+    numpy accumulates along axis 0 one column at a time, at a few ns per
+    element.  Adding row r - 1 into row r makes the same additions in the
+    same order, a whole row at a time, at about 1 us per row.  Rows
+    narrower than 200 elements (about where the two cost the same) keep
+    numpy's ``add.accumulate``, which ``np.cumsum`` calls.
     """
-    if a[:1].size <= 1:
-        return np.cumsum(a, axis=0, out=a)
+    if a[:1].size < 200:
+        return np.add.accumulate(a, axis=0, out=a)
     rows = list(a)
     for prev, row in zip(rows, rows[1:]):
         np.add(row, prev, out=row)
@@ -406,26 +424,11 @@ def _increments(g: np.ndarray, dt: np.ndarray, out: np.ndarray | None = None) ->
     return inc
 
 
-def cumulative_trapezoid(g: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Running composite-trapezoid integral of ``g`` back from its first knot.
-
-    ``dt`` holds the knot widths ``ts[:-1] - ts[1:]`` of knot times ``ts``
-    that have the shape of ``g`` and descend along axis 0, one column per
-    trace for 2-D ``g``.  The result has the shape of ``g`` with 0 in its
-    first row.
-    """
-    c = np.empty(g.shape)
-    c[0] = 0.0
-    _running_sum(_increments(g, dt, out=c[1:]))
-    return c
-
-
-def trapezoid_total(g: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """The last row of :func:`cumulative_trapezoid`: numpy sums along axis 0 in the same
-    order, row by row, when there are several columns; one column it sums pairwise."""
-    if g.ndim == 1 or g.shape[1] == 1:
-        return cumulative_trapezoid(g, dt)[-1]
-    return np.sum(_increments(g, dt), axis=0)
+def _row_total(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` summed in order; numpy sums one column pairwise, not in order."""
+    if a.shape[1] > 1 or len(a) < 2:
+        return np.add.reduce(a, axis=0)
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 def trapezoid_weights(ts) -> np.ndarray:

@@ -188,11 +188,11 @@ def _blend(a: np.ndarray, b: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Site:
-    """One velocity's traces from all knots (knot j: columns ``(j-1)N : jN``).
+    """One velocity's traces from all knots (knot j: column j - 1, traces ``(j-1)N : jN``).
 
-    ``knots`` and ``exits`` bracket the live knots and the inflow exits;
-    ``feet_u0`` is the attempt's initial state (all components) at the
-    feet of the traces that stayed inside.
+    ``knots`` and ``exits`` bracket the live knots, in ``batch.live``'s order,
+    and the inflow exits; ``feet_u0`` is the attempt's initial state (all
+    components) at the feet of the traces that stayed inside.
     """
 
     batch: TraceBatch
@@ -363,7 +363,7 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
             _, tk, xk = site.batch.live
             w_along[site] = frozen.w_at(tk, xk, site.knots)
         lp = frozen.linear_problem(h, site, w_along.get(site))
-        vals[1:, :, h] = evaluate(lp, site.batch.times[0], grid, t0=float(times[0]),
+        vals[1:, :, h] = evaluate(lp, times[1:], grid, t0=float(times[0]),
                                   batch=site.batch, feet_u0=site.feet_u0[:, h]
                                   ).reshape(len(times) - 1, grid.n_nodes)
     return Trajectory(grid, times.copy(), vals)

@@ -14,18 +14,18 @@ to the initial (or exit) time.
 
 Every trace runs on its own knot times (``TraceBatch.trace_times``),
 which stop at its exit time, so one composite trapezoid per trace on
-the batch's knot widths (``TraceBatch.widths``) gives both integrals
-and an exit is the last knot of its trace; one batch may stack the
-nodes at several times.  A series of output times is one trace batch:
-the nodes at each time form one knot column, all are traced in one call,
-and each time is then evaluated on its own column alone, so every state
-is still one trace from t = 0.
-Coefficient callbacks are evaluated in batch, once on the knots of all
-traces up to and including the exits:
-``p(t, pts)`` with pts of shape (P, d) returns (P,), and ``t`` is one
-time per point.  The boundary callback is evaluated once, at the inflow
-exits; it receives face points as full d-dimensional coordinates with
-the face coordinate equal to 0.
+its knot widths gives both integrals (``TraceBatch.trapezoids``) and an
+exit is the last knot of its trace.  One batch may hold the nodes at
+several times, one knot column each, every column summed on its own
+rows; a column with no substeps integrates nothing.
+A series of output times is one trace batch: all its columns are traced
+in one call, and each time is then evaluated on its own column alone,
+so every state is still one trace from t = 0.  Coefficient callbacks
+are evaluated in batch, once on the live knots of every column, up to
+and including the exits: ``p(t, pts)`` with pts of shape (P, d) returns
+(P,), and ``t`` is one time per point.  The boundary callback is
+evaluated once, at the inflow exits; it receives face points as full
+d-dimensional coordinates with the face coordinate equal to 0.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import (TraceBatch, VelocityField, cumulative_trapezoid, trace_backward,
-                              trapezoid_total)
+from .characteristics import TraceBatch, VelocityField, trace_backward
 from .domain import BlowupError, Grid, GridFn, interp_values
 
 
@@ -66,8 +65,9 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
              feet_u0: np.ndarray | None = None):
     """Evaluate the representation formula at every grid node at time t, as a GridFn.
 
-    Given a :class:`TraceBatch` to ``t0`` from the start times ``t``, it returns one
-    value per trace instead; ``feet_u0`` is ``lp.u0`` at its interior feet, if known.
+    Given a :class:`TraceBatch` to ``t0`` from the start times ``t``, each knot column
+    the grid's nodes at one start, it returns one value per trace instead;
+    ``feet_u0`` is ``lp.u0`` at its interior feet, if known.
     """
     if np.any(np.asarray(t) < t0 - 1e-14):
         raise ValueError("evaluation time below the initial time")
@@ -75,21 +75,17 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
         if substeps is None:
             substeps = auto_substeps(grid, t - t0, lp.velocity.sup)
         batch = trace_backward(lp.velocity, t, grid.points, substeps, grid.domain, t_floor=t0)
-    if len(batch.times) == 1:
-        vals = interp_values(grid, lp.u0.values[:, 0], batch.feet)
-        return GridFn(grid, vals) if traced else vals
-
     # Knots past an exit repeat the exit knot over zero-width intervals;
     # the coefficients there are never sampled and read as 0.
-    dt = batch.widths
-    live, tk, xk = batch.live
-    g = np.zeros(live.shape)
-    g[live] = lp.p(tk, xk) - lp.velocity.div(tk, xk)
-    if lp.q is not None:
-        qv = np.zeros(live.shape)
-        qv[live] = lp.q(tk, xk)
+    mask, tk, xk = batch.live
+    g = np.zeros(mask.shape)
+    qv = None if lp.q is None else np.zeros(mask.shape)
+    if len(tk):  # only columns with substeps have live knots; with none, no call
+        g[mask] = lp.p(tk, xk) - lp.velocity.div(tk, xk)
+        if qv is not None:
+            qv[mask] = lp.q(tk, xk)
 
-    datum = np.zeros(live.shape[1])
+    datum = np.zeros(len(batch.exited))
     interior = ~batch.exited
     if interior.any():
         datum[interior] = (interp_values(grid, lp.u0.values[:, 0], batch.feet[interior])
@@ -98,11 +94,10 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
     if inflow.any() and lp.ub is not None:
         datum[inflow] = lp.ub(batch.exit_time[inflow], batch.exit_point[inflow])
     with np.errstate(over="ignore", invalid="ignore"):
-        E = cumulative_trapezoid(g, dt)
-        np.exp(E, out=E)
-        vals = datum * E[-1]
-        if lp.q is not None:
-            vals += trapezoid_total(np.multiply(qv, E, out=qv), dt)
+        growth, source = batch.trapezoids(g, qv)
+        vals = datum * growth
+        if source is not None:
+            vals += source
     if not np.all(np.isfinite(vals)):
         raise BlowupError("non-finite solution values (coefficients or data blew up)")
     return GridFn(grid, vals) if traced else vals
@@ -114,8 +109,8 @@ def solve_series(lp: LinearProblem, times: Sequence[float], grid: Grid,
 
     One trace call serves every output time: the grid nodes at each distinct
     time form one knot column, all columns step in one RK4 loop, and each is
-    then evaluated on its own unpadded knots, as :func:`evaluate` would at
-    that time alone.  There is no time marching, hence no error accumulation
+    then evaluated on its own knots, as :func:`evaluate` would at that time
+    alone.  There is no time marching, hence no error accumulation
     across the requested times; each state is exact up to ODE and quadrature
     error.
     """

@@ -86,8 +86,8 @@ _CONSTANT_CASES = {
                                  0.0),
     "3-d-inflow": ([1.0, 0.2, -0.1], Domain(half_lengths=(2.0,), full_lengths=(1.0, 1.0)), 0.8,
                    [[0.3, 0.5, 0.0], [1.5, -0.9, 0.95], [0.05, 0.95, -0.95]], 16, 0.0),
-    # three start columns with their own substep counts: the shorter ones are padded
-    # past their own end, and some of their traces exit, some land at feet
+    # three start columns with their own substep counts, each on its own rows; some
+    # of their traces exit, some land at feet
     "stacked": ([1.0, 0.6], Domain(half_lengths=(2.0, 1.5)), np.repeat([0.25, 0.5, 1.0], 4),
                 np.tile([[0.1, 0.7], [0.4, 0.05], [1.2, 1.4], [0.9, 0.6]], (3, 1)),
                 np.repeat([2, 4, 8], 4), 0.0),
@@ -148,7 +148,7 @@ def test_semigroup_property():
 def test_time_derivative_matches_velocity():
     v = wiggly_velocity()
     b = trace_backward(v, 1.0, [[5.0]], 64, HALFLINE)
-    ts, path = b.times, b.path[:, 0]
+    ts, path = b.knots[:, 0], b.paths[0][:, 0]
     for j in range(0, len(ts) - 1, 7):
         dt = ts[j] - ts[j + 1]
         fd = (path[j, 0] - path[j + 1, 0]) / dt
@@ -215,9 +215,9 @@ def test_batched_exits_time_dependent_velocity(monkeypatch):
     y_exit = pts[exits, 1] - (t * t - T * T) / 4.0
     assert np.allclose(b.exit_point[exits, 1], y_exit, rtol=0.0, atol=1e-10)
     # rows past an exit hold the exit point; interior traces end at their feet
-    past = b.times[:, exits] < b.exit_time[exits]
-    assert np.array_equal(b.path[:, exits][past], np.broadcast_to(
-        b.exit_point[exits], b.path[:, exits].shape)[past])
+    past = b.knots[:, :1] < b.exit_time[exits]
+    path = b.paths[0][:, exits]
+    assert np.array_equal(path[past], np.broadcast_to(b.exit_point[exits], path.shape)[past])
     feet = pts[~exits] - np.column_stack([np.full((~exits).sum(), t + t * t / 2),
                                           np.full((~exits).sum(), t * t / 4)])
     assert np.allclose(b.feet[~exits], feet, rtol=0.0, atol=1e-10)
@@ -227,28 +227,36 @@ def test_batched_exits_time_dependent_velocity(monkeypatch):
 
 
 def _assert_stacked_equals_separate(v, domain, starts, substeps, pts, t_floor=0.0):
-    """One call with every start stacked equals one call per start, bit for bit."""
-    n = len(pts)
+    """One call with every start stacked equals one call per start, bit for bit, and each
+    knot column holds its own rows only."""
+    n, d = np.shape(pts)
     b = trace_backward(v, np.repeat(starts, n), np.tile(pts, (len(starts), 1)),
                        np.repeat(substeps, n), domain, t_floor=t_floor)
-    assert b.times.shape == (max(substeps) + 1, n * len(starts))
+    assert b.knots.shape == (max(substeps) + 1, len(starts))
+    mask, tk, xk = b.live
+    assert len(mask) == sum((k + 1) * n for k in substeps)
+    live_at = 0
     for i, (t, k) in enumerate(zip(starts, substeps)):
         one = trace_backward(v, t, pts, k, domain, t_floor=t_floor)
         cols = slice(i * n, (i + 1) * n)
-        # knot column i is stored unpadded: the separate call's knots and path
+        assert b.members[i] == cols
+        # knot column i is the separate call's knots and path, unpadded
         assert np.array_equal(b.knots[:k + 1, i], one.knots[:, 0])
-        assert np.array_equal(b.paths[i], one.path)
-        # stacked, the column is the separate call's knots, padded with its last knot
-        assert np.array_equal(b.times[:k + 1, cols], one.times)
-        assert np.all(b.times[k + 1:, cols] == one.times[-1])
-        assert np.array_equal(b.path[:k + 1, cols], one.path)
-        assert np.array_equal(b.path[k + 1:, cols],
-                              np.broadcast_to(one.path[-1], b.path[k + 1:, cols].shape))
+        assert b.paths[i].shape == (k + 1, n, d)
+        assert np.array_equal(b.paths[i], one.paths[0])
+        assert np.array_equal(b.trace_times(i), one.trace_times(0))
+        assert np.array_equal(b.widths[b.spans[i]], one.widths)
+        assert np.array_equal(mask[b.spans[i]], one.live[0])
+        own = np.count_nonzero(one.live[0])
+        assert np.array_equal(tk[live_at:live_at + own], one.live[1])
+        assert np.array_equal(xk[live_at:live_at + own], one.live[2])
+        live_at += own
+        assert np.array_equal(b.feet[cols], one.feet)
         assert np.array_equal(b.exited[cols], one.exited)
         assert np.array_equal(b.exit_time[cols], one.exit_time, equal_nan=True)
         assert np.array_equal(b.exit_point[cols], one.exit_point, equal_nan=True)
         assert np.array_equal(b.exit_face[cols], one.exit_face)
-        assert np.array_equal(b.trace_times[:k + 1, cols], one.trace_times)
+    assert live_at == len(tk) == len(xk)
     return b
 
 
@@ -281,8 +289,13 @@ def test_stacked_starts_equal_separate_calls():
     pts = np.column_stack([c.ravel() for c in g])
     b = _assert_stacked_equals_separate(v, dom, [0.4, 0.8], [4, 8], pts)
     assert set(b.exit_face[b.exited]) == {0, 1, -1}
-    # no points: an empty batch
-    assert trace_backward(v, [], np.zeros((0, 3)), [], dom).path.shape[1:] == (0, 3)
+    # no points: an empty batch, with no column and no live knot
+    b = trace_backward(v, [], np.zeros((0, 3)), [], dom)
+    assert b.paths == () and b.feet.shape == (0, 3)
+    assert [a.shape for a in b.live] == [(0,), (0,), (0, 3)]
+    # a batch is not changed once built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.feet = np.zeros((0, 3))
 
 
 def test_stacked_starts_sharing_an_exit_bracket_keep_their_tolerances():
@@ -305,37 +318,45 @@ def _loop_trapezoid(g, ts):
     return c
 
 
-def test_trapezoid_sums_equal_a_loop_over_each_trace():
-    # ragged, padded columns as a stacked trace makes them: three start times
-    # with their own substep counts, inflow exits ending some traces early
+def _ragged_columns():
+    """Three start times with their own substep counts; inflow exits end some traces
+    early, so some knots repeat the knot before them."""
     x = np.linspace(0.05, 2.9, 30)[:, None]
     starts, substeps = np.repeat([0.5, 1.0, 2.0], len(x)), np.repeat([2, 4, 8], len(x))
     b = trace_backward(VelocityField.constant([1.0]), starts, np.tile(x, (3, 1)), substeps,
                        Domain(half_lengths=(3.0,)))
-    live, _, _ = b.live
-    assert b.exited.any() and not b.exited.all() and (~live).any()
-    ts = b.trace_times
-    dt = ts[:-1] - ts[1:]
-    g = np.sin(3.0 * ts) + np.cos(b.path[..., 0])
-    running = characteristics.cumulative_trapezoid(g, dt)
-    total = characteristics.trapezoid_total(g, dt)
-    for p in range(ts.shape[1]):
-        n = int(live[:, p].sum())  # the trace's own knots; the rest repeat its last
-        ref = _loop_trapezoid(g[:n, p], ts[:n, p])
-        assert np.array_equal(running[:n, p], ref)
-        assert np.all(running[n:, p] == ref[-1]) and total[p] == ref[-1]
-    # one trace, as a 1-D column and as a 2-D single column
-    for p in (0, ts.shape[1] - 1):
-        ref = _loop_trapezoid(g[:, p], ts[:, p])
-        for shape in ((-1,), (-1, 1)):
-            gp, dp = g[:, p].reshape(shape), dt[:, p].reshape(shape)
-            assert np.array_equal(characteristics.cumulative_trapezoid(gp, dp).ravel(), ref)
-            assert np.array_equal(characteristics.trapezoid_total(gp, dp).ravel(), ref[-1:])
-    # a single column longer than numpy's pairwise-summation block of 8
-    t = np.linspace(2.0, 0.0, 41)
-    assert characteristics.trapezoid_total(np.exp(t), t[:-1] - t[1:]) \
-        == _loop_trapezoid(np.exp(t), t)[-1]
+    mask = b.live[0]
+    assert b.exited.any() and not b.exited.all() and not mask.all()
+    return b
 
+
+def _knot_values(b, f):
+    """``f(t, x)`` at every live knot of ``b`` in its flat knot order, 0 elsewhere."""
+    mask, tk, xk = b.live
+    v = np.zeros(mask.shape)
+    v[mask] = f(tk, xk[:, 0])
+    return v
+
+
+def test_trapezoid_sums_equal_a_loop_over_each_trace():
+    # every column on its own rows: three ragged columns of a stacked call, and one
+    # trace longer than numpy's pairwise-summation block of 8
+    x = np.array([[2.5]])
+    for b in (_ragged_columns(),
+              trace_backward(VelocityField.constant([1.0]), 2.0, x, 40, HALFLINE)):
+        g = _knot_values(b, lambda t, x: np.sin(3.0 * t) + np.cos(x))
+        q = _knot_values(b, lambda t, x: np.cos(t) + x ** 2)
+        growth, source = b.trapezoids(g, q.copy())
+        assert np.array_equal(b.trapezoids(g)[0], growth) and b.trapezoids(g)[1] is None
+        for c, m in enumerate(b.members):
+            ts, live = b.trace_times(c), b.live[0][b.spans[c]].reshape(-1, len(b.feet[m]))
+            gc, qc = (v[b.spans[c]].reshape(ts.shape) for v in (g, q))
+            for p, i in enumerate(np.arange(len(b.feet))[m]):
+                n = int(live[:, p].sum())  # the trace's own knots; the rest repeat its last
+                log_e = _loop_trapezoid(gc[:n, p], ts[:n, p])
+                qe = qc[:n, p] * np.exp(log_e)
+                assert growth[i] == np.exp(log_e[-1])
+                assert source[i] == _loop_trapezoid(qe, ts[:n, p])[-1]
 
 
 def _numpy_increments(g, dt):
@@ -351,48 +372,49 @@ def _spread(rng, shape):
 
 
 def test_running_sums_equal_numpy_cumsum():
-    # the row-by-row running sums make numpy's additions in numpy's order, so every
+    # the running sums make numpy's additions in numpy's order, row by row on wide rows
+    # and by np.cumsum on narrow ones, and a total sums the rows in that order, so every
     # result equals np.cumsum(axis=0) bit for bit
     rng = np.random.default_rng(7)
-    x = np.linspace(0.05, 2.9, 30)[:, None]
-    starts, substeps = np.repeat([0.5, 1.0, 2.0], len(x)), np.repeat([2, 4, 8], len(x))
-    b = trace_backward(VelocityField.constant([1.0]), starts, np.tile(x, (3, 1)), substeps,
-                       Domain(half_lengths=(3.0,)))
-    live, tk, _ = b.live
-    assert b.exited.any() and not b.exited.all() and (~live).any()
-    ts, dt = b.trace_times, b.widths
-    assert np.array_equal(dt, ts[:-1] - ts[1:])
-    assert np.array_equal(live[1:], ts[1:] != ts[:-1]) and np.array_equal(tk, ts[live])
-    g = _spread(rng, ts.shape)
-    g3 = _spread(rng, (17, 40, 2))
-    cases = {
-        "stacked ragged columns": (g, dt),
-        "1-d column": (g[:, 5], dt[:, 5]),
-        "single 2-d column": (g[:, 5:6], dt[:, 5:6]),
-        "one row": (g[:1], dt[:0]),
-        "one 1-d row": (g[:1, 5], dt[:0, 5]),
-        "3-d": (g3, rng.uniform(0.0, 0.1, (16, 40, 1))),
-    }
-    for name, (gc, dtc) in cases.items():
-        inc = _numpy_increments(gc, dtc)
-        ref = np.concatenate([np.zeros((1,) + gc.shape[1:]), np.cumsum(inc, axis=0)])
-        assert np.array_equal(characteristics.cumulative_trapezoid(gc, dtc), ref), name
-        if gc.ndim == 2:
-            assert np.array_equal(characteristics.trapezoid_total(gc, dtc), ref[-1]), name
+    b = _ragged_columns()
+    mask, tk, _ = b.live
+    own = []
+    for c, at in enumerate(b.spans):
+        ts = b.trace_times(c)
+        dt, live = b.widths[at].reshape(ts.shape), mask[at].reshape(ts.shape)
+        assert np.array_equal(dt[:-1], ts[:-1] - ts[1:]) and not dt[-1].any()
+        assert live[0].all() and np.array_equal(live[1:], ts[1:] != ts[:-1])
+        own.append(ts[live])
+    assert np.array_equal(tk, np.concatenate(own))
+    cases = {"single 2-d column": _spread(rng, (40, 1)),
+             "one row": _spread(rng, (1, 30)),
+             "no row": _spread(rng, (0, 30)),
+             "3-d": _spread(rng, (16, 40, 2)),
+             "rows wider than np.cumsum pays for": _spread(rng, (8, 300))}
+    for c, at in enumerate(b.spans):
+        n = len(b.paths[c]) - 1
+        g = _spread(rng, (n + 1, b.paths[c].shape[1]))
+        cases[f"knot column {c}"] = _numpy_increments(g, b.widths[at].reshape(g.shape)[:-1])
+    for name, inc in cases.items():
+        ref = np.cumsum(inc, axis=0)
+        assert np.array_equal(characteristics._running_sum(inc.copy()), ref), name
+        if inc.ndim == 2 and len(inc):
+            assert np.array_equal(characteristics._row_total(inc), ref[-1]), name
 
-    # the constant-field path: stacked ragged columns padded past their own end,
+    # the constant-field path: each knot column of a stacked call on its own rows,
     # one trace of one coordinate, and one row
     vec = np.array([1.0, 0.6])
     dom = Domain(half_lengths=(2.0, 1.5))
     lower, upper = np.array(dom.bounds()).T.copy()
     pts = rng.uniform(0.0, 1.5, (12, 2))
-    n = np.repeat([2, 4, 8], 4)
-    times = trace_backward(VelocityField.constant(vec), np.repeat([0.25, 0.5, 1.0], 4), pts, n,
-                           dom).times
-    for cvec, t, p, k in ((vec, times, pts, n), (vec[:1], times[:, :1], pts[:1, :1], n[:1]),
-                          (vec, times[:1], pts, np.zeros(12, dtype=int))):
-        path = np.empty(t.shape + (len(cvec),))
+    b = trace_backward(VelocityField.constant(vec), np.repeat([0.25, 0.5, 1.0], 4), pts,
+                       np.repeat([2, 4, 8], 4), dom)
+    cases = [(vec, b.knots[:len(p), c], pts[b.members[c]]) for c, p in enumerate(b.paths)]
+    cases += [(vec[:1], b.knots[:, 2], pts[:1, :1]), (vec, b.knots[:1, 2], pts)]
+    for cvec, t, p in cases:
+        steps = (np.diff(t) / 6)[:, None, None] * characteristics._rk4_sum(cvec)
+        path = np.empty((len(t),) + p.shape)
         path[0] = p
-        characteristics._constant_path(cvec, path, t, k, lower[:len(cvec)], upper[:len(cvec)])
-        inc = np.diff(t, axis=0)[..., None] / 6 * characteristics._rk4_sum(cvec)
+        characteristics._constant_path(steps, path, lower[:len(cvec)], upper[:len(cvec)])
+        inc = np.broadcast_to(steps, (len(t) - 1,) + p.shape)
         assert np.array_equal(path, np.cumsum(np.concatenate([p[None], inc]), axis=0))

@@ -5,7 +5,7 @@ import pytest
 
 from renewalpde import characteristics, transport
 from renewalpde.characteristics import VelocityField, trace_backward
-from renewalpde.domain import Domain, Grid, GridFn, l1_norm
+from renewalpde.domain import Domain, Grid, GridFn, interp_values, l1_norm
 from renewalpde.models import bump
 from renewalpde.transport import LinearProblem, evaluate, solve_series
 
@@ -381,9 +381,9 @@ def test_first_order_convergence(case):
 
 
 def test_source_total_equals_a_loop_with_one_running_sum(monkeypatch):
-    # stacked starts on [0, 3] with v = 1: ragged, padded columns with exits.
-    # With zero data the value is the source total alone; it must equal a
-    # loop over each trace's own knots, with one running trapezoid per call
+    # stacked starts on [0, 3] with v = 1: ragged columns with exits.  With zero
+    # data the value is the source total alone; it must equal a loop over each
+    # trace's own knots, with one running trapezoid per knot column
     grid = make_grid(30, 3.0)
     v = VelocityField.constant([1.0])
     starts, substeps = np.repeat([0.5, 1.0, 2.0], grid.n_nodes), np.repeat([2, 4, 8], grid.n_nodes)
@@ -398,28 +398,69 @@ def test_source_total_equals_a_loop_with_one_running_sum(monkeypatch):
 
     lp = LinearProblem(v, p, q, zero_field, GridFn.zeros(grid))
     runs = []
-    running = transport.cumulative_trapezoid
-    monkeypatch.setattr(transport, "cumulative_trapezoid",
-                        lambda *a: runs.append(1) or running(*a))
+    running = characteristics._running_sum
+    monkeypatch.setattr(characteristics, "_running_sum",
+                        lambda a: runs.append(a.shape) or running(a))
     got = evaluate(lp, starts, grid, batch=batch)
-    assert len(runs) == 1
+    assert runs == [(k, grid.n_nodes) for k in (2, 4, 8)]
 
-    live, _, _ = batch.live
-    ts, xs = batch.trace_times, batch.path
-    own = live.sum(axis=0)  # each trace's own knots; the rest repeat its last
-    log_e = np.zeros(ts.shape)
-    for c, n in enumerate(own):
-        g = p(ts[:, c], xs[:, c])
-        for r in range(1, n):
-            log_e[r, c] = log_e[r - 1, c] + 0.5 * (g[r - 1] + g[r]) * (ts[r - 1, c] - ts[r, c])
-        log_e[n:, c] = log_e[n - 1, c]
-    E = np.exp(log_e)
-    for c, n in enumerate(own):
-        qe = q(ts[:, c], xs[:, c]) * E[:, c]
-        src = 0.0
-        for r in range(1, n):
-            src += 0.5 * (qe[r - 1] + qe[r]) * (ts[r - 1, c] - ts[r, c])
-        assert got[c] == src
+    for c, m in enumerate(batch.members):
+        ts, xs = batch.trace_times(c), batch.paths[c]
+        live = batch.live[0][batch.spans[c]].reshape(ts.shape)
+        for i, n in zip(range(*m.indices(len(got))), live.sum(axis=0)):
+            j = i - m.start  # the trace's own knots; the rest repeat its last
+            g = p(ts[:n, j], xs[:n, j])
+            log_e = [0.0]
+            for r in range(1, n):
+                log_e.append(log_e[-1] + 0.5 * (g[r - 1] + g[r]) * (ts[r - 1, j] - ts[r, j]))
+            qe = q(ts[:n, j], xs[:n, j]) * np.exp(log_e)
+            src = 0.0
+            for r in range(1, n):
+                src += 0.5 * (qe[r - 1] + qe[r]) * (ts[r - 1, j] - ts[r, j])
+            assert got[i] == src
+
+
+def _oracle_problem(velocity, sourced):
+    """Age x 1-D space with coefficients that vary in t, a and y; ``sourced`` gives
+    both q and ub, else neither."""
+    grid = Grid(Domain(half_lengths=(2.0,), full_lengths=(1.0,)), (10, 8))
+    a, y = grid.points.T
+    u0 = GridFn(grid, np.exp(-4.0 * (a - 1.0) ** 2) * (1.0 + 0.5 * y))
+    q = (lambda t, pts: 0.05 * (1.0 + pts[:, 1] ** 2) + 0.1 * t) if sourced else None
+    ub = (lambda t, pts: 1.0 + t + 0.25 * pts[:, 1]) if sourced else None
+    return grid, LinearProblem(velocity, lambda t, pts: -0.2 + 0.3 * t * pts[:, 0], q, ub, u0)
+
+
+@pytest.mark.parametrize("velocity", ["callable", "constant"])
+@pytest.mark.parametrize("sourced", [True, False])
+def test_several_columns_equal_each_column_alone(velocity, sourced):
+    # evaluate on a batch of several knot columns equals evaluate on each column of
+    # split(), bit for bit: columns in any order, one of them at the floor (no substeps)
+    v = _t_dependent_velocity() if velocity == "callable" else VelocityField.constant([1.0, 1.5])
+    grid, lp = _oracle_problem(v, sourced)
+    N, ts, substeps = grid.n_nodes, [0.7, 0.0, 1.2, 0.3], [9, 4, 16, 5]
+    starts = np.repeat(ts, N)
+    batch = trace_backward(v, starts, np.tile(grid.points, (len(ts), 1)), np.repeat(substeps, N),
+                           grid.domain)
+    assert set(batch.exit_face[batch.exited]) == {0, -1}
+    assert [len(p) for p in batch.paths] == [1, 6, 10, 17]  # the floor column has one knot
+    got = evaluate(lp, starts, grid, batch=batch)
+    columns = batch.split()
+    for m, column, t in zip(batch.members, columns, sorted(ts)):
+        alone = evaluate(lp, t, grid, batch=column)
+        assert got[m].tobytes() == alone.tobytes()
+    # the floor column has no live knot: its value is the initial state at the nodes
+    assert not batch.live[0][batch.spans[0]].any()
+    assert np.array_equal(got[batch.members[0]],
+                          interp_values(grid, lp.u0.values[:, 0], grid.points))
+
+    empty = trace_backward(v, [], np.zeros((0, 2)), [], grid.domain)
+    assert empty.split() == [] and evaluate(lp, [], grid, batch=empty).shape == (0,)
+    # the columns are summed as one block of rows, so they must be equally wide
+    ragged = trace_backward(v, np.r_[np.repeat(0.7, N), 0.3], np.r_[grid.points, grid.points[:1]],
+                            np.r_[np.repeat(9, N), 5], grid.domain)
+    with pytest.raises(ValueError, match="equally wide"):
+        evaluate(lp, 0.7, grid, batch=ragged)
 
 
 def test_none_source_and_datum_equal_zero_callbacks():
