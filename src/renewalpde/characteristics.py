@@ -103,8 +103,8 @@ class TraceBatch:
 
     The knot column is the only layout.  Column c holds the traces that
     share a start time and a substep count n_c, ``members[c]`` of the batch
-    in ascending order; ``column[p]`` is the column of trace p, and columns
-    are numbered in ascending order of start, then of substeps.
+    in ascending order (a slice or an index array), and columns are
+    numbered in ascending order of start, then of substeps.
     ``knots[:n_c + 1, c]`` are their knot times, from the start down to the
     floor (the small table pads each column with its last knot up to the
     longest), and ``paths[c]`` their positions there, an unpadded
@@ -120,26 +120,24 @@ class TraceBatch:
     exit repeat the exit point over zero-width intervals.  ``widths`` and
     ``live`` hold those intervals and the knots the integrals read in one
     flat order: the columns one after another (``spans``), each row by row.
-    A batch is not changed once built; its derived arrays are computed once.
+    They and ``trapezoids`` read that order as one ``(rows, N)`` block, so
+    they need every column N traces wide, as the grid's nodes at each start
+    are, and refuse a batch whose columns are not.  A batch is not changed
+    once built; its derived arrays are computed once.
     """
 
     knots: np.ndarray
     paths: tuple[np.ndarray, ...]
-    column: np.ndarray
+    members: tuple
     exited: np.ndarray
     exit_time: np.ndarray
     exit_point: np.ndarray
     exit_face: np.ndarray
     feet: np.ndarray
 
-    @cached_property
-    def members(self) -> list:
-        """The traces of each knot column, a slice or an index array."""
-        return _column_members(self.column, len(self.paths))
-
     def split(self) -> list["TraceBatch"]:
         """One batch per knot column, in column order; each shares its column's arrays."""
-        return [TraceBatch(self.knots[:len(p), c:c + 1], (p,), np.zeros(len(p[0]), dtype=int),
+        return [TraceBatch(self.knots[:len(p), c:c + 1], (p,), (slice(0, len(p[0])),),
                            self.exited[m], self.exit_time[m], self.exit_point[m],
                            self.exit_face[m], self.feet[m])
                 for c, (p, m) in enumerate(zip(self.paths, self.members))]
@@ -162,25 +160,29 @@ class TraceBatch:
 
     @cached_property
     def _widths_and_live(self):
-        spans, d = self.spans, self.exit_point.shape[1]
-        ts = np.empty(spans[-1].stop if spans else 0)
+        N = self.paths[0].shape[1] if self.paths else 0
+        if any(p.shape[1] != N for p in self.paths):
+            raise ValueError("the knot columns of the batch must be equally wide")
+        n = np.array([len(p) for p in self.paths], dtype=int)  # each column's rows
+        first = np.cumsum(n) - n  # each column's first row in the block
+        ts = np.empty((int(n.sum()), N))
+        for c, (r, k) in enumerate(zip(first.tolist(), n.tolist())):
+            self.trace_times(c, out=ts[r:r + k])
         mask = np.empty(ts.shape, dtype=bool)
-        for c, (path, at) in enumerate(zip(self.paths, spans)):
-            t = self.trace_times(c, out=ts[at].reshape(path.shape[:2]))
-            live = mask[at].reshape(t.shape)
-            live[0] = len(t) > 1
-            np.not_equal(t[1:], t[:-1], out=live[1:])
+        np.not_equal(ts[1:], ts[:-1], out=mask[1:])
+        mask[first] = (n > 1)[:, None]  # a column's first knot starts its first interval
         tk = ts[mask]
-        xk, hi = np.empty((len(tk), d)), 0
-        for path, at in zip(self.paths, spans):
-            lo, hi = hi, hi + np.count_nonzero(mask[at])
-            # path[live], gathered as rows of the flat path: the same points, faster
-            np.compress(mask[at], path.reshape(-1, d), axis=0, out=xk[lo:hi])
-            # the widths overwrite the times: forward in place, with no second buffer
-            t = ts[at].reshape(path.shape[:2])
-            np.subtract(t[:-1], t[1:], out=t[:-1])
-            t[-1] = 0.0
-        return ts, (mask, tk, xk)
+        # the widths overwrite the times: forward in place, with no second buffer
+        np.subtract(ts[:-1], ts[1:], out=ts[:-1])
+        ts[first + n - 1] = 0.0  # a column's last knot ends no interval
+        xk, hi = np.empty((len(tk), self.exit_point.shape[1])), 0
+        for path, r, k in zip(self.paths, first.tolist(), n.tolist()):
+            live = np.flatnonzero(mask[r:r + k])
+            lo, hi = hi, hi + len(live)
+            # path[live], taken as rows of the flat path: the same points, faster; "clip"
+            # (no index is out of range) writes straight into xk, where "raise" buffers
+            np.take(path.reshape(-1, xk.shape[1]), live, axis=0, out=xk[lo:hi], mode="clip")
+        return ts.reshape(-1), (mask.reshape(-1), tk, xk)
 
     @property
     def widths(self) -> np.ndarray:
@@ -208,21 +210,19 @@ class TraceBatch:
         The columns, equally wide, are read as one ``(rows, N)`` array, each on its
         own rows: every step spans them all, and the knot pairs across two columns
         have width 0 and are not read.  Sums add a column's rows in order, with
-        ``np.cumsum``'s bits."""
+        ``np.cumsum``'s bits, so the growth, the exponent's total with or without
+        ``q``, is also where the running exponent of the source ends."""
         N = self.paths[0].shape[1] if self.paths else 1
-        if any(p.shape[1] != N for p in self.paths):
-            raise ValueError("the knot columns of the batch must be equally wide")
-        G, dt = g.reshape(-1, N), self.widths.reshape(-1, N)[:-1]
+        dt, G = self.widths.reshape(-1, N)[:-1], g.reshape(-1, N)  # widths refuse ragged columns
         rows = [(at.start // N, len(p) - 1, m)
                 for at, p, m in zip(self.spans, self.paths, self.members)]
-        growth = np.empty(len(self.exited))
-        if q is None:  # the growth exponent's total alone
-            inc = _increments(G, dt)
-            for r, n, m in rows:
-                growth[m] = _row_total(inc[r:r + n])
-            return np.exp(growth, out=growth), None
-        E = np.empty(G.shape)
+        E, growth = np.empty(G.shape), np.empty(len(self.exited))
         _increments(G, dt, out=E[1:])
+        for r, n, m in rows:
+            growth[m] = _row_total(E[r + 1:r + n + 1])
+        np.exp(growth, out=growth)
+        if q is None:
+            return growth, None
         for r, n, _ in rows:
             E[r] = 0.0
             _running_sum(E[r + 1:r + n + 1])
@@ -231,7 +231,7 @@ class TraceBatch:
         Q *= E
         inc, source = _increments(Q, dt), np.empty(len(self.exited))
         for r, n, m in rows:
-            growth[m], source[m] = E[r + n], _row_total(inc[r:r + n])
+            source[m] = _row_total(inc[r:r + n])
         return growth, source
 
 
@@ -329,7 +329,7 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
     knots = np.array([np.linspace(start[p], t_floor, n[p] + 1)[np.minimum(np.arange(rows), n[p])]
                       for p in first]).reshape(-1, rows).T  # padded with its last knot
     steps = n[first]
-    members = _column_members(column, len(first))
+    members = tuple(_column_members(column, len(first)))
 
     lower, upper = np.array(domain.bounds()).T.copy()
     paths = tuple(np.empty((k + 1,) + pts[m].shape) for k, m in zip(steps, members))
@@ -383,30 +383,26 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
         exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
             v, c * rows + k, start[e], knots[k, c], x_hi[e], knots[k + 1, c],
             lower, upper, domain.m)
-        for path, m in zip(paths, members):
-            _hold_exits(path, exit_step[m], exited[m], exit_point[m])
+        for path, m in zip(paths, members):  # past its exit substep, a trace holds its exit point
+            if exited[m].any():
+                past = (np.arange(len(path))[:, None] > exit_step[m]) & exited[m]
+                path[past] = np.broadcast_to(exit_point[m], path.shape)[past]
     feet = np.empty((npts, d))
     for path, m in zip(paths, members):
         feet[m] = path[-1]
-    return TraceBatch(knots, paths, column, exited, exit_time, exit_point, exit_face, feet)
-
-
-def _hold_exits(path: np.ndarray, exit_step: np.ndarray, exited: np.ndarray,
-                exit_point: np.ndarray) -> None:
-    """Overwrite the positions of each exited trace past its exit substep with its exit point."""
-    if exited.any():
-        past = (np.arange(len(path))[:, None] > exit_step) & exited
-        path[past] = np.broadcast_to(exit_point, path.shape)[past]
+    return TraceBatch(knots, paths, members, exited, exit_time, exit_point, exit_face, feet)
 
 
 def _running_sum(a: np.ndarray) -> np.ndarray:
     """``np.cumsum(a, axis=0)`` in place, with its bits.
 
     numpy accumulates along axis 0 one column at a time, at a few ns per
-    element.  Adding row r - 1 into row r makes the same additions in the
-    same order, a whole row at a time, at about 1 us per row.  Rows
-    narrower than 200 elements (about where the two cost the same) keep
-    numpy's ``add.accumulate``, which ``np.cumsum`` calls.
+    element; adding row r - 1 into row r makes the same additions in the
+    same order, a row at a time, at about 1 us per row.  Timed at 5 to 65
+    rows (``running_sum_crossover`` in BENCH_21.json), numpy's
+    ``add.accumulate`` is faster on rows of up to 128 elements and the row
+    loop on rows of 256 or more; between, the faster one changes from run
+    to run, and 200 splits the band.
     """
     if a[:1].size < 200:
         return np.add.accumulate(a, axis=0, out=a)

@@ -65,13 +65,16 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
              feet_u0: np.ndarray | None = None):
     """Evaluate the representation formula at every grid node at time t, as a GridFn.
 
-    Given a :class:`TraceBatch` to ``t0`` from the start times ``t``, each knot column
-    the grid's nodes at one start, it returns one value per trace instead;
-    ``feet_u0`` is ``lp.u0`` at its interior feet, if known.
+    ``t`` is one time, unless a :class:`TraceBatch` to ``t0`` is given: then ``t``
+    holds its traces' start times, each knot column the grid's nodes at one start,
+    and it returns one value per trace; ``feet_u0`` is ``lp.u0`` at its interior
+    feet, if known.
     """
     if np.any(np.asarray(t) < t0 - 1e-14):
         raise ValueError("evaluation time below the initial time")
     if traced := batch is None:
+        if np.ndim(t):
+            raise ValueError("several evaluation times need a trace batch")
         if substeps is None:
             substeps = auto_substeps(grid, t - t0, lp.velocity.sup)
         batch = trace_backward(lp.velocity, t, grid.points, substeps, grid.domain, t_floor=t0)

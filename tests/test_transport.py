@@ -461,6 +461,12 @@ def test_several_columns_equal_each_column_alone(velocity, sourced):
                             np.r_[np.repeat(9, N), 5], grid.domain)
     with pytest.raises(ValueError, match="equally wide"):
         evaluate(lp, 0.7, grid, batch=ragged)
+    for read in (lambda: ragged.live, lambda: ragged.widths):
+        with pytest.raises(ValueError, match="equally wide"):
+            read()
+    # without a batch, t is one time: per-node times would trace ragged columns
+    with pytest.raises(ValueError, match="need a trace batch"):
+        evaluate(lp, np.linspace(0.3, 0.7, N), grid, substeps=8)
 
 
 def test_none_source_and_datum_equal_zero_callbacks():
