@@ -7,17 +7,18 @@ in time does so through its outer map ``P``/``Q``/``Ub``, which gets
 
 * :class:`WeightedMassKernel` - ``K(x, x') = g(x') e_c``: the integral
   is a weighted mass of one component and does not depend on the
-  evaluation point.  This is the fast path (O(N) per state); ``masses``
-  freezes it at every knot of a ``(n_knots, N, k)`` array in one reduction.
+  evaluation point.  This is the fast path (O(N) per state).
 * :class:`ScalarComponentKernel` - ``K(x, x') = g(x, x') e_c``: a dense
-  (P x N) kernel matrix times the state, built blockwise.
+  (P x N) kernel matrix times the states, built blockwise.
 
-Both expose ``integrate(t, pts, f) -> (P, 1)``; ``t`` is accepted for
-the common call signature and not read.  The sup bounds that the
-quantitative estimates use are declared in the system's
-``HypothesisConstants``, not on the kernels.  Each kernel keeps what
-depends only on the last grid it integrated on: the node weights, or
-the dense matrix at the grid's own nodes while it fits
+Both expose one ``integrate``, keyword-only, that freezes every knot of
+a trajectory ``f`` in one call and returns ``(n_knots, P)``: the
+integral is linear in the state, so it is one reduction (mass) or one
+product with the ``(N, n_knots)`` matrix of knot states (dense).  The
+sup bounds that the quantitative estimates use are declared in the
+system's ``HypothesisConstants``, not on the kernels.  Each kernel
+keeps what depends only on the last grid it integrated on: the node
+weights, or the dense matrix at the grid's own nodes while it fits
 ``_MATRIX_BUDGET``.  So a solve and the audits after it build it once
 per grid.
 """
@@ -27,8 +28,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-from .domain import GridFn
 
 _CHUNK = 512  # rows per dense (chunk x N) kernel block
 _MATRIX_BUDGET = 256 * 2**20  # bytes of the node matrix a dense kernel may keep
@@ -52,13 +51,11 @@ class WeightedMassKernel:
             self._weights_grid = grid
         return self._weights
 
-    def masses(self, grid, values: np.ndarray) -> np.ndarray:
-        """The weighted mass of each state of ``values`` (n_knots, N, k), shape (n_knots,)."""
-        w = self._node_weights(grid)
-        return np.sum(w * values[:, :, self.comp], axis=1) * grid.cell_volume
-
-    def integrate(self, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
-        return np.full((np.atleast_2d(pts).shape[0], 1), self.masses(f.grid, f.values[None])[0])
+    def integrate(self, *, f) -> np.ndarray:
+        """The weighted mass of each knot state of the trajectory ``f``, shape (n_knots, 1):
+        one value serves every evaluation point."""
+        w = self._node_weights(f.grid)
+        return np.sum(w * f.values[:, :, self.comp], axis=1, keepdims=True) * f.grid.cell_volume
 
 
 class ScalarComponentKernel:
@@ -90,17 +87,18 @@ class ScalarComponentKernel:
             self._matrix_grid = grid
         return self._matrix
 
-    def integrate(self, t: float, pts: np.ndarray, f: GridFn) -> np.ndarray:
-        """The integral at ``pts`` in blocks of ``_CHUNK`` rows, read from the node matrix
-        when ``pts is f.grid.points``: BLAS may sum a row differently in other blocks."""
+    def integrate(self, *, pts: np.ndarray, f) -> np.ndarray:
+        """The integral at ``pts`` of every knot state of the trajectory ``f``, shape
+        (n_knots, P), in blocks of ``_CHUNK`` rows read from the node matrix when
+        ``pts is f.grid.points`` and rebuilt otherwise: the same blocks either way."""
         G = self._node_matrix(f.grid) if pts is f.grid.points else None
         pts = np.atleast_2d(pts)
-        fw = f.values[:, self.comp] * f.grid.cell_volume
-        out = np.empty((pts.shape[0], 1))
+        W = (f.values[:, :, self.comp] * f.grid.cell_volume).T
+        out = np.empty((W.shape[1], pts.shape[0]))
         for lo in range(0, pts.shape[0], _CHUNK):
             block = self.matrix(pts[lo:lo + _CHUNK], f.grid.points) if G is None \
                 else G[lo:lo + _CHUNK]
-            out[lo:lo + _CHUNK, 0] = block @ fw
+            out[:, lo:lo + _CHUNK] = (block @ W).T
         return out
 
 

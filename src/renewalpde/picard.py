@@ -26,10 +26,10 @@ every sweep of the attempt reads it.  A sweep reads a frozen field
 with one gather per point: the stencil shifted to its knot interval j
 weighs ``values[:-1]`` and ``values[1:]`` (knots j and j + 1) by each
 corner's weight times 1 - lam and lam, the blend in time folded in.
-Kernel integrals are frozen per knot into one such array, each kernel
-object once per role (interior or boundary) however many rows name it,
-a weighted mass at all knots in one reduction; a dense kernel keeps
-its node matrix.
+Kernel integrals are frozen at every knot by one ``integrate`` call per
+kernel object and role (interior or boundary), however many rows name
+it: a weighted mass in one reduction, a dense kernel in one product with
+the matrix of knot states, from the node matrix it keeps.
 """
 
 from __future__ import annotations
@@ -233,17 +233,17 @@ class FrozenCoefficients:
     """Coefficient fields of every component with the state frozen at w.
 
     Each distinct kernel object is frozen once per role (interior for
-    ``Kp``/``Kq``, boundary for ``Ku``), whichever rows name it, in one
-    of three modes: const (an x-independent kernel: all knots in one
-    ``masses`` reduction), grid (one ``integrate`` on the grid nodes per
-    knot, interpolated multilinearly in space) and direct (a boundary
-    kernel that depends on the evaluation point: ``integrate`` at the
-    exit points themselves).  Each is blended linearly in time; the
-    outer maps P/Q/Ub of component h are then applied at the exact query
-    points and times, one time per point; an undeclared Q/Ub is 0, and
-    ``linear_problem`` hands None for it.  Queries may pass the
-    :class:`_Knots` of their points (a plan site's); otherwise they
-    bracket them here.
+    ``Kp``/``Kq``, boundary for ``Ku``), whichever rows name it, by one
+    ``integrate`` call that covers every knot, in one of three modes:
+    const (an x-independent kernel: one mass per knot), grid (on the grid
+    nodes, interpolated multilinearly in space) and direct (a boundary
+    kernel that depends on the evaluation point: at the query points
+    themselves, each point reading the two knots around its time).  Each
+    is blended linearly in time; the outer maps P/Q/Ub of component h are
+    then applied at the exact query points and times, one time per point;
+    an undeclared Q/Ub is 0, and ``linear_problem`` hands None for it.
+    Queries may pass the :class:`_Knots` of their points (a plan site's);
+    otherwise they bracket them here.
     """
 
     def __init__(self, sys: SystemDef, w: Trajectory):
@@ -268,24 +268,17 @@ class FrozenCoefficients:
         if kernel is None or (boundary and self.sys.domain.m == 0):
             return lambda k: np.zeros((len(k.j), 1))
         if kernel.x_independent:
-            mass = kernel.masses(self.grid, self.w.values)[:, None]
+            mass = kernel.integrate(f=self.w)
             lo, hi = (mass[:-1], mass[1:]) if self.K else (mass, mass)
             return lambda k: _blend(np.take(lo, k.j, axis=0), np.take(hi, k.j, axis=0), k.lam)
-        states = self.w.states
         if boundary:
             # the integral is linear in the state, so blending it equals
             # integrating the blended state: exact at every exit
             def sample(k):
-                ab = np.empty((2, len(k.j), 1))
-                for jv in np.unique(k.j):
-                    at = k.j == jv
-                    ab[:, at] = [kernel.integrate(self.times[n], k.pts[at], states[n])
-                                 for n in (jv, min(jv + 1, self.K))]
-                return _blend(ab[0], ab[1], k.lam)
+                eta, at = kernel.integrate(pts=k.pts, f=self.w), np.arange(len(k.j))
+                return _blend(eta[k.j, at, None], eta[np.minimum(k.j + 1, self.K), at, None], k.lam)
             return sample
-        eta = np.empty((self.K + 1, self.grid.n_nodes, 1))
-        for j, f in enumerate(states):
-            eta[j] = kernel.integrate(self.times[j], self.grid.points, f)
+        eta = kernel.integrate(pts=self.grid.points, f=self.w)[:, :, None]
         return lambda k: interp_gather(k.stencil, eta, k.lam)
 
     def _field(self, sampler, knots: _Knots, keep: bool) -> np.ndarray:

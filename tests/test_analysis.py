@@ -457,12 +457,12 @@ def test_entropy_sweep_builds_one_kernel_matrix(monkeypatch):
     # Kp[S] and Kq[I] are one kernel object, shared by both components
     assert entropy_sweep(contact_sihr(contact), traj, n_samples=20, seed=3) == results
     assert len(calls) == 1
-    # integrating the kernel at every knot, as without the matrix, gives the same results
+    # rebuilding the kernel's rows, as without the matrix, gives the same results
     monkeypatch.setattr(ScalarComponentKernel, "_node_matrix", lambda self, grid: None)
     calls.clear()
     assert entropy_sweep(sys_, traj, n_samples=20, seed=3) == results
-    # Kp[S] and Kq[I] are one kernel object, integrated once per knot
-    assert len(calls) == len(traj.times)
+    # Kp[S] and Kq[I] are one kernel object, its rows rebuilt once for every knot
+    assert len(calls) == 1
 
 
 def test_entropy_sweep_samples_each_knot_once():

@@ -30,6 +30,22 @@ from renewalpde.transport import LinearProblem, evaluate
 # blend into its stencil weights; it matches blending two gathers of the knots
 # to this many times the largest reference value
 FOLD_RTOL = 1e-15
+# a dense kernel frozen at every knot in one product (the state weighted by the
+# cell volume first) matches its per-knot sum written out in a test to this
+# many times the largest reference value; the two sums of up to ~10^3 nodes
+# round apart by a few ulps (measured up to 1.7e-15)
+DENSE_RTOL = 1e-14
+
+
+def mass_per_knot(weight, grid, values, comp):
+    """A weighted mass kernel's integral, summed one knot state at a time: (n_knots,)."""
+    return np.array([np.sum(weight * v[:, comp]) * grid.cell_volume for v in values])
+
+
+def dense_per_knot(kernel, x, values, grid):
+    """A dense kernel's integral at the points ``x``, one knot state at a time: (n_knots, P)."""
+    G = kernel.fn(x[:, None], grid.points[None])
+    return np.stack([G @ v[:, kernel.comp] * grid.cell_volume for v in values])
 
 
 def knot_trajectory(times, states):
@@ -350,7 +366,7 @@ def test_frozen_boundary_integral_blends_knot_integrals(mode):
     for i, (t, x) in enumerate(zip(T, X)):
         j = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
         lam = (t - times[j]) / (times[j + 1] - times[j])
-        a, b = (kernel.integrate(times[n], x[None, :], states[n])[0, 0] for n in (j, j + 1))
+        a, b = dense_per_knot(kernel, x[None], [s.values for s in states[j:j + 2]], grid)[:, 0]
         expected[i] = (1.0 - lam) * a + lam * b
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -474,8 +490,8 @@ def test_plan_sweep_equals_planless_coefficients():
 
 def test_sweep_freezes_once_and_integrates_each_kernel_once(monkeypatch):
     # Kp[S] and Kq[I] are one contact kernel: a sweep builds one FrozenCoefficients
-    # for all four components and integrates the contact once per knot (K + 1
-    # calls), not once per row that names it
+    # for all four components and integrates the contact once, at every knot,
+    # not once per knot nor once per row that names it
     sys_ = contact_sihr()
     assert sys_.Kp[0] is sys_.Kq[1]
     grid = Grid(sys_.domain, (6, 5, 4))
@@ -485,11 +501,11 @@ def test_sweep_freezes_once_and_integrates_each_kernel_once(monkeypatch):
     integrals, freezes = [], []
     integrate, init = ScalarComponentKernel.integrate, FrozenCoefficients.__init__
     monkeypatch.setattr(ScalarComponentKernel, "integrate",
-                        lambda self, *a: integrals.append(self) or integrate(self, *a))
+                        lambda self, **k: integrals.append(self) or integrate(self, **k))
     monkeypatch.setattr(FrozenCoefficients, "__init__",
                         lambda self, *a: freezes.append(a) or init(self, *a))
     apply_T(sys_, w, plan)
-    assert integrals == [sys_.Kp[0]] * len(times)
+    assert integrals == [sys_.Kp[0]]
     assert len(freezes) == 1
 
 
@@ -550,7 +566,7 @@ def test_kernel_matrix_built_once_per_slab_attempt(monkeypatch):
 
 
 def test_kernel_matrix_budget_fallback_is_bitwise_equal(monkeypatch):
-    # past the budget each sweep integrates the kernel per knot instead;
+    # past the budget each freeze rebuilds the kernel's row blocks instead;
     # 756 nodes, so both paths apply two row blocks
     sys_ = contact_sihr()
     grid = Grid(sys_.domain, (12, 9, 7))
@@ -623,8 +639,7 @@ def test_kernel_node_data_built_once_per_grid(kind, monkeypatch):
     kept_sweeps = len(sweeps)
     fresh = solve(fresh_sys, grid, 0.5, cfg)
     assert entropy_sweep(fresh_sys, fresh, n_samples=10) == audit
-    # it was built again at every freeze (a mass kernel freezes all knots in one
-    # reduction, a dense one integrates knot by knot): more than once per sweep
+    # it was built again at every freeze: at least once per sweep, and for the audit
     assert len(builds) - 2 > len(sweeps) - kept_sweeps
     assert np.array_equal(kept.times, fresh.times)
     for a, b in zip(kept.states, fresh.states):
@@ -641,6 +656,7 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
     domain = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
     grid = Grid(domain, (10, 7))
     if kind == "mass":
+        weight = np.exp(-grid.points[:, 0])
         kernel = WeightedMassKernel(lambda pts: np.exp(-pts[:, 0]), comp=1)
     else:
         kernel = ScalarComponentKernel(lambda x, xp: (1.0 + 0.3 * x[..., 1])
@@ -665,10 +681,14 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
     outside = ~domain.contains(pts)
     assert outside.any() and not outside.all()
 
+    values = [s.values for s in states]
+    if kind == "mass":
+        masses = mass_per_knot(weight, grid, values, 1)
+    else:
+        nodal = dense_per_knot(kernel, grid.points, values, grid)
+
     def eta(n_, x):
-        if kind == "mass":
-            return kernel.integrate(times[n_], x, states[n_])[0, 0]
-        return interp_values(grid, kernel.integrate(times[n_], grid.points, states[n_]), x)[0, 0]
+        return masses[n_] if kind == "mass" else interp_values(grid, nodal[n_], x)[0]
 
     K = n_knots - 1
     j, lam = np.empty(n, dtype=int), np.zeros(n)
@@ -677,13 +697,9 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
         if K:
             lam[i] = min(max((t - times[j[i]]) / (times[j[i] + 1] - times[j[i]]), 0.0), 1.0)
     j1 = np.minimum(j + 1, K)
-    # a dense kernel at the points: BLAS may sum a row differently in another
-    # block of rows, so integrate the points of one knot interval together
-    direct = np.empty((2, n))
-    for jv in set(j.tolist()):
-        rows = j == jv
-        for side, n_ in enumerate((jv, min(jv + 1, K))):
-            direct[side, rows] = kernel.integrate(times[n_], pts[rows], states[n_])[:, 0]
+    if kind == "dense":  # the kernel at the points themselves, at every knot
+        at_pts = dense_per_knot(kernel, pts, values, grid)
+        direct = at_pts[np.stack([j, j1]), np.arange(n)]
 
     ref_w, ref_p, ref_ub = np.empty((n, 2)), np.empty(n), np.empty(n)
     for i, x in enumerate(pts[:, None, :]):
@@ -695,18 +711,23 @@ def test_frozen_fields_equal_per_point_reference(kind, n_knots):
 
     # the grid-mode fields fold the time blend into the stencil weights, which
     # rounds differently from blending two gathers: equal within FOLD_RTOL of
-    # the largest reference value.  The const and direct fields blend as before.
-    def assert_folded(got, ref):
-        assert np.max(np.abs(got - ref)) <= FOLD_RTOL * np.max(np.abs(ref))
+    # the largest reference value; a dense kernel's integral adds DENSE_RTOL.
+    # The const fields blend as before and equal the reference bit for bit.
+    def assert_close(got, ref, rtol):
+        assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
         assert not got[outside].any()
 
-    assert_folded(frozen.w_at(ts, pts), ref_w)
+    assert_close(frozen.w_at(ts, pts), ref_w, FOLD_RTOL)
     for got in (frozen.p(1, ts, pts), frozen.q(1, ts, pts)):
         if kind == "dense":
-            assert_folded(got, ref_p)
+            assert_close(got, ref_p, FOLD_RTOL + DENSE_RTOL)
         else:
             assert np.array_equal(got, ref_p)
-    assert np.array_equal(frozen.ub(1, ts, pts), ref_ub)
+    got = frozen.ub(1, ts, pts)  # direct: not zeroed outside the box
+    if kind == "dense":
+        assert np.max(np.abs(got - ref_ub)) <= DENSE_RTOL * np.max(np.abs(ref_ub))
+    else:
+        assert np.array_equal(got, ref_ub)
 
 
 def _two_gather_blend(knots, values):
@@ -748,14 +769,19 @@ def test_folded_gather_equals_two_gathers_blended(case):
     knots = picard._Knots(times, ts, pts, grid)
 
     kernel = sys_.Kq[1]  # the contact on the grid, the mass kernel of sihr
-    eta = np.stack([kernel.integrate(t, grid.points, f) for t, f in zip(times, w.states)])
-    fields = [(frozen.w_at, w.values), (lambda t, x, k: interp_gather(k.stencil, eta, k.lam), eta)]
+    if kernel.x_independent:
+        mass = mass_per_knot(kernel.weight, grid, w.values, kernel.comp)
+        eta = np.repeat(mass[:, None, None], grid.n_nodes, axis=1)
+    else:
+        eta = dense_per_knot(kernel, grid.points, w.values, grid)[:, :, None]
+    fields = [(frozen.w_at, w.values, FOLD_RTOL),
+              (lambda t, x, k: interp_gather(k.stencil, eta, k.lam), eta, FOLD_RTOL)]
     if not kernel.x_independent:
-        fields.append((lambda t, x, k: frozen._eta_q[1](k), eta))
-    for read, values in fields:
+        fields.append((lambda t, x, k: frozen._eta_q[1](k), eta, FOLD_RTOL + DENSE_RTOL))
+    for read, values, rtol in fields:
         got, ref = read(ts, pts, knots), _two_gather_blend(knots, values)
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= FOLD_RTOL * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
         assert not got[outside].any()
         assert got.tobytes() == read(ts, pts, knots).tobytes()
 
@@ -871,7 +897,7 @@ def test_state_interpolated_only_for_sites_with_a_source(monkeypatch):
 @pytest.mark.parametrize("weight", [0.7, "callable"])
 @pytest.mark.parametrize("shape", [(7,), (201,), (1001,), (5, 3, 3)])
 def test_mass_freeze_equals_the_per_knot_integrate_loop(weight, shape):
-    # one reduction over every knot gives the bits of integrating knot by knot
+    # one reduction over every knot gives the bits of summing knot by knot
     dims = dict(half_lengths=(2.0,), full_lengths=(1.0,) * (len(shape) - 1))
     grid = Grid(Domain(**dims), shape)
     assert grid.n_nodes % 2 == 1
@@ -881,9 +907,8 @@ def test_mass_freeze_equals_the_per_knot_integrate_loop(weight, shape):
     rng = np.random.default_rng(grid.n_nodes)
     times = np.linspace(0.0, 0.5, 9)
     w = Trajectory(grid, times, rng.uniform(-1.0, 2.0, (len(times), grid.n_nodes, 2)))
-    loop = np.array([kernel.integrate(t, grid.points[:1], f)[0, 0]
-                     for t, f in zip(times, w.states)])
-    assert np.array_equal(kernel.masses(grid, w.values), loop)
+    loop = mass_per_knot(fn(grid.points) if callable(fn) else fn, grid, w.values, 1)
+    assert np.array_equal(kernel.integrate(f=w), loop[:, None])
     # the frozen coefficient reads those values at each knot
     sys_ = SystemDef(k=2, domain=grid.domain,
                      velocities=(VelocityField.constant([1.0] + [0.0] * (grid.dim - 1)),) * 2,
@@ -892,3 +917,54 @@ def test_mass_freeze_equals_the_per_knot_integrate_loop(weight, shape):
     frozen = FrozenCoefficients(sys_, w)
     pts = np.repeat(grid.points[:1], len(times), axis=0)
     assert np.array_equal(frozen.p(0, times, pts), loop)
+
+
+@pytest.mark.parametrize("mode", ["grid", "over-budget", "direct"])
+def test_dense_freeze_equals_the_per_knot_reference(mode, monkeypatch):
+    # one product with the (N, n_knots) matrix of knot states against a sum knot
+    # by knot: on the grid nodes from the kept node matrix or, past the budget,
+    # from rebuilt row blocks (the same bits), and at points off the grid as the
+    # direct mode freezes; 600 nodes and 700 points, so each spans two row blocks
+    grid = Grid(Domain(half_lengths=(2.0,), full_lengths=(1.0,)), (30, 20))
+    kernel = ScalarComponentKernel(lambda x, xp: (1.0 + 0.3 * x[..., 1])
+                                   * np.exp(-xp[..., 0] - (x[..., 1] - xp[..., 1]) ** 2), comp=1)
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 0.5, 9)
+    w = Trajectory(grid, times, rng.uniform(-1.0, 2.0, (len(times), grid.n_nodes, 2)))
+    pts = grid.points
+    if mode == "direct":
+        pts = np.column_stack([rng.uniform(-0.3, 2.3, 700), rng.uniform(-1.2, 1.2, 700)])
+    got = kernel.integrate(pts=pts, f=w)
+    if mode == "over-budget":
+        monkeypatch.setattr(kernels, "_MATRIX_BUDGET", 0)
+        kept, kernel = got, ScalarComponentKernel(kernel.fn, comp=1)
+        got = kernel.integrate(pts=pts, f=w)
+        assert kernel._matrix_grid is grid and kernel._matrix is None
+        assert np.array_equal(got, kept)
+    ref = dense_per_knot(kernel, pts, w.values, grid)
+    assert got.shape == ref.shape == (len(times), len(pts))
+    assert np.max(np.abs(got - ref)) <= DENSE_RTOL * np.max(np.abs(ref))
+
+
+def test_direct_freeze_evaluates_each_exit_row_once():
+    # a sweep freezes a dense boundary kernel at the exits themselves, once for
+    # every knot: one kernel row per exit serves both knots around its time
+    rows = []
+
+    def fn(x, xp):
+        rows.append(x.shape[0])
+        return (1.0 + 0.3 * x[..., 1]) * np.exp(-xp[..., 0])
+
+    domain = Domain(half_lengths=(2.0, 1.5))  # two inflow faces
+    sys_ = SystemDef(k=1, domain=domain, velocities=(VelocityField.constant([1.0, 0.6]),),
+                     P=(lambda t, pts, eta: np.zeros(pts.shape[0]),), Q=(None,),
+                     Ub=(lambda t, pts, eta: eta[:, 0],), Ku=(ScalarComponentKernel(fn),),
+                     u0=lambda pts: np.exp(-np.sum(pts ** 2, axis=1))[:, None])
+    grid = Grid(domain, (10, 8))
+    times = np.linspace(0.0, 0.8, 5)
+    w = constant_trajectory(sys_, grid, times)
+    plan = SlabPlan(sys_, w.states[0], times)
+    apply_T(sys_, w, plan)
+    exits = plan.sites[0].exits
+    assert len(np.unique(exits.j)) == len(times) - 1 and len(exits.j) >= 20
+    assert sum(rows) == len(exits.j)
