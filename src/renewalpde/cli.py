@@ -44,15 +44,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _component_labels(sys_) -> list[str]:
-    if sys_.labels is not None:
-        return list(sys_.labels)
-    return [f"u{h}" for h in range(sys_.k)]
-
-
 def _save_states(outdir: Path, traj: Trajectory, sys_, n_save: int) -> None:
     grid = traj.grid
-    labels = _component_labels(sys_)
     idx = np.unique(np.linspace(0, len(traj.times) - 1, n_save).round().astype(int))
     coord_names = [f"x{i}" for i in range(grid.dim)]
     sdir = outdir / "states"
@@ -61,7 +54,7 @@ def _save_states(outdir: Path, traj: Trajectory, sys_, n_save: int) -> None:
     for rank, j in enumerate(idx):
         fname = f"state_{rank:04d}.csv"
         rows = np.column_stack([grid.points, traj.values[j]])
-        _write_csv(sdir / fname, coord_names + labels, rows)
+        _write_csv(sdir / fname, coord_names + list(sys_.labels), rows)
         index_rows.append((rank, traj.times[j]))
     with open(sdir / "index.csv", "w", newline="\n") as fh:
         fh.write("index,t,file\n")
@@ -70,7 +63,7 @@ def _save_states(outdir: Path, traj: Trajectory, sys_, n_save: int) -> None:
 
 
 def _save_series(outdir: Path, traj: Trajectory, sys_) -> None:
-    labels = _component_labels(sys_)
+    labels = sys_.labels
     masses = traj.component_masses()
     sups = traj.component_sups()
     slab_end = np.array([d.t1 for d in traj.diagnostics]) if traj.diagnostics else np.array([np.inf])
@@ -122,15 +115,14 @@ def _entropy_certificate(frozen: FrozenCoefficients, samples: int, seed: int) ->
 
 
 def _apriori_certificates(frozen: FrozenCoefficients, grid: Grid) -> list[Certificate]:
-    labels = _component_labels(frozen.sys)
     out = []
     t_end = float(frozen.times[-1])
-    for h in range(frozen.sys.k):
+    for h, label in enumerate(frozen.sys.labels):
         lp, u_t = frozen.linear_problem(h), GridFn(frozen.grid, frozen.w.values[-1, :, h])
         c1 = apriori_l1_certificate(lp, grid, t_end, u_t=u_t)
         c2 = apriori_linf_certificate(lp, grid, t_end, u_t=u_t)
-        c1.name = f"apriori-l1[{labels[h]}]"
-        c2.name = f"apriori-linf[{labels[h]}]"
+        c1.name = f"apriori-l1[{label}]"
+        c2.name = f"apriori-linf[{label}]"
         out.extend([c1, c2])
     return out
 

@@ -277,21 +277,24 @@ def linf_norm(f: GridFn) -> float:
     return float(np.max(np.sum(np.abs(f.values), axis=1)))
 
 
-def interp_gather(stencil: Stencil, values: np.ndarray, lam=None) -> np.ndarray:
+def interp_gather(stencil: Stencil, values: np.ndarray, lam=None, rows=None) -> np.ndarray:
     """Node values interpolated with a :meth:`Grid.stencil`; 0 outside the box.
 
     ``values`` is (N,) or (N, k); the result matches.  Given ``lam``, ``values`` is the
     ``(K + 1, N, k)`` knot states read at rows ``j·N + n`` of each point's knot interval j,
     and corner c weighs ``values[:-1]`` by ``w_c·(1 - lam)`` and ``values[1:]`` by ``w_c·lam``
     (one knot: ``values`` twice), the time blend folded into the weights.  The sum runs
-    component-major, ``(k, P)``, so every multiply spans all P points.
+    component-major, ``(k, P)``, so every multiply spans all P points, each row on its own:
+    given ``rows``, only those components are gathered, bit for bit, and the others are NaN.
     """
     vals = np.asarray(values, dtype=float)
     K = max(len(vals) - 1, 1)
     sides = [(vals.reshape(len(vals), -1), None)] if lam is None else \
         [(v.reshape(-1, v.shape[2]), f) for v, f in ((vals[:K], 1.0 - lam), (vals[-K:], lam))]
-    sides = [(np.ascontiguousarray(v.T), f) for v, f in sides]
-    out = np.zeros((sides[0][0].shape[0], len(stencil.inside)))
+    k = sides[0][0].shape[1]
+    rows = list(range(k) if rows is None else rows)
+    sides = [(v.T[rows], f) for v, f in sides]  # a C-contiguous copy of the read rows
+    out = np.zeros((len(rows), len(stencil.inside)))
     corner = np.empty_like(out)  # one buffer for every corner: large fresh arrays page-fault
     folded = np.empty(out.shape[1])
     for flat, w in zip(stencil.flat, stencil.weight):
@@ -300,6 +303,10 @@ def interp_gather(stencil: Stencil, values: np.ndarray, lam=None) -> np.ndarray:
             corner *= w if f is None else np.multiply(w, f, out=folded)
             out += corner
     out[:, ~stencil.inside] = 0.0
+    if rows != list(range(k)):  # the buffers go before the padded result is made
+        del corner, sides
+        read, out = out, np.full((k, out.shape[1]), np.nan)
+        out[rows] = read
     return out[0] if vals.ndim == 1 else out.T
 
 

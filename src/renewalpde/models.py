@@ -231,7 +231,7 @@ def build_sihr(params: SIHRParams) -> SystemDef:
                      Kp=(contact, None, None, None), Kq=(None, contact, None, None),
                      Ku=(ku0, None, None, None),
                      u0=_sihr_initial(params, d), constants=constants, name="sihr",
-                     labels=("S", "I", "H", "R"))
+                     labels=("S", "I", "H", "R"), q_reads=((), (0,), (1,), (1, 2)))
 
 
 # ---------------------------------------------------------------------------

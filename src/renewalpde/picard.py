@@ -293,9 +293,10 @@ class FrozenCoefficients:
             eta.flags.writeable = False
         return self._kept[key]
 
-    def w_at(self, t, pts: np.ndarray, knots: _Knots | None = None) -> np.ndarray:
+    def w_at(self, t, pts: np.ndarray, knots: _Knots | None = None, rows=None) -> np.ndarray:
+        """The frozen state at the points: the columns ``rows`` (all when None), the rest NaN."""
         knots = knots or _Knots(self.times, t, np.atleast_2d(pts), self.grid)
-        return interp_gather(knots.stencil, self.w.values, knots.lam)
+        return interp_gather(knots.stencil, self.w.values, knots.lam, rows)
 
     def p(self, h: int, t, pts, knots: _Knots | None = None):
         pts = np.atleast_2d(pts)
@@ -304,14 +305,14 @@ class FrozenCoefficients:
         return np.asarray(self.sys.P[h](t, pts, eta), dtype=float)
 
     def q(self, h: int, t, pts, knots: _Knots | None = None, w_pt: np.ndarray | None = None):
-        """``w_pt`` is the frozen state at the points, interpolated here when not given."""
+        """``w_pt`` is the frozen state at the points; its ``q_reads[h]`` are gathered if None."""
         pts = np.atleast_2d(pts)
         if not self.sys.has_q[h]:
             return np.zeros(len(pts))
         keep, knots = knots is not None, knots or _Knots(self.times, t, pts, self.grid)
         eta = self._field(self._eta_q[h], knots, keep)
         if w_pt is None:
-            w_pt = self.w_at(t, pts, knots)
+            w_pt = self.w_at(t, pts, knots, self.sys.q_reads[h])
         return np.asarray(self.sys.Q[h](t, pts, w_pt, eta), dtype=float)
 
     def ub(self, h: int, t, pts, knots: _Knots | None = None):
@@ -350,11 +351,14 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
     frozen = FrozenCoefficients(sys, w)
     vals = np.empty((len(times), grid.n_nodes, sys.k))
     vals[0] = w.values[0]
-    w_along = {}  # the frozen state at each site's live knots, for its sourced components
+    w_along = {}  # the frozen state at each site's live knots: the columns its sources read
     for h, site in enumerate(plan.sites):
         if sys.has_q[h] and site not in w_along:
             _, tk, xk = site.batch.live
-            w_along[site] = frozen.w_at(tk, xk, site.knots)
+            rows = sorted({c for g, s in enumerate(plan.sites) if s is site and sys.has_q[g]
+                           for c in sys.q_reads[g]})
+            w_along[site] = frozen.w_at(tk, xk, site.knots, rows) if rows else \
+                np.full((len(tk), sys.k), np.nan)
         lp = frozen.linear_problem(h, site, w_along.get(site))
         vals[1:, :, h] = evaluate(lp, times[1:], grid, t0=float(times[0]),
                                   batch=site.batch, feet_u0=site.feet_u0[:, h]

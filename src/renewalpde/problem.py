@@ -23,6 +23,11 @@ receives the pointwise state u of shape (P, k).  The solver passes one
 time per point, ``t`` of shape (P,), as it does to velocity callbacks.
 An entry of ``Q`` or ``Ub`` may be None, a zero that costs no work;
 readers test ``SystemDef.has_q``/``has_ub``, not the entries.
+
+``q_reads[h]`` lists the columns of u that ``Q[h]`` reads (None: all k);
+only those are interpolated, and the others are NaN.  Construction calls
+each Q that reads fewer than k on a few points, NaN in the rest, and
+refuses a non-finite result: an undeclared read fails there, not mid-solve.
 """
 
 from __future__ import annotations
@@ -116,17 +121,22 @@ class SystemDef:
     constants: HypothesisConstants | None = None
     name: str = "system"
     labels: Sequence[str] | None = None
+    q_reads: Sequence[Sequence[int]] | None = None
 
     def __post_init__(self):
-        none_row = (None,) * self.k
-        for attr in ("Kp", "Kq", "Ku"):
+        for attr, entry in (("Kp", None), ("Kq", None), ("Ku", None), ("q_reads", range(self.k))):
             if getattr(self, attr) is None:
-                setattr(self, attr, none_row)
-        for attr in ("velocities", "P", "Q", "Ub", "Kp", "Kq", "Ku"):
+                setattr(self, attr, (entry,) * self.k)
+        self.labels = [f"u{h}" for h in range(self.k)] if self.labels is None else self.labels
+        for attr in ("velocities", "P", "Q", "Ub", "Kp", "Kq", "Ku", "q_reads", "labels"):
             row = tuple(getattr(self, attr))
             if len(row) != self.k:
                 raise ValueError(f"{attr} must have one entry per component")
             setattr(self, attr, row)
+        for h, cols in enumerate(self.q_reads):
+            if len(set(cols)) != len(cols) or not all(c in range(self.k) for c in cols):
+                raise ValueError(f"q_reads[{h}] must name distinct columns in [0, {self.k})")
+        self.q_reads = tuple(tuple(int(c) for c in cols) for cols in self.q_reads)
         for attr, what in (("P", "callable"), ("Q", "callable or None"), ("Ub", "callable or None")):
             for h, fn in enumerate(getattr(self, attr)):
                 if not (callable(fn) or (fn is None and attr != "P")):
@@ -135,6 +145,18 @@ class SystemDef:
         if self.u0 is None:
             raise ValueError("initial datum callback is required")
         self._check_inflow()
+        self._check_q_reads()
+
+    def _check_q_reads(self, n: int = 8) -> None:
+        """Call each Q that reads fewer than k columns with NaN in the others."""
+        rng = np.random.default_rng(0)
+        pts = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in self.domain.bounds()])
+        for h, cols in enumerate(self.q_reads):
+            if self.has_q[h] and len(cols) < self.k:
+                u = np.full((n, self.k), np.nan)
+                u[:, list(cols)] = rng.uniform(0.0, 1.0, (n, len(cols)))
+                if not np.all(np.isfinite(self.Q[h](np.zeros(n), pts, u, np.ones((n, 1))))):
+                    raise ValueError(f"component {h}: Q reads a column outside q_reads[{h}]")
 
     def _check_inflow(self) -> None:
         """Sample the inflow faces: every v_i^h must point strictly inward."""

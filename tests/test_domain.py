@@ -6,6 +6,7 @@ from renewalpde.domain import (
     Domain,
     Grid,
     GridFn,
+    interp_gather,
     interp_values,
     l1_norm,
     linf_norm,
@@ -122,3 +123,30 @@ def test_face_grid_nodes_and_weights():
     point_face = Grid(Domain(half_lengths=(2.0,)), (8,)).face_grid(0)
     assert np.array_equal(point_face.points, [[0.0]])
     assert point_face.weight == point_face.measure == 1.0
+
+
+@pytest.mark.parametrize("shape", [(40,), (6, 5, 4)])
+@pytest.mark.parametrize("folded", [False, True])
+def test_gather_of_some_rows_equals_those_rows_of_the_full_gather(shape, folded):
+    # each component row is summed on its own, so a subset keeps every bit; the
+    # rows left out are NaN, never a stale or zero value
+    dom = Domain(half_lengths=(2.0,), full_lengths=(1.0,) * (len(shape) - 1))
+    grid = Grid(dom, shape)
+    rng = np.random.default_rng(len(shape))
+    lo, hi = np.array(dom.bounds()).T
+    pts = rng.uniform(lo - 0.1, hi + 0.1, (300, grid.dim))
+    stencil = grid.stencil(pts)
+    if folded:  # three knot states, each point reading its knot interval j
+        values, lam = rng.normal(size=(3, grid.n_nodes, 4)), rng.uniform(0.0, 1.0, len(pts))
+        stencil.flat[:] += rng.integers(0, 2, len(pts)) * grid.n_nodes
+    else:
+        values, lam = rng.normal(size=(grid.n_nodes, 4)), None
+    full = interp_gather(stencil, values, lam)
+    assert full.shape == (len(pts), 4) and np.isfinite(full).all()
+    for rows in [(0, 1, 2), (1,), (1, 2), (0, 3), (2, 0), ()]:
+        got = interp_gather(stencil, values, lam, rows)
+        unread = [c for c in range(4) if c not in rows]
+        assert got.shape == full.shape
+        assert np.array_equal(got[:, list(rows)], full[:, list(rows)])
+        assert np.isnan(got[:, unread]).all()
+    assert np.array_equal(interp_gather(stencil, values, lam, range(4)), full)

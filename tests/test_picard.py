@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from renewalpde import kernels, picard
-from renewalpde.analysis import entropy_sweep
+from renewalpde.analysis import check_hypotheses, entropy_sweep
 from renewalpde.characteristics import VelocityField, trace_backward
 from renewalpde.config import PRESETS
 from renewalpde.domain import Domain, Grid, GridFn, interp_gather, interp_values, l1_norm
@@ -862,12 +862,15 @@ def test_none_coefficients_equal_explicit_zero_callbacks(case):
 
 
 def test_state_interpolated_only_for_sites_with_a_source(monkeypatch):
+    # each site gathers the columns its sourced components read, once per sweep
     calls = []
     w_at = FrozenCoefficients.w_at
     monkeypatch.setattr(FrozenCoefficients, "w_at",
-                        lambda self, t, pts, knots=None: calls.append(knots)
-                        or w_at(self, t, pts, knots))
+                        lambda self, t, pts, knots=None, rows=None:
+                        calls.append((knots, None if rows is None else tuple(rows)))
+                        or w_at(self, t, pts, knots, rows))
     # two sites: component 0 (speed 1) has no source, component 1 (speed 2) has one
+    # that declares no reads, so it reads both columns
     sys_ = SystemDef(k=2, domain=Domain(half_lengths=(3.0,)),
                      velocities=(VelocityField.constant([1.0]), VelocityField.constant([2.0])),
                      P=(lambda t, pts, eta: np.full(len(pts), -0.1),) * 2,
@@ -879,19 +882,61 @@ def test_state_interpolated_only_for_sites_with_a_source(monkeypatch):
     w = constant_trajectory(sys_, grid, times)
     plan = SlabPlan(sys_, w.states[0], times)
     apply_T(sys_, w, plan)
-    assert calls == [plan.sites[1].knots]
-    # sihr: one site shared by the sourced I, H, R and the unsourced S, read once
+    assert calls == [(plan.sites[1].knots, (0, 1))]
+    # a source that declares it reads no column: that site skips the gather
+    calls.clear()
+    flat = dataclasses.replace(sys_, Q=(None, lambda t, pts, u, eta: np.full(len(pts), 0.2)),
+                               q_reads=((), ()))
+    u = apply_T(flat, w, plan)
+    assert calls == []
+    every = dataclasses.replace(flat, q_reads=None)
+    assert np.array_equal(u.values, apply_T(every, w, plan).values)
+    # sihr: one site shared by the sourced I, H, R and the unsourced S, read once:
+    # S for I, I for H, I and H for R
     sihr = build_sihr(SIHRParams(rho=0.08, kappa=0.3))
     sgrid = Grid(sihr.domain, (32,))
     sw = constant_trajectory(sihr, sgrid, times)
     splan = SlabPlan(sihr, sw.states[0], times)
     calls.clear()
     apply_T(sihr, sw, splan)
-    assert calls == [splan.sites[0].knots]
+    assert calls == [(splan.sites[0].knots, (0, 1, 2))]
+    # age x 2-D space: the drift site (S, I, R) reads S, I and H; the aging-only
+    # site of H reads I
+    contact = contact_sihr()
+    cgrid = Grid(contact.domain, (10, 8, 8))
+    cw = constant_trajectory(contact, cgrid, times[:3])
+    cplan = SlabPlan(contact, cw.states[0], times[:3])
+    assert cplan.sites[0] is cplan.sites[1] is cplan.sites[3] is not cplan.sites[2]
+    calls.clear()
+    apply_T(contact, cw, cplan)
+    assert calls == [(cplan.sites[0].knots, (0, 1, 2)), (cplan.sites[2].knots, (1,))]
     # no source anywhere: a whole solve never interpolates the frozen state
     calls.clear()
     solve(dataclasses.replace(sys_, Q=(None, None)), grid, 0.5, PicardConfig())
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["sihr", "contact"])
+def test_declared_reads_equal_reading_every_column(case):
+    # the same system gathering every state column is the oracle: the solve, the
+    # entropy audit (which gathers through FrozenCoefficients.q) and the hypothesis
+    # audit keep every bit when only the declared columns are gathered
+    if case == "sihr":
+        sys_ = build_sihr(SIHRParams(rho=0.08, kappa=0.3, theta=0.1, eta=0.2))
+        grid, horizon, cfg = Grid(sys_.domain, (96,)), 0.5, PicardConfig()
+    else:
+        sys_ = contact_sihr()
+        grid, horizon = Grid(sys_.domain, (10, 8, 8)), 0.25
+        cfg = PicardConfig(slab_length=0.25, min_knots=4)
+    assert sys_.q_reads == ((), (0,), (1,), (1, 2))
+    every = dataclasses.replace(sys_, q_reads=None)
+    assert every.q_reads == ((0, 1, 2, 3),) * 4
+    got, ref = solve(sys_, grid, horizon, cfg), solve(every, grid, horizon, cfg)
+    assert np.array_equal(got.times, ref.times) and np.array_equal(got.values, ref.values)
+    assert entropy_sweep(sys_, got, n_samples=20, seed=3) == \
+        entropy_sweep(every, ref, n_samples=20, seed=3)
+    assert check_hypotheses(sys_, sys_.constants, grid, samples=8) == \
+        check_hypotheses(every, every.constants, grid, samples=8)
 
 
 @pytest.mark.parametrize("weight", [0.7, "callable"])

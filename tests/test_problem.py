@@ -280,3 +280,55 @@ def test_system_rejects_a_malformed_coefficient_row(sihr_grid, attr, entry, what
     if attr != "P":  # None is a zero source or datum
         row[2] = None
         assert not getattr(dataclasses.replace(sys_, **{attr: row}), f"has_{attr.lower()}")[2]
+
+
+def _sourced_pair(q_reads, Q=None, labels=None):
+    """Two components on a half-line; by default ``Q[1]`` reads column 0 only."""
+    return SystemDef(k=2, domain=Domain(half_lengths=(2.0,)),
+                     velocities=(VelocityField.constant([1.0]),) * 2,
+                     P=(lambda t, pts, eta: np.zeros(len(pts)),) * 2,
+                     Q=(None, Q or (lambda t, pts, u, eta: 0.5 * u[:, 0])), Ub=(None, None),
+                     u0=lambda pts: np.ones((len(pts), 2)), q_reads=q_reads, labels=labels)
+
+
+def test_system_accepts_declared_reads():
+    assert _sourced_pair(((), (0,))).q_reads == ((), (0,))
+    assert _sourced_pair([[], np.array([0, 1])]).q_reads == ((), (0, 1))
+    assert _sourced_pair(None).q_reads == ((0, 1), (0, 1))
+    assert _sourced_pair(None).labels == ("u0", "u1")
+    sihr = build_sihr(SIHRParams(rho=0.08, kappa=0.3))
+    assert sihr.q_reads == ((), (0,), (1,), (1, 2)) and sihr.labels == ("S", "I", "H", "R")
+
+
+@pytest.mark.parametrize("case, match", [
+    ("undeclared column", r"^component 1: Q reads a column outside q_reads\[1\]"),
+    ("out of range", r"^q_reads\[1\] must name distinct columns in \[0, 2\)"),
+    ("negative", r"^q_reads\[1\] must name distinct columns"),
+    ("repeated", r"^q_reads\[1\] must name distinct columns"),
+    ("rows", r"^q_reads must have one entry per component"),
+    ("labels", r"^labels must have one entry per component")])
+def test_system_refuses_a_wrong_declaration(case, match):
+    # found when the system is built: a NaN read would otherwise surface as a
+    # BlowupError and a halving cascade, and short labels as misaligned CSV headers
+    kwargs = {"undeclared column": dict(q_reads=((), (1,))),
+              "out of range": dict(q_reads=((), (2,))),
+              "negative": dict(q_reads=((), (-1,))),
+              "repeated": dict(q_reads=((), (0, 0))),
+              "rows": dict(q_reads=((0,),)),
+              "labels": dict(q_reads=None, labels=("a",))}[case]
+    with pytest.raises(ValueError, match=match):
+        _sourced_pair(**kwargs)
+
+
+def test_sihr_refuses_a_source_reading_an_undeclared_column():
+    sihr = build_sihr(SIHRParams(rho=0.08, kappa=0.3))
+
+    def reads_r(t, pts, u, eta):
+        return 0.1 * u[:, 3]
+
+    with pytest.raises(ValueError, match=r"^component 2: Q reads a column outside"):
+        dataclasses.replace(sihr, Q=(*sihr.Q[:2], reads_r, sihr.Q[3]))
+    with pytest.raises(ValueError, match=r"^labels must have one entry per component"):
+        dataclasses.replace(sihr, labels=("S", "I", "H"))
+    assert dataclasses.replace(sihr, Q=(*sihr.Q[:2], reads_r, sihr.Q[3]),
+                               q_reads=((), (0,), (3,), (1, 2))).q_reads[2] == (3,)
