@@ -5,9 +5,10 @@ A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
 interior foot point, or leaves the box at the exit time ``T(t, x)``:
 through an inflow face ``x_i = 0`` of a half-line axis, where it picks
 up the boundary datum, or through a truncation face, where it carries
-0.  Each trace of a call has its own start time and knots; the traces
-that share both form a knot column, the unit of storage: its knots and
-its positions in one unpadded ``(n + 1, N, d)`` array.  One RK4 loop
+0.  A call traces one point set from one or more start times, each with
+its own substep count: the points from one start form a knot column,
+the unit of storage: its knots and its positions in one unpadded
+``(n + 1, P, d)`` array.  One RK4 loop
 steps the live traces of every column; a trace that lands outside
 stops, and after the last substep one batched bisection refines every
 exit of the call, each within its own substep.  Every reader takes the
@@ -99,16 +100,15 @@ def rk4_step(v: VelocityField, t0, x: np.ndarray, dt) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TraceBatch:
-    """Characteristics traced at once, grouped in knot columns, one per (start, substeps).
+    """Characteristics of one point set traced at once, in knot columns, one per start.
 
-    The knot column is the only layout.  Column c holds the traces that
-    share a start time and a substep count n_c, ``members[c]`` of the batch
-    in ascending order (a slice or an index array), and columns are
-    numbered in ascending order of start, then of substeps.
+    The knot column is the only layout.  Column c holds the P points traced
+    from the c-th start time in n_c substeps, traces ``c·P : (c+1)·P`` of the
+    batch (``members[c]``), in the order of the points.
     ``knots[:n_c + 1, c]`` are their knot times, from the start down to the
     floor (the small table pads each column with its last knot up to the
     longest), and ``paths[c]`` their positions there, an unpadded
-    ``(n_c + 1, N_c, d)`` array.  A trace's positions past its exit repeat
+    ``(n_c + 1, P, d)`` array.  A trace's positions past its exit repeat
     the exit point, and ``feet[p]`` is trace p's last position.  ``exited``
     marks traces that left the box through any face.  ``exit_face`` is the
     axis of an inflow face, or -1 for a truncation face, which ``truncated``
@@ -120,26 +120,28 @@ class TraceBatch:
     exit repeat the exit point over zero-width intervals.  ``widths`` and
     ``live`` hold those intervals and the knots the integrals read in one
     flat order: the columns one after another (``spans``), each row by row.
-    They and ``trapezoids`` read that order as one ``(rows, N)`` block, so
-    they need every column N traces wide, as the grid's nodes at each start
-    are, and refuse a batch whose columns are not.  A batch is not changed
-    once built; its derived arrays are computed once.
+    They and ``trapezoids`` read that order as one ``(rows, P)`` block.  A
+    batch is not changed once built; its derived arrays are computed once.
     """
 
     knots: np.ndarray
     paths: tuple[np.ndarray, ...]
-    members: tuple
     exited: np.ndarray
     exit_time: np.ndarray
     exit_point: np.ndarray
     exit_face: np.ndarray
     feet: np.ndarray
 
+    @cached_property
+    def members(self) -> list[slice]:
+        """The traces of each knot column: ``c·P : (c+1)·P``."""
+        P = self.paths[0].shape[1] if self.paths else 0
+        return [slice(c * P, (c + 1) * P) for c in range(len(self.paths))]
+
     def split(self) -> list["TraceBatch"]:
         """One batch per knot column, in column order; each shares its column's arrays."""
-        return [TraceBatch(self.knots[:len(p), c:c + 1], (p,), (slice(0, len(p[0])),),
-                           self.exited[m], self.exit_time[m], self.exit_point[m],
-                           self.exit_face[m], self.feet[m])
+        return [TraceBatch(self.knots[:len(p), c:c + 1], (p,), self.exited[m], self.exit_time[m],
+                           self.exit_point[m], self.exit_face[m], self.feet[m])
                 for c, (p, m) in enumerate(zip(self.paths, self.members))]
 
     @property
@@ -147,25 +149,23 @@ class TraceBatch:
         return self.exited & (self.exit_face < 0)
 
     def trace_times(self, c: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Knot times of column c's traces, ``(n_c + 1, N_c)``, into ``out`` or a new array."""
+        """Knot times of column c's traces, ``(n_c + 1, P)``, into ``out`` or a new array."""
         return np.fmax(self.knots[:len(self.paths[c]), c, None], self.exit_time[self.members[c]],
                        out=out)
 
     @cached_property
     def spans(self) -> list[slice]:
         """Where each column's knots lie in the flat knot order of :attr:`live`: column
-        after column, the ``(n_c + 1) N_c`` knots of each row by row."""
+        after column, the ``(n_c + 1) P`` knots of each row by row."""
         ends = np.cumsum([p.shape[0] * p.shape[1] for p in self.paths], dtype=int).tolist()
         return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
     @cached_property
     def _widths_and_live(self):
-        N = self.paths[0].shape[1] if self.paths else 0
-        if any(p.shape[1] != N for p in self.paths):
-            raise ValueError("the knot columns of the batch must be equally wide")
+        P = self.paths[0].shape[1] if self.paths else 0
         n = np.array([len(p) for p in self.paths], dtype=int)  # each column's rows
         first = np.cumsum(n) - n  # each column's first row in the block
-        ts = np.empty((int(n.sum()), N))
+        ts = np.empty((int(n.sum()), P))
         for c, (r, k) in enumerate(zip(first.tolist(), n.tolist())):
             self.trace_times(c, out=ts[r:r + k])
         mask = np.empty(ts.shape, dtype=bool)
@@ -207,14 +207,14 @@ class TraceBatch:
         composite trapezoid on its own knots.  ``g`` and ``q`` hold a value at every
         knot in the flat order of :attr:`live`, 0 where not live; ``q`` is overwritten.
 
-        The columns, equally wide, are read as one ``(rows, N)`` array, each on its
+        The columns, each P wide, are read as one ``(rows, P)`` array, each on its
         own rows: every step spans them all, and the knot pairs across two columns
         have width 0 and are not read.  Sums add a column's rows in order, with
         ``np.cumsum``'s bits, so the growth, the exponent's total with or without
         ``q``, is also where the running exponent of the source ends."""
-        N = self.paths[0].shape[1] if self.paths else 1
-        dt, G = self.widths.reshape(-1, N)[:-1], g.reshape(-1, N)  # widths refuse ragged columns
-        rows = [(at.start // N, len(p) - 1, m)
+        P = self.paths[0].shape[1] if self.paths else 1
+        dt, G = self.widths.reshape(-1, P)[:-1], g.reshape(-1, P)
+        rows = [(at.start // P, len(p) - 1, m)
                 for at, p, m in zip(self.spans, self.paths, self.members)]
         E, growth = np.empty(G.shape), np.empty(len(self.exited))
         _increments(G, dt, out=E[1:])
@@ -227,21 +227,12 @@ class TraceBatch:
             E[r] = 0.0
             _running_sum(E[r + 1:r + n + 1])
         np.exp(E, out=E)
-        Q = q.reshape(-1, N)
+        Q = q.reshape(-1, P)
         Q *= E
         inc, source = _increments(Q, dt), np.empty(len(self.exited))
         for r, n, m in rows:
             source[m] = _row_total(inc[r:r + n])
         return growth, source
-
-
-def _column_members(column: np.ndarray, n_columns: int) -> list:
-    """The traces of each knot column, in ascending order: a slice where the columns
-    come one after another, as stacked starts lay them out, else an index array."""
-    bounds = np.cumsum(np.bincount(column, minlength=n_columns)).tolist()
-    order = column if np.all(column[1:] >= column[:-1]) else np.argsort(column, kind="stable")
-    return [slice(lo, hi) if order is column else order[lo:hi]
-            for lo, hi in zip([0] + bounds, bounds)]
 
 
 def _outside(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -307,57 +298,56 @@ def _constant_path(steps: np.ndarray, path: np.ndarray, lower: np.ndarray,
 
 def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domain,
                    t_floor: float = 0.0) -> TraceBatch:
-    """Trace every point of ``pts`` backward from its time in ``t`` to ``t_floor``.
+    """Trace every point of ``pts`` backward from each time in ``t`` to ``t_floor``.
 
-    ``t`` and ``substeps`` are scalars or one per point: trace p steps on
-    ``np.linspace(t[p], t_floor, substeps[p] + 1)``, and traces that share both
-    share a knot column.  A constant field is summed along each column in place;
-    any other is stepped knot by knot, every live trace of every column in one RK4
-    loop.  One :func:`_refine_exit` call locates all exits.
+    ``t`` and ``substeps`` are scalars or one per knot column: column c steps
+    every point on ``np.linspace(t[c], t_floor, substeps[c] + 1)``, and holds
+    traces ``c·P : (c+1)·P`` of the batch, P the number of points.  A constant
+    field is summed along each column in place; any other is stepped knot by
+    knot, every live trace of every column in one RK4 loop.  One
+    :func:`_refine_exit` call locates all exits.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    npts, d = pts.shape
-    start = np.broadcast_to(np.asarray(t, dtype=float), (npts,))
+    P, d = pts.shape
+    start, n = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                                   np.atleast_1d(substeps))
     if np.any(start < t_floor - 1e-15):
         raise ValueError("cannot trace to a floor above t")
-    n = np.where(np.abs(start - t_floor) < 1e-15, 0,
-                 np.maximum(1, np.broadcast_to(substeps, (npts,)).astype(int)))
-    scalar = np.ndim(t) == np.ndim(substeps) == 0  # one knot column, nothing to group
-    first, column = ((np.zeros(1, dtype=int), np.zeros(npts, dtype=int)) if scalar else
-                     np.unique(start + 1j * n, return_index=True, return_inverse=True)[1:])
-    rows = int(n.max(initial=0)) + 1
-    knots = np.array([np.linspace(start[p], t_floor, n[p] + 1)[np.minimum(np.arange(rows), n[p])]
-                      for p in first]).reshape(-1, rows).T  # padded with its last knot
-    steps = n[first]
-    members = tuple(_column_members(column, len(first)))
+    n = np.where(np.abs(start - t_floor) < 1e-15, 0, np.maximum(1, n.astype(int)))
+    C, rows = len(n), int(n.max(initial=0)) + 1
+    knots = np.array([np.linspace(s, t_floor, k + 1)[np.minimum(np.arange(rows), k)]
+                      for s, k in zip(start, n)]).reshape(-1, rows).T  # padded with its last knot
+    column = np.arange(C * P) // P
 
     lower, upper = np.array(domain.bounds()).T.copy()
-    paths = tuple(np.empty((k + 1,) + pts[m].shape) for k, m in zip(steps, members))
-    for path, m in zip(paths, members):
-        path[0] = pts[m]
-    exit_step = n.copy()  # substep in which a trace leaves; its substep count if never
-    x_hi = np.empty((npts, d))  # where each exited trace was at the start of that substep
+    paths = tuple(np.empty((k + 1, P, d)) for k in n)
+    for path in paths:
+        path[0] = pts
+    exit_step = n[column]  # substep in which a trace leaves; its substep count if never
+    x_hi = np.empty((C * P, d))  # where each exited trace was at the start of that substep
     if v.vec is not None:
         # every RK4 step of every knot column, (rows - 1, columns, 1, d)
         rk4 = (np.diff(knots, axis=0) / 6)[..., None, None] * _rk4_sum(v.vec)
-        for c, (path, m) in enumerate(zip(paths, members)):
+        for c, path in enumerate(paths):
+            m = slice(c * P, (c + 1) * P)
             exit_step[m] = k = _constant_path(rk4[:len(path) - 1, c], path, lower, upper)
-            x_hi[m] = path[k, np.arange(len(k))]
+            x_hi[m] = path[k, np.arange(P)]
     else:
-        # x holds every trace, the live ones compacted in x_live
-        x, x_live = pts.copy(), pts.copy()
-        live, at = np.arange(npts), column
-        running = list(zip(steps, paths, members))
-        ends = set(steps.tolist())  # rows at which some column ends
+        # x holds every trace, column by column, the live ones compacted in x_live
+        x = np.array(np.broadcast_to(pts, (C, P, d))).reshape(-1, d)
+        x_live = x.copy()
+        live, at = np.arange(C * P), column
+        running = list(enumerate(paths))
+        ends = set(n.tolist())  # rows at which some column ends
         for j in range(rows - 1):
             if j in ends:
-                keep = n[live] > j
+                keep = n[at] > j
                 live, at, x_live = live[keep], at[keep], x_live[keep]
-                running = [r for r in running if r[0] > j]
+                running = [(c, path) for c, path in running if n[c] > j]
             if not live.size:
                 break  # the rows left lie past the exit of every trace that has them
             # one column: its knots are scalars, which step faster than a time per trace
-            s, s_next = ((knots[j, 0], knots[j + 1, 0]) if len(first) == 1
+            s, s_next = ((knots[j, 0], knots[j + 1, 0]) if C == 1
                          else (np.take(knots[j], at), np.take(knots[j + 1], at)))
             x_new = rk4_step(v, s, x_live, s_next - s)
             if not np.all(np.isfinite(x_new)):
@@ -371,26 +361,26 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
                 live, at, x_new = live[keep], at[keep], x_new[keep]
             x_live = x_new
             x[live] = x_live
-            for _, path, m in running:
-                path[j + 1] = x[m]
+            for c, path in running:
+                path[j + 1] = x[c * P:(c + 1) * P]
 
-    exited = exit_step < n
-    exit_time, exit_face = np.full(npts, np.nan), np.full(npts, -1, dtype=int)
-    exit_point = np.full((npts, d), np.nan)
+    exited = exit_step < n[column]
+    exit_time, exit_face = np.full(C * P, np.nan), np.full(C * P, -1, dtype=int)
+    exit_point = np.full((C * P, d), np.nan)
     if exited.any():
         e = np.nonzero(exited)[0]
         k, c = exit_step[e], column[e]
         exit_time[e], exit_point[e], exit_face[e] = _refine_exit(
-            v, c * rows + k, start[e], knots[k, c], x_hi[e], knots[k + 1, c],
+            v, c * rows + k, start[c], knots[k, c], x_hi[e], knots[k + 1, c],
             lower, upper, domain.m)
-        for path, m in zip(paths, members):  # past its exit substep, a trace holds its exit point
-            if exited[m].any():
-                past = (np.arange(len(path))[:, None] > exit_step[m]) & exited[m]
-                path[past] = np.broadcast_to(exit_point[m], path.shape)[past]
-    feet = np.empty((npts, d))
-    for path, m in zip(paths, members):
+    feet = np.empty((C * P, d))
+    for c, path in enumerate(paths):
+        m = slice(c * P, (c + 1) * P)
+        if exited[m].any():  # past its exit substep, a trace holds its exit point
+            past = (np.arange(len(path))[:, None] > exit_step[m]) & exited[m]
+            path[past] = np.broadcast_to(exit_point[m], path.shape)[past]
         feet[m] = path[-1]
-    return TraceBatch(knots, paths, members, exited, exit_time, exit_point, exit_face, feet)
+    return TraceBatch(knots, paths, exited, exit_time, exit_point, exit_face, feet)
 
 
 def _running_sum(a: np.ndarray) -> np.ndarray:

@@ -155,11 +155,7 @@ def run_certificates(sys_, traj: Trajectory, grid: Grid, cfg: RunConfig, oracle)
         if name == "positivity":
             certs.append(_positivity_certificate(traj))
         elif name == "gronwall":
-            hc = sys_.constants
-            if hc is None or (hc.C1 is None and hc.C2 is None):
-                raise ConfigError("certificates: model declares no global growth bound "
-                                  "('gronwall' not applicable)")
-            certs.append(gronwall_certificate(sys_, hc, traj))
+            certs.append(gronwall_certificate(sys_, sys_.constants, traj))
         elif name == "contraction":
             certs.append(_contraction_certificate(sys_, traj, grid))
         elif name == "entropy":
@@ -200,6 +196,10 @@ def run(cfg: RunConfig) -> int:
     sys_, oracle = preset.build(cfg.params)
     if len(cfg.cells) not in (1, sys_.domain.dim):
         raise ConfigError(f"field 'cells' needs 1 or {sys_.domain.dim} entries for '{cfg.model}'")
+    hc = sys_.constants
+    if "gronwall" in cfg.certificates and (hc is None or (hc.C1 is None and hc.C2 is None)):
+        raise ConfigError("certificates: model declares no global growth bound "
+                          "('gronwall' not applicable)")
     cells = cfg.cells if len(cfg.cells) == sys_.domain.dim else cfg.cells * sys_.domain.dim
     grid = Grid(sys_.domain, cells)
 

@@ -243,7 +243,8 @@ class CellGrowthParams:
     """Age-structured growth with loss and a renewal (division) boundary.
 
     The division intake must be linear in the population for the kernel
-    form: newborn flux = ``int b(x') N(t, x') dx'`` with weight b.
+    form: newborn flux = ``int b(x') N(t, x') dx'`` with weight b.  With
+    ``n`` trait axes, ``growth(t, pts)`` returns their velocities, ``(P, n)``.
     """
 
     loss: float | Callable = 0.0

@@ -212,13 +212,11 @@ class SlabPlan:
     def __init__(self, sys: SystemDef, u0: GridFn, times: np.ndarray):
         grid = u0.grid
         times = np.asarray(times, dtype=float)
-        K, N = len(times) - 1, grid.n_nodes
-        starts, pts = np.repeat(times[1:], N), np.tile(grid.points, (K, 1))
-        substeps = np.repeat(np.arange(1, K + 1) * _SUBSTEPS_PER_INTERVAL, N)
+        substeps = np.arange(1, len(times)) * _SUBSTEPS_PER_INTERVAL
         by_velocity = {}
         for v in sys.velocities:
             if id(v) not in by_velocity:
-                batch = trace_backward(v, starts, pts, substeps, grid.domain,
+                batch = trace_backward(v, times[1:], grid.points, substeps, grid.domain,
                                        t_floor=float(times[0]))
                 _, tk, xk = batch.live
                 inflow = batch.exit_face >= 0

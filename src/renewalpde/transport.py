@@ -65,10 +65,10 @@ def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
              feet_u0: np.ndarray | None = None):
     """Evaluate the representation formula at every grid node at time t, as a GridFn.
 
-    ``t`` is one time, unless a :class:`TraceBatch` to ``t0`` is given: then ``t``
-    holds its traces' start times, each knot column the grid's nodes at one start,
-    and it returns one value per trace; ``feet_u0`` is ``lp.u0`` at its interior
-    feet, if known.
+    ``t`` is one time, unless a :class:`TraceBatch` to ``t0`` is given: then each
+    of its knot columns traces the grid's nodes from one start, ``t`` holds those
+    starts, one per column, and it returns one value per trace; ``feet_u0`` is
+    ``lp.u0`` at its interior feet, if known.
     """
     if np.any(np.asarray(t) < t0 - 1e-14):
         raise ValueError("evaluation time below the initial time")
@@ -124,11 +124,9 @@ def solve_series(lp: LinearProblem, times: Sequence[float], grid: Grid,
         return []
     tu, repeat = np.unique(ts, return_inverse=True)
     n = [auto_substeps(grid, t, lp.velocity.sup) if substeps is None else substeps for t in tu]
-    N = grid.n_nodes
-    # columns come in the order of their start times, one per distinct time; the
-    # batch is not kept, so each column's arrays go once it is evaluated
-    columns = trace_backward(lp.velocity, np.repeat(tu, N), np.tile(grid.points, (len(tu), 1)),
-                             np.repeat(n, N), grid.domain).split()
+    # one column per distinct time; the batch is not kept, so each column's
+    # arrays go once it is evaluated
+    columns = trace_backward(lp.velocity, tu, grid.points, n, grid.domain).split()
     vals = []
     for c, t in enumerate(tu):
         column, columns[c] = columns[c], None

@@ -179,6 +179,18 @@ def test_blowup_presets_refuse_params(tmp_path, capsys, model):
     assert "takes no parameter overrides" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["blowup-ode", "blowup-transport"])
+def test_gronwall_is_refused_before_the_solve(tmp_path, capsys, model, monkeypatch):
+    # the blow-up presets declare no growth bound: the run stops at the config
+    # check, before any solve, and writes neither states nor series
+    monkeypatch.setattr("renewalpde.cli.solve", lambda *a, **k: pytest.fail("solved"))
+    path = write_config(tmp_path, model=model, certificates=["gronwall"])
+    assert main(["run", str(path)]) == 2
+    assert "'gronwall' not applicable" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not (out / "states").exists() and not (out / "series.csv").exists()
+
+
 def test_state_csv_roundtrip(tmp_path):
     path = write_config(tmp_path, horizon=0.25, cells=64, save_states=3)
     assert main(["run", str(path)]) == 0

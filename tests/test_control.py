@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from renewalpde.control import (
 )
 from renewalpde.domain import Grid
 from renewalpde.models import CompetitiveParams, SIHRParams, build_competitive, build_sihr
-from renewalpde.picard import PicardConfig, solve
+from renewalpde.picard import LocalExistenceError, PicardConfig, solve
 
 CFG = PicardConfig(slab_length=0.5)
 
@@ -151,3 +153,43 @@ def test_optimizer_deterministic():
     assert np.array_equal(a.best, b.best)
     assert a.trace == b.trace
     assert a.evaluations == b.evaluations
+
+
+def test_optimizer_discards_a_probe_whose_solve_fails():
+    # solves above 0.6 fail: each such probe warns, reads as inf and is never taken
+    failed = []
+
+    def objective(c):
+        if c[0] > 0.6:
+            failed.append(c[0])
+            raise LocalExistenceError(0.0, 1.0)
+        return float((c[0] - 0.9) ** 2)
+
+    spec = ControlSpec(bounds=[(0.0, 1.0)], budget=30)
+    with pytest.warns(UserWarning, match="control probe discarded") as record:
+        result = optimize(objective, spec)
+    assert failed and len(record) == len(failed)
+    assert result.best[0] <= 0.6 and result.cost == (result.best[0] - 0.9) ** 2
+    assert np.all(np.isfinite(result.trace))
+    assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
+    # a failing start is read as inf too: with every probe failing, nothing improves it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = optimize(lambda c: objective(c + 1.0), ControlSpec(bounds=[(0.0, 1.0)],
+                                                                   budget=5))
+    assert result.cost == np.inf and result.trace == [np.inf] * 5 and result.best[0] == 0.5
+
+
+def test_peak_objective_is_the_peak_of_a_constant_rate_solve():
+    base = SIHRParams(rho=1.2, kappa=0.1, theta=0.05)
+    spec = ControlSpec(bounds=[(0.0, 1.0)], budget=10, breakpoints=None)
+    objective = sihr_kappa_objective(base, spec, cells=64, horizon=1.0, cfg=CFG,
+                                     objective="peak")
+    sweep = [objective(np.array([k])) for k in (0.0, 0.5, 1.0)]
+    # more quarantine, a lower peak of the infective density
+    assert all(a > b for a, b in zip(sweep, sweep[1:]))
+    sys_ = build_sihr(SIHRParams(rho=1.2, kappa=0.5, theta=0.05))
+    traj = solve(sys_, Grid(sys_.domain, (64,)), 1.0, CFG)
+    assert sweep[1] == pytest.approx(cost_peak_infection(traj), rel=1e-12)
+    with pytest.raises(ValueError, match="'deaths' or 'peak'"):
+        sihr_kappa_objective(base, spec, cells=64, horizon=1.0, cfg=CFG, objective="cases")

@@ -110,6 +110,20 @@ def test_interp_linear_in_between():
     assert np.allclose(interp_values(g, f.values, pts)[:, 0], 3.0 * pts[:, 0] + 1.0)
 
 
+def test_interp_on_a_one_cell_axis_equals_the_axis_dropped():
+    # a one-cell axis has one node: its coordinate weighs nothing, and an (8, 1)
+    # grid interpolates as the 8 nodes of its first axis alone
+    flat = Grid(Domain(half_lengths=(2.0,), full_lengths=(1.0,)), (8, 1))
+    line = Grid(Domain(half_lengths=(2.0,)), (8,))
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(8, 2))
+    pts = np.column_stack([rng.uniform(0.0, 2.0, 50), rng.uniform(-1.0, 1.0, 50)])
+    pts[:2, 0] = [0.0, 2.0]  # the half-cell margins of the first axis
+    st = flat.stencil(pts)  # corners (0, 1) and (1, 1) step off the one node: weight 0
+    assert st.flat.min() >= 0 and not st.weight[[1, 3]].any()
+    assert np.array_equal(interp_values(flat, values, pts), interp_values(line, values, pts[:, :1]))
+
+
 def test_face_grid_nodes_and_weights():
     g = Grid(Domain(half_lengths=(2.0, 1.0), full_lengths=(1.0,)), (4, 5, 8))
     fg = g.face_grid(0)

@@ -147,6 +147,46 @@ def test_cell_growth_renewal_rate():
     assert slope == pytest.approx(b0, rel=0.10)
 
 
+def _constant(c):
+    """A callable coefficient that is ``c`` at every argument."""
+    return lambda *args: np.full(np.broadcast(*args).shape, c)
+
+
+def test_cell_growth_spatial_callable_growth_equals_no_growth():
+    # age x 1-D trait: a growth callable of 0 steps the RK4 loop on the callbacks,
+    # the built-in (1, 0) velocity sums its constant steps; same bits
+    runs = []
+    for growth in (None, lambda t, pts: np.zeros((len(pts), 1))):
+        sys_ = build_cell_growth(CellGrowthParams(loss=0.2, birth_weight=0.5, n=1, growth=growth))
+        assert (sys_.velocities[0].vec is None) == (growth is not None)
+        runs.append(solve(sys_, Grid(sys_.domain, (24, 8)), 0.5, PicardConfig()).values)
+    assert np.array_equal(runs[0], runs[1])
+    # growth returns one rate per trait axis, (P, n): a (P,) result does not broadcast
+    with pytest.raises(ValueError, match="broadcast"):
+        build_cell_growth(CellGrowthParams(n=1, growth=lambda t, pts: np.zeros(len(pts))))
+
+
+def test_competitive_callable_kernels_equal_constant_ones():
+    base = dict(mu1=0.2, mu2=0.3, c1=0.3, c2=0.2, beta1=0.4, beta2=0.3, f1=0.1, f2=0.05)
+    calls = {"beta": dict(beta1=_constant(0.4), beta2=_constant(0.3), beta1_bound=0.4,
+                          beta2_bound=0.3),
+             "c": dict(c1=_constant(0.3), c2=_constant(0.2), c1_bound=0.3, c2_bound=0.2)}
+
+    def run(**over):
+        sys_ = build_competitive(CompetitiveParams(**{**base, **over}))
+        return solve(sys_, Grid(sys_.domain, (64,)), 0.5, PicardConfig()).values
+
+    ref = run()
+    # a natality callback is still a weighted mass, its weights the constant's: same bits
+    assert np.array_equal(run(**calls["beta"]), ref)
+    # a competition callback is a dense kernel: its product with the knot states sums
+    # the nodes in another order than the mass does, a few ulps apart
+    assert np.max(np.abs(run(**calls["c"]) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for key, bound in (("c1", "c1_bound"), ("beta2", "beta2_bound")):
+        with pytest.raises(ValueError, match="needs a sup bound"):
+            build_competitive(CompetitiveParams(**{**base, key: _constant(0.1), bound: None}))
+
+
 def test_competitive_decoupled_decay():
     sys_ = build_competitive(CompetitiveParams(mu1=0.3, mu2=0.5))
     grid = Grid(sys_.domain, (96,))

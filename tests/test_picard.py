@@ -122,6 +122,32 @@ def test_solve_blowup_past_singularity_fails_with_bracket():
     assert 0.9 <= lo <= hi <= 1.1
 
 
+def test_non_finite_sweep_halves_the_slab_down_to_a_bracket(monkeypatch):
+    # P = inf past t = 0.3: every sweep of a slab past 0.3 evaluates a non-finite
+    # value, and the slab halves until it is below min_slab_factor; the bracket
+    # then holds 0.3
+    sys_ = SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
+                     velocities=(VelocityField.constant([1.0]),),
+                     P=(lambda t, pts, eta: np.where(t > 0.3, np.inf, -0.1),), Q=(None,),
+                     Ub=(None,), u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
+    raised, sweep = [], picard.apply_T
+
+    def counted(*args, **kwargs):
+        try:
+            return sweep(*args, **kwargs)
+        except picard.BlowupError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(picard, "apply_T", counted)
+    cfg = PicardConfig(min_slab_factor=1e-3)
+    with pytest.raises(LocalExistenceError) as exc:
+        solve(sys_, Grid(sys_.domain, (60,)), 1.0, cfg)
+    lo, hi = exc.value.bracket
+    assert lo < 0.3 < hi and hi - lo <= 2 * cfg.min_slab_factor * cfg.slab_length
+    assert len(raised) >= 2 and all(m.startswith("non-finite solution values") for m in raised)
+
+
 def test_solve_transport_only():
     sys_ = build_sihr(SIHRParams(rho=0.0))
     grid = Grid(sys_.domain, (128,))

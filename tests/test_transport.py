@@ -381,13 +381,13 @@ def test_first_order_convergence(case):
 
 
 def test_source_total_equals_a_loop_with_one_running_sum(monkeypatch):
-    # stacked starts on [0, 3] with v = 1: ragged columns with exits.  With zero
-    # data the value is the source total alone; it must equal a loop over each
-    # trace's own knots, with one running trapezoid per knot column
+    # three knot columns on [0, 3] with v = 1, each with its own substep count, with
+    # exits.  With zero data the value is the source total alone; it must equal a loop
+    # over each trace's own knots, with one running trapezoid per knot column
     grid = make_grid(30, 3.0)
     v = VelocityField.constant([1.0])
-    starts, substeps = np.repeat([0.5, 1.0, 2.0], grid.n_nodes), np.repeat([2, 4, 8], grid.n_nodes)
-    batch = trace_backward(v, starts, np.tile(grid.points, (3, 1)), substeps, grid.domain)
+    starts = [0.5, 1.0, 2.0]
+    batch = trace_backward(v, starts, grid.points, [2, 4, 8], grid.domain)
     assert batch.exited.any() and not batch.exited.all()
 
     def p(t, pts):
@@ -435,36 +435,28 @@ def _oracle_problem(velocity, sourced):
 @pytest.mark.parametrize("sourced", [True, False])
 def test_several_columns_equal_each_column_alone(velocity, sourced):
     # evaluate on a batch of several knot columns equals evaluate on each column of
-    # split(), bit for bit: columns in any order, one of them at the floor (no substeps)
+    # split(), bit for bit: columns in the caller's order, not sorted, one of them at
+    # the floor (no substeps)
     v = _t_dependent_velocity() if velocity == "callable" else VelocityField.constant([1.0, 1.5])
     grid, lp = _oracle_problem(v, sourced)
     N, ts, substeps = grid.n_nodes, [0.7, 0.0, 1.2, 0.3], [9, 4, 16, 5]
-    starts = np.repeat(ts, N)
-    batch = trace_backward(v, starts, np.tile(grid.points, (len(ts), 1)), np.repeat(substeps, N),
-                           grid.domain)
+    batch = trace_backward(v, ts, grid.points, substeps, grid.domain)
     assert set(batch.exit_face[batch.exited]) == {0, -1}
-    assert [len(p) for p in batch.paths] == [1, 6, 10, 17]  # the floor column has one knot
-    got = evaluate(lp, starts, grid, batch=batch)
+    assert [len(p) for p in batch.paths] == [10, 1, 17, 6]  # the floor column has one knot
+    assert batch.members == [slice(c * N, (c + 1) * N) for c in range(len(ts))]
+    got = evaluate(lp, ts, grid, batch=batch)
     columns = batch.split()
-    for m, column, t in zip(batch.members, columns, sorted(ts)):
+    for m, column, t in zip(batch.members, columns, ts):
         alone = evaluate(lp, t, grid, batch=column)
         assert got[m].tobytes() == alone.tobytes()
     # the floor column has no live knot: its value is the initial state at the nodes
-    assert not batch.live[0][batch.spans[0]].any()
-    assert np.array_equal(got[batch.members[0]],
+    assert not batch.live[0][batch.spans[1]].any()
+    assert np.array_equal(got[batch.members[1]],
                           interp_values(grid, lp.u0.values[:, 0], grid.points))
 
-    empty = trace_backward(v, [], np.zeros((0, 2)), [], grid.domain)
+    empty = trace_backward(v, [], grid.points, [], grid.domain)
     assert empty.split() == [] and evaluate(lp, [], grid, batch=empty).shape == (0,)
-    # the columns are summed as one block of rows, so they must be equally wide
-    ragged = trace_backward(v, np.r_[np.repeat(0.7, N), 0.3], np.r_[grid.points, grid.points[:1]],
-                            np.r_[np.repeat(9, N), 5], grid.domain)
-    with pytest.raises(ValueError, match="equally wide"):
-        evaluate(lp, 0.7, grid, batch=ragged)
-    for read in (lambda: ragged.live, lambda: ragged.widths):
-        with pytest.raises(ValueError, match="equally wide"):
-            read()
-    # without a batch, t is one time: per-node times would trace ragged columns
+    # without a batch, t is one time: several times need one knot column each
     with pytest.raises(ValueError, match="need a trace batch"):
         evaluate(lp, np.linspace(0.3, 0.7, N), grid, substeps=8)
 
