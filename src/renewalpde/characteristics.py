@@ -212,7 +212,9 @@ class TraceBatch:
         have width 0 and are not read.  Sums add a column's rows in order, with
         ``np.cumsum``'s bits, so the growth, the exponent's total with or without
         ``q``, is also where the running exponent of the source ends."""
-        P = self.paths[0].shape[1] if self.paths else 1
+        P = self.paths[0].shape[1] if self.paths else 0
+        if not P:  # no traces: nothing to integrate
+            return np.empty(0), (None if q is None else np.empty(0))
         dt, G = self.widths.reshape(-1, P)[:-1], g.reshape(-1, P)
         rows = [(at.start // P, len(p) - 1, m)
                 for at, p, m in zip(self.spans, self.paths, self.members)]

@@ -22,7 +22,11 @@ exact.  Only the iterate changes from one sweep to the next.  So each
 slab attempt builds one :class:`SlabPlan` (per velocity, the traces of
 every grid node from every knot in one batch, the knot brackets of
 their live knots and exits, and the initial state at the feet), and
-every sweep of the attempt reads it.  A sweep reads a frozen field
+every sweep of the attempt reads it.  A constant velocity's traces,
+knot brackets and feet stencil depend on the slab start only through a
+shift of their times, so :func:`solve` keeps them for its last two slab
+shapes (h, K) and a later attempt of one of them only gathers its own
+initial state at the feet.  A sweep reads a frozen field
 with one gather per point: the stencil shifted to its knot interval j
 weighs ``values[:-1]`` and ``values[1:]`` (knots j and j + 1) by each
 corner's weight times 1 - lam and lam, the blend in time folded in.
@@ -66,6 +70,7 @@ _BALL_REL_MARGIN = 0.5
 _DT_TARGET = 1.0 / 16.0  # knot spacing aimed for within a slab
 _SUBSTEPS_PER_INTERVAL = 4  # trace substeps per knot interval
 _MAX_SLABS = 2000
+_KEPT_SHAPES = 2  # slab shapes whose constant-velocity traces solve keeps
 
 
 @dataclass
@@ -192,13 +197,28 @@ class _Site:
 
     ``knots`` and ``exits`` bracket the live knots, in ``batch.live``'s order,
     and the inflow exits; ``feet_u0`` is the attempt's initial state (all
-    components) at the feet of the traces that stayed inside.
+    components) at the feet of the traces that stayed inside.  The coefficients
+    read the traces' times plus ``shift``.
     """
 
     batch: TraceBatch
     knots: _Knots
     exits: _Knots
     feet_u0: np.ndarray
+    shift: float
+
+
+def _geometry(v, times: np.ndarray, grid: Grid):
+    """All of a site but ``u0``: the traces, the :class:`_Knots` of their live knots
+    and inflow exits on ``times``, and the stencil of their interior feet."""
+    batch = trace_backward(v, times[1:], grid.points,
+                           np.arange(1, len(times)) * _SUBSTEPS_PER_INTERVAL, grid.domain,
+                           t_floor=float(times[0]))
+    _, tk, xk = batch.live
+    inflow = batch.exit_face >= 0
+    return (batch, _Knots(times, tk, xk, grid),
+            _Knots(times, batch.exit_time[inflow], batch.exit_point[inflow], grid),
+            grid.stencil(batch.feet[~batch.exited]))
 
 
 class SlabPlan:
@@ -206,24 +226,30 @@ class SlabPlan:
 
     Built once per attempt and read by each of its sweeps: ``sites[h]``
     holds component h's traces of every grid node from every knot j >= 1
-    (``4j`` substeps) to ``times[0]``, one batch per velocity.
+    (``4j`` substeps) of ``t0 + times`` to the first, one batch per velocity.
+    A constant velocity's traces depend on t0 only through a shift: they run
+    on ``times``, and ``kept`` (kept by :func:`solve`) holds them for the
+    last ``_KEPT_SHAPES`` knot sets ``times``.
     """
 
-    def __init__(self, sys: SystemDef, u0: GridFn, times: np.ndarray):
+    def __init__(self, sys: SystemDef, u0: GridFn, times: np.ndarray, t0: float = 0.0,
+                 kept: dict | None = None):
         grid = u0.grid
         times = np.asarray(times, dtype=float)
-        substeps = np.arange(1, len(times)) * _SUBSTEPS_PER_INTERVAL
+        key = times.tobytes()
+        shape = {} if kept is None else kept.pop(key, {})  # constant velocities' traces
         by_velocity = {}
         for v in sys.velocities:
+            if v.vec is not None and id(v) not in shape:
+                shape[id(v)] = _geometry(v, times, grid)
             if id(v) not in by_velocity:
-                batch = trace_backward(v, times[1:], grid.points, substeps, grid.domain,
-                                       t_floor=float(times[0]))
-                _, tk, xk = batch.live
-                inflow = batch.exit_face >= 0
-                by_velocity[id(v)] = _Site(
-                    batch, _Knots(times, tk, xk, grid),
-                    _Knots(times, batch.exit_time[inflow], batch.exit_point[inflow], grid),
-                    interp_gather(grid.stencil(batch.feet[~batch.exited]), u0.values))
+                batch, knots, exits, feet = shape.get(id(v)) or _geometry(v, t0 + times, grid)
+                by_velocity[id(v)] = _Site(batch, knots, exits, interp_gather(feet, u0.values),
+                                           0.0 if v.vec is None else t0)
+        if kept is not None:
+            kept[key] = shape  # the most recently used last
+            if len(kept) > _KEPT_SHAPES:
+                del kept[next(iter(kept))]
         self.sites = [by_velocity[id(v)] for v in sys.velocities]
 
 
@@ -326,14 +352,17 @@ class FrozenCoefficients:
         """The frozen scalar problem of component h.
 
         Given a plan site, its callbacks read the site's knots and
-        ``w_pt``, the frozen state at the site's live knots.
+        ``w_pt``, the frozen state at the site's live knots, and add the
+        site's shift to the times they are given.
         """
-        knots, exits = (site.knots, site.exits) if site is not None else (None, None)
+        knots, exits, shift = ((site.knots, site.exits, site.shift) if site is not None
+                               else (None, None, 0.0))
         sys = self.sys
+        at = (lambda t: t + shift) if shift else (lambda t: t)  # a shift of 0 copies nothing
         return LinearProblem(
-            sys.velocities[h], lambda t, pts: self.p(h, t, pts, knots),
-            (lambda t, pts: self.q(h, t, pts, knots, w_pt)) if sys.has_q[h] else None,
-            (lambda t, pts: self.ub(h, t, pts, exits)) if sys.has_ub[h] else None,
+            sys.velocities[h], lambda t, pts: self.p(h, at(t), pts, knots),
+            (lambda t, pts: self.q(h, at(t), pts, knots, w_pt)) if sys.has_q[h] else None,
+            (lambda t, pts: self.ub(h, at(t), pts, exits)) if sys.has_ub[h] else None,
             GridFn(self.grid, self.w.values[0, :, h]))
 
 
@@ -365,7 +394,7 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
 
 
 def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
-               h_init: float | None = None) -> Trajectory:
+               h_init: float | None = None, kept: dict | None = None) -> Trajectory:
     """Picard iteration on one slab, halving its length until it converges."""
     base_mass = l1_norm(u_init)
     M = cfg.ball_mass
@@ -379,9 +408,9 @@ def solve_slab(sys: SystemDef, u_init: GridFn, t0: float, cfg: PicardConfig,
         if h < cfg.min_slab_factor * cfg.slab_length:
             raise LocalExistenceError(t0, t0 + 2 * h)
         K = max(cfg.min_knots, int(math.ceil(h / _DT_TARGET)))
-        times = t0 + np.linspace(0.0, h, K + 1)
-        w = Trajectory(u_init.grid, times, np.repeat(u_init.values[None], K + 1, axis=0))
-        plan = SlabPlan(sys, u_init, times)
+        rel = np.linspace(0.0, h, K + 1)
+        w = Trajectory(u_init.grid, t0 + rel, np.repeat(u_init.values[None], K + 1, axis=0))
+        plan = SlabPlan(sys, u_init, rel, t0, kept)
         distances: list[float] = []
         ratios: list[float] = []
         for _ in range(_MAX_ITERS):
@@ -417,7 +446,9 @@ def solve(sys: SystemDef, grid: Grid, horizon: float, cfg: PicardConfig,
     Each slab restarts from the previous terminal state with a fresh
     ball sized off the current mass; a genuine blow-up surfaces as a
     :class:`LocalExistenceError` carrying the last solved time and the
-    end of the last rejected slab attempt.
+    end of the last rejected slab attempt.  Slab lengths stay exactly
+    ``slab_length·2^-n`` (or the rest of the horizon), so shapes recur and
+    their plans share the traces of the constant velocities.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -428,18 +459,19 @@ def solve(sys: SystemDef, grid: Grid, horizon: float, cfg: PicardConfig,
     diags: list[SlabDiagnostics] = []
     t = 0.0
     h_next = cfg.slab_length
+    kept: dict = {}
     while t < horizon - 1e-12:
         if len(diags) >= _MAX_SLABS:
             raise LocalExistenceError(t, horizon, "slab budget exhausted before horizon")
         h_try = min(h_next, horizon - t)
-        slab = solve_slab(sys, u, t, cfg, h_init=h_try)
+        slab = solve_slab(sys, u, t, cfg, h_init=h_try, kept=kept)
         times.extend(slab.times[1:].tolist())
         values.append(slab.values[1:])
         diags.extend(slab.diagnostics)
         u = GridFn(u.grid, slab.values[-1])
         t = float(slab.times[-1])
-        h_used = diags[-1].t1 - diags[-1].t0
-        h_next = min(cfg.slab_length, 2.0 * h_used)
+        # the exact length: t1 - t0 may round away from it
+        h_next = min(cfg.slab_length, 2.0 * h_try * 0.5 ** diags[-1].halvings)
     return Trajectory(u.grid, np.array(times), np.concatenate(values), diags)
 
 

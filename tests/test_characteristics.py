@@ -5,7 +5,8 @@ import pytest
 
 from renewalpde import characteristics
 from renewalpde.characteristics import VelocityField, rk4_step, trace_backward
-from renewalpde.domain import Domain
+from renewalpde.domain import Domain, Grid, GridFn
+from renewalpde.transport import LinearProblem, evaluate
 
 HALFLINE = Domain(half_lengths=(10.0,))
 
@@ -354,6 +355,18 @@ def test_trapezoid_sums_equal_a_loop_over_each_trace():
                 qe = qc[:n, p] * np.exp(log_e)
                 assert growth[i] == np.exp(log_e[-1])
                 assert source[i] == _loop_trapezoid(qe, ts[:n, p])[-1]
+
+
+def test_empty_point_set_integrates_to_empty_arrays():
+    b = trace_backward(VelocityField.constant([1.0]), 0.5, np.zeros((0, 1)), 4,
+                       Domain(half_lengths=(2.0,)))
+    growth, source = b.trapezoids(np.zeros(0), np.zeros(0))
+    assert growth.shape == source.shape == (0,) and b.trapezoids(np.zeros(0))[1] is None
+    grid = Grid(Domain(half_lengths=(2.0,)), (8,))
+    lp = LinearProblem(VelocityField.constant([1.0]), lambda t, x: np.ones(len(x)),
+                       lambda t, x: np.ones(len(x)), lambda t, x: np.ones(len(x)),
+                       GridFn(grid, np.ones((8, 1))))
+    assert evaluate(lp, 0.5, grid, batch=b).shape == (0,)
 
 
 def _numpy_increments(g, dt):

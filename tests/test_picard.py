@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -463,6 +464,92 @@ def test_feet_datum_gathered_once_per_slab_attempt(monkeypatch):
     assert np.array_equal(kept.times, fresh.times)
     for a, b in zip(kept.states, fresh.states):
         assert np.array_equal(a.values, b.values)
+
+
+def spy_solve(monkeypatch, sys_, grid, cfg):
+    """Run ``solve`` to T = 1.2 or a blow-up; count its traces and record, per slab
+    attempt, (relative knots, shapes kept once its plan is built)."""
+    traces, plans = [], []
+    trace, plan_cls = picard.trace_backward, picard.SlabPlan
+
+    def record_plan(sys_, u0, times, t0, kept):
+        plan = plan_cls(sys_, u0, times, t0, kept)
+        plans.append((times, len(kept)))
+        return plan
+
+    monkeypatch.setattr(picard, "trace_backward", lambda *a, **k: traces.append(1) or trace(*a, **k))
+    monkeypatch.setattr(picard, "SlabPlan", record_plan)
+    try:
+        solve(sys_, grid, 1.2, cfg)
+    except LocalExistenceError:
+        pass
+    return len(traces), plans
+
+
+@pytest.mark.parametrize("cells, cfg, traced, attempts", [
+    (200, PicardConfig(min_knots=4, min_slab_factor=1e-2), 7, 39),  # blowup-cascade, c = 1
+    (400, PicardConfig(), 20, 118),  # the default blow-up
+])
+def test_constant_velocity_traced_once_per_slab_shape(monkeypatch, cells, cfg, traced, attempts):
+    sys_, _ = build_blowup("ode")
+    n, plans = spy_solve(monkeypatch, sys_, Grid(sys_.domain, (cells,)), cfg)
+    shapes = {times.tobytes() for times, _ in plans}
+    assert (n, len(plans), len(shapes)) == (traced, attempts, traced)
+    assert max(kept for _, kept in plans) == picard._KEPT_SHAPES
+
+    # the same field as a callback is traced on absolute times, once per attempt
+    v = sys_.velocities[0]
+    twin = dataclasses.replace(sys_, velocities=(VelocityField(v.fn, v.div, v.sup),))
+    n, plans = spy_solve(monkeypatch, twin, Grid(sys_.domain, (cells,)), cfg)
+    assert (n, len(plans)) == (attempts, attempts)
+
+
+def test_slab_lengths_are_exact_halvings(monkeypatch):
+    # 0.1 is not dyadic: t1 - t0 rounds away from the slab's length, which the
+    # next slab used to double; every attempt is 0.1·2^-n, so its shape recurs
+    sys_, _ = build_blowup("ode")
+    cfg = PicardConfig(min_knots=4, min_slab_factor=1e-2, slab_length=0.1)
+    n, plans = spy_solve(monkeypatch, sys_, Grid(sys_.domain, (200,)), cfg)
+    lengths = [float(times[-1]) for times, _ in plans]
+    assert all(h == 0.1 * 0.5 ** round(math.log2(0.1 / h)) for h in lengths)
+    assert n == len({times.tobytes() for times, _ in plans}) < len(plans)
+
+
+def test_kept_plan_from_another_start_equals_a_fresh_plan(monkeypatch):
+    # an inflow face, a source and coefficients that depend on time: the kept traces
+    # are shifted to each start, and each plan gathers its own initial state
+    mass = WeightedMassKernel(1.0, comp=0)
+    sys_ = SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
+                     velocities=(VelocityField.constant([1.0]),),
+                     P=(lambda t, pts, eta: -0.3 * eta[:, 0] + np.sin(3.0 * t),),
+                     Q=(lambda t, pts, u, eta: np.cos(2.0 * t) * u[:, 0] + pts[:, 0],),
+                     Ub=(lambda t, pts, eta: 0.2 * eta[:, 0] * (1.0 + t),), Kp=(mass,),
+                     Ku=(mass,), u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
+    grid = Grid(sys_.domain, (60,))
+    traces, trace = [], picard.trace_backward
+    monkeypatch.setattr(picard, "trace_backward", lambda *a, **k: traces.append(1) or trace(*a, **k))
+    rel, kept = np.linspace(0.0, 0.5, 9), {}
+    u_a = sys_.initial_state(grid)
+    SlabPlan(sys_, u_a, rel, 0.25, kept)
+    for t0 in (0.75, 1.3):
+        u_b = GridFn(grid, u_a.values * (1.0 + t0) + 0.1 * t0)
+        w = knot_trajectory(t0 + rel, [u_b * (1.0 + 0.1 * j) for j in range(len(rel))])
+        n = len(traces)
+        reused = apply_T(sys_, w, SlabPlan(sys_, u_b, rel, t0, kept))
+        assert len(traces) == n
+        fresh = apply_T(sys_, w, SlabPlan(sys_, u_b, rel, t0))
+        assert np.array_equal(reused.values, fresh.values)
+        # on absolute times the exits are bisected to 1e-12·|t|, not 1e-12·|t - t0|:
+        # near the inflow face the two sweeps differ by that times the slope in t
+        absolute = apply_T(sys_, w, SlabPlan(sys_, u_b, t0 + rel))
+        scale = np.max(np.abs(absolute.values))
+        assert np.max(np.abs(reused.values - absolute.values)) <= 1e-11 * scale
+    assert len(traces) == 5
+
+    # the last two shapes stay: a third evicts the first, which is then traced again
+    for h in (0.25, 0.125, 0.5):
+        SlabPlan(sys_, u_a, np.linspace(0.0, h, 9), 0.0, kept)
+    assert len(kept) == picard._KEPT_SHAPES and len(traces) == 8
 
 
 def contact_sihr(fn=None):
