@@ -1,14 +1,15 @@
 """Backward characteristic tracing and exit times.
 
 A characteristic through ``(t, x)`` solves ``dX/ds = v(s, X)`` with
-``X(t) = x``.  Tracing backward either reaches ``s = t_floor`` at an
-interior foot point, or leaves the box at the exit time ``T(t, x)``:
-through an inflow face ``x_i = 0`` of a half-line axis, where it picks
-up the boundary datum, or through a truncation face, where it carries
-0.  A call traces one point set from one or more start times, each with
-its own substep count: the points from one start form a knot column,
-the unit of storage: its knots and its positions in one unpadded
-``(n + 1, P, d)`` array.  One RK4 loop
+``X(t) = x``.  Every trace runs down to ``s = 0``: a clock that starts
+at t0 traces from ``t - t0`` under :meth:`VelocityField.shifted`.
+Tracing backward either reaches 0 at an interior foot point, or leaves
+the box at the exit time ``T(t, x)``: through an inflow face ``x_i = 0``
+of a half-line axis, where it picks up the boundary datum, or through a
+truncation face, where it carries 0.  A call traces one point set from
+one or more start times, each with its own substep count: the points
+from one start form a knot column, the unit of storage: its knots and
+its positions in one unpadded ``(n + 1, P, d)`` array.  One RK4 loop
 steps the live traces of every column; a trace that lands outside
 stops, and after the last substep one batched bisection refines every
 exit of the call, each within its own substep.  Every reader takes the
@@ -60,6 +61,13 @@ class VelocityField:
     def __call__(self, t, x):
         return self.fn(t, x)
 
+    def shifted(self, t0: float) -> "VelocityField":
+        """The field read at ``t0 + t``: itself when constant or for t0 = 0."""
+        if self.vec is not None or t0 == 0:
+            return self
+        return VelocityField(lambda t, x: self(t0 + t, x), lambda t, x: self.div(t0 + t, x),
+                             self.sup)
+
     @staticmethod
     def constant(vec) -> "VelocityField":
         vec = np.array(vec, dtype=float, ndmin=1)
@@ -105,8 +113,8 @@ class TraceBatch:
     The knot column is the only layout.  Column c holds the P points traced
     from the c-th start time in n_c substeps, traces ``c·P : (c+1)·P`` of the
     batch (``members[c]``), in the order of the points.
-    ``knots[:n_c + 1, c]`` are their knot times, from the start down to the
-    floor (the small table pads each column with its last knot up to the
+    ``knots[:n_c + 1, c]`` are their knot times, from the start down to
+    0 (the small table pads each column with its last knot up to the
     longest), and ``paths[c]`` their positions there, an unpadded
     ``(n_c + 1, P, d)`` array.  A trace's positions past its exit repeat
     the exit point, and ``feet[p]`` is trace p's last position.  ``exited``
@@ -249,9 +257,9 @@ def _refine_exit(v, bracket: np.ndarray, start: np.ndarray, s_hi: np.ndarray, x_
     Every trace has its own bracket, the substep in which it left: it is
     at ``x_hi`` at ``s_hi`` and outside at ``s_lo``.  Traces with one
     ``bracket`` id (knot column and substep) stop halving together, once
-    the widest is below ``1e-12 * max(|start|, 1e-6)``.  The face is the
-    bound nearest the exit point: the lower bound of half-line axis ``i``
-    is inflow face ``i`` (coordinate pinned to 0), any other -1.
+    the widest is below ``1e-12 * max(|start|, 1e-6)``, relative to the span
+    down to 0.  The face is the bound nearest the exit point: the lower bound
+    of half-line axis ``i`` is inflow face ``i`` (coordinate pinned to 0), any other -1.
     """
     lo, hi = s_lo.copy(), s_hi.copy()
     _, first, group = np.unique(bracket, return_index=True, return_inverse=True)
@@ -298,12 +306,11 @@ def _constant_path(steps: np.ndarray, path: np.ndarray, lower: np.ndarray,
     return np.where(first > 0, first - 1, rows - 1)
 
 
-def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domain,
-                   t_floor: float = 0.0) -> TraceBatch:
-    """Trace every point of ``pts`` backward from each time in ``t`` to ``t_floor``.
+def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domain) -> TraceBatch:
+    """Trace every point of ``pts`` backward from each time in ``t`` to 0.
 
     ``t`` and ``substeps`` are scalars or one per knot column: column c steps
-    every point on ``np.linspace(t[c], t_floor, substeps[c] + 1)``, and holds
+    every point on ``np.linspace(t[c], 0, substeps[c] + 1)``, and holds
     traces ``c·P : (c+1)·P`` of the batch, P the number of points.  A constant
     field is summed along each column in place; any other is stepped knot by
     knot, every live trace of every column in one RK4 loop.  One
@@ -313,11 +320,11 @@ def trace_backward(v: VelocityField, t, pts: np.ndarray, substeps, domain: Domai
     P, d = pts.shape
     start, n = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
                                    np.atleast_1d(substeps))
-    if np.any(start < t_floor - 1e-15):
-        raise ValueError("cannot trace to a floor above t")
-    n = np.where(np.abs(start - t_floor) < 1e-15, 0, np.maximum(1, n.astype(int)))
+    if np.any(start < -1e-15):
+        raise ValueError("cannot trace back from a negative time")
+    n = np.where(np.abs(start) < 1e-15, 0, np.maximum(1, n.astype(int)))
     C, rows = len(n), int(n.max(initial=0)) + 1
-    knots = np.array([np.linspace(s, t_floor, k + 1)[np.minimum(np.arange(rows), k)]
+    knots = np.array([np.linspace(s, 0.0, k + 1)[np.minimum(np.arange(rows), k)]
                       for s, k in zip(start, n)]).reshape(-1, rows).T  # padded with its last knot
     column = np.arange(C * P) // P
 

@@ -43,23 +43,6 @@ def cost_peak_infection(traj: Trajectory) -> float:
     return float(np.max(np.maximum(traj.values[:, :, 1], 0.0)))
 
 
-def profit(traj: Trajectory, f1, f2, K1=1.0, K2=1.0) -> float:
-    """Harvest revenue: integral of K1 f1 u1 + K2 f2 u2."""
-    f1, f2 = _rate(f1), _rate(f2)
-    K1, K2 = _rate(K1), _rate(K2)
-    grid = traj.grid
-    wts = trapezoid_weights(traj.times)
-    total = 0.0
-    for j, t in enumerate(traj.times):
-        if wts[j] == 0.0:
-            continue
-        u = traj.values[j]
-        dens = K1(t, grid.points) * f1(t, grid.points) * u[:, 0] \
-            + K2(t, grid.points) * f2(t, grid.points) * u[:, 1]
-        total += wts[j] * float(np.sum(dens)) * grid.cell_volume
-    return total
-
-
 @dataclass
 class ControlSpec:
     """Finite-dimensional control box: piecewise-constant coefficients.

@@ -22,11 +22,12 @@ exact.  Only the iterate changes from one sweep to the next.  So each
 slab attempt builds one :class:`SlabPlan` (per velocity, the traces of
 every grid node from every knot in one batch, the knot brackets of
 their live knots and exits, and the initial state at the feet), and
-every sweep of the attempt reads it.  A constant velocity's traces,
-knot brackets and feet stencil depend on the slab start only through a
-shift of their times, so :func:`solve` keeps them for its last two slab
-shapes (h, K) and a later attempt of one of them only gathers its own
-initial state at the feet.  A sweep reads a frozen field
+every sweep of the attempt reads it.  Every site traces on the slab's
+knot times less its start t0; its velocity and coefficients read t0
+plus those times.  So a constant velocity's traces, knot brackets and
+feet stencil do not depend on t0: :func:`solve` keeps them for its last
+two slab shapes (h, K) and a later attempt of one of them only gathers
+its own initial state at the feet.  A sweep reads a frozen field
 with one gather per point: the stencil shifted to its knot interval j
 weighs ``values[:-1]`` and ``values[1:]`` (knots j and j + 1) by each
 corner's weight times 1 - lam and lam, the blend in time folded in.
@@ -198,7 +199,7 @@ class _Site:
     ``knots`` and ``exits`` bracket the live knots, in ``batch.live``'s order,
     and the inflow exits; ``feet_u0`` is the attempt's initial state (all
     components) at the feet of the traces that stayed inside.  The coefficients
-    read the traces' times plus ``shift``.
+    read the traces' times plus ``shift``, the slab start.
     """
 
     batch: TraceBatch
@@ -212,8 +213,7 @@ def _geometry(v, times: np.ndarray, grid: Grid):
     """All of a site but ``u0``: the traces, the :class:`_Knots` of their live knots
     and inflow exits on ``times``, and the stencil of their interior feet."""
     batch = trace_backward(v, times[1:], grid.points,
-                           np.arange(1, len(times)) * _SUBSTEPS_PER_INTERVAL, grid.domain,
-                           t_floor=float(times[0]))
+                           np.arange(1, len(times)) * _SUBSTEPS_PER_INTERVAL, grid.domain)
     _, tk, xk = batch.live
     inflow = batch.exit_face >= 0
     return (batch, _Knots(times, tk, xk, grid),
@@ -226,16 +226,18 @@ class SlabPlan:
 
     Built once per attempt and read by each of its sweeps: ``sites[h]``
     holds component h's traces of every grid node from every knot j >= 1
-    (``4j`` substeps) of ``t0 + times`` to the first, one batch per velocity.
-    A constant velocity's traces depend on t0 only through a shift: they run
-    on ``times``, and ``kept`` (kept by :func:`solve`) holds them for the
-    last ``_KEPT_SHAPES`` knot sets ``times``.
+    (``4j`` substeps) of ``times``, which start at 0, down to 0: one batch
+    per velocity, :meth:`~VelocityField.shifted` by the slab start t0.  A
+    constant velocity's traces do not depend on t0: ``kept`` (kept by
+    :func:`solve`) holds them for the last ``_KEPT_SHAPES`` knot sets ``times``.
     """
 
     def __init__(self, sys: SystemDef, u0: GridFn, times: np.ndarray, t0: float = 0.0,
                  kept: dict | None = None):
         grid = u0.grid
         times = np.asarray(times, dtype=float)
+        if times[0] != 0:
+            raise ValueError("slab knot times start at 0; t0 is the slab start")
         key = times.tobytes()
         shape = {} if kept is None else kept.pop(key, {})  # constant velocities' traces
         by_velocity = {}
@@ -243,9 +245,8 @@ class SlabPlan:
             if v.vec is not None and id(v) not in shape:
                 shape[id(v)] = _geometry(v, times, grid)
             if id(v) not in by_velocity:
-                batch, knots, exits, feet = shape.get(id(v)) or _geometry(v, t0 + times, grid)
-                by_velocity[id(v)] = _Site(batch, knots, exits, interp_gather(feet, u0.values),
-                                           0.0 if v.vec is None else t0)
+                *traced, feet = shape.get(id(v)) or _geometry(v.shifted(t0), times, grid)
+                by_velocity[id(v)] = _Site(*traced, interp_gather(feet, u0.values), t0)
         if kept is not None:
             kept[key] = shape  # the most recently used last
             if len(kept) > _KEPT_SHAPES:
@@ -352,15 +353,15 @@ class FrozenCoefficients:
         """The frozen scalar problem of component h.
 
         Given a plan site, its callbacks read the site's knots and
-        ``w_pt``, the frozen state at the site's live knots, and add the
-        site's shift to the times they are given.
+        ``w_pt``, the frozen state at the site's live knots, and they and
+        the velocity add the site's shift to the times they are given.
         """
         knots, exits, shift = ((site.knots, site.exits, site.shift) if site is not None
                                else (None, None, 0.0))
         sys = self.sys
         at = (lambda t: t + shift) if shift else (lambda t: t)  # a shift of 0 copies nothing
         return LinearProblem(
-            sys.velocities[h], lambda t, pts: self.p(h, at(t), pts, knots),
+            sys.velocities[h].shifted(shift), lambda t, pts: self.p(h, at(t), pts, knots),
             (lambda t, pts: self.q(h, at(t), pts, knots, w_pt)) if sys.has_q[h] else None,
             (lambda t, pts: self.ub(h, at(t), pts, exits)) if sys.has_ub[h] else None,
             GridFn(self.grid, self.w.values[0, :, h]))
@@ -370,11 +371,11 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
     """One freeze-and-solve sweep: returns the slab trajectory u = T w.
 
     ``plan`` is the slab attempt's :class:`SlabPlan` from ``w``'s first knot,
-    built here when not given.
+    built here on ``w``'s times less the first when not given.
     """
     grid, times = w.grid, w.times
     if plan is None:
-        plan = SlabPlan(sys, w.states[0], times)
+        plan = SlabPlan(sys, w.states[0], times - times[0], float(times[0]))
     frozen = FrozenCoefficients(sys, w)
     vals = np.empty((len(times), grid.n_nodes, sys.k))
     vals[0] = w.values[0]
@@ -387,9 +388,8 @@ def apply_T(sys: SystemDef, w: Trajectory, plan: SlabPlan | None = None) -> Traj
             w_along[site] = frozen.w_at(tk, xk, site.knots, rows) if rows else \
                 np.full((len(tk), sys.k), np.nan)
         lp = frozen.linear_problem(h, site, w_along.get(site))
-        vals[1:, :, h] = evaluate(lp, times[1:], grid, t0=float(times[0]),
-                                  batch=site.batch, feet_u0=site.feet_u0[:, h]
-                                  ).reshape(len(times) - 1, grid.n_nodes)
+        vals[1:, :, h] = evaluate(lp, times[1:] - times[0], grid, batch=site.batch,
+                                  feet_u0=site.feet_u0[:, h]).reshape(len(times) - 1, grid.n_nodes)
     return Trajectory(grid, times.copy(), vals)
 
 

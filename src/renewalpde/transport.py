@@ -61,23 +61,22 @@ def auto_substeps(grid: Grid, span: float, vsup: float) -> int:
 
 
 def evaluate(lp: LinearProblem, t, grid: Grid, substeps: int | None = None,
-             t0: float = 0.0, batch: TraceBatch | None = None,
-             feet_u0: np.ndarray | None = None):
+             batch: TraceBatch | None = None, feet_u0: np.ndarray | None = None):
     """Evaluate the representation formula at every grid node at time t, as a GridFn.
 
-    ``t`` is one time, unless a :class:`TraceBatch` to ``t0`` is given: then each
-    of its knot columns traces the grid's nodes from one start, ``t`` holds those
-    starts, one per column, and it returns one value per trace; ``feet_u0`` is
+    ``t``, counted from ``lp.u0``'s time 0, is one time, unless a :class:`TraceBatch` is
+    given: then each of its knot columns traces the grid's nodes from one start, ``t`` holds
+    those starts, one per column, and it returns one value per trace; ``feet_u0`` is
     ``lp.u0`` at its interior feet, if known.
     """
-    if np.any(np.asarray(t) < t0 - 1e-14):
+    if np.any(np.asarray(t) < -1e-14):
         raise ValueError("evaluation time below the initial time")
     if traced := batch is None:
         if np.ndim(t):
             raise ValueError("several evaluation times need a trace batch")
         if substeps is None:
-            substeps = auto_substeps(grid, t - t0, lp.velocity.sup)
-        batch = trace_backward(lp.velocity, t, grid.points, substeps, grid.domain, t_floor=t0)
+            substeps = auto_substeps(grid, t, lp.velocity.sup)
+        batch = trace_backward(lp.velocity, t, grid.points, substeps, grid.domain)
     # Knots past an exit repeat the exit knot over zero-width intervals;
     # the coefficients there are never sampled and read as 0.
     mask, tk, xk = batch.live

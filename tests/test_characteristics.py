@@ -91,7 +91,8 @@ _CONSTANT_CASES = {
     # of their traces exit, some land at feet
     "stacked": ([1.0, 0.6], Domain(half_lengths=(2.0, 1.5)), [0.25, 0.5, 1.0],
                 [[0.1, 0.7], [0.4, 0.05], [1.2, 1.4], [0.9, 0.6]], [2, 4, 8], 0.0),
-    # one start time, a substep count per knot column, from a floor above 0
+    # one start time, a substep count per knot column, from a floor above 0: the
+    # fields shifted by the floor, traced from the start less the floor
     "scalar-t": ([1.0], HALFLINE, 0.9, [[0.1], [0.3], [2.0], [0.5]], [3, 8, 5, 1], 0.2),
     "zero": ([0.0], HALFLINE, 1.0, [[0.5], [2.0]], 16, 0.0),
 }
@@ -104,15 +105,17 @@ def test_constant_field_sum_equals_step_loop(case, monkeypatch):
     # batch must agree bit for bit
     vec, domain, t, pts, substeps, floor = _CONSTANT_CASES[case]
     v = VelocityField.constant(vec)
-    loop = VelocityField(v.fn, v.div, v.sup)
+    assert v.shifted(floor) is v  # a constant field does not depend on time
+    loop = VelocityField(v.fn, v.div, v.sup).shifted(floor)
     assert loop.vec is None
-    reference = trace_backward(loop, t, pts, substeps, domain, t_floor=floor)
+    t = np.subtract(t, floor)
+    reference = trace_backward(loop, t, pts, substeps, domain)
 
     def no_callbacks(self, t, x):
         raise AssertionError("a constant field is traced without its callbacks")
 
     monkeypatch.setattr(VelocityField, "__call__", no_callbacks)
-    got = trace_backward(v, t, pts, substeps, domain, t_floor=floor)
+    got = trace_backward(v.shifted(floor), t, pts, substeps, domain)
     for f in dataclasses.fields(got):
         a, b = getattr(got, f.name), getattr(reference, f.name)
         # a tuple holds one array per knot column
@@ -139,9 +142,11 @@ def test_semigroup_property():
     v = wiggly_velocity()
     t, s, r = 0.9, 0.5, 0.2
     x = [[4.0]]
-    direct = trace_backward(v, t, x, 512, HALFLINE, t_floor=r).feet
-    mid = trace_backward(v, t, x, 256, HALFLINE, t_floor=s).feet
-    two_leg = trace_backward(v, s, mid, 256, HALFLINE, t_floor=r).feet
+    # each leg traced on its own clock: from its start less its floor, the field
+    # shifted by the floor
+    direct = trace_backward(v.shifted(r), t - r, x, 512, HALFLINE).feet
+    mid = trace_backward(v.shifted(s), t - s, x, 256, HALFLINE).feet
+    two_leg = trace_backward(v.shifted(r), s - r, mid, 256, HALFLINE).feet
     assert abs(direct[0, 0] - two_leg[0, 0]) <= 1e-7
 
 
@@ -226,17 +231,19 @@ def test_batched_exits_time_dependent_velocity(monkeypatch):
     assert len(calls) == 1
 
 
-def _assert_stacked_equals_separate(v, domain, starts, substeps, pts, t_floor=0.0):
+def _assert_stacked_equals_separate(v, domain, starts, substeps, pts, floor=0.0):
     """One call with every start stacked equals one call per start, bit for bit, and each
-    knot column holds its own rows only."""
+    knot column holds its own rows only.  Each traces down to ``floor``: from its start
+    less the floor, under the field shifted by the floor."""
     n, d = np.shape(pts)
-    b = trace_backward(v, starts, pts, substeps, domain, t_floor=t_floor)
+    v, starts = v.shifted(floor), np.subtract(starts, floor)
+    b = trace_backward(v, starts, pts, substeps, domain)
     assert b.knots.shape == (max(substeps) + 1, len(starts))
     mask, tk, xk = b.live
     assert len(mask) == sum((k + 1) * n for k in substeps)
     live_at = 0
     for i, (t, k) in enumerate(zip(starts, substeps)):
-        one = trace_backward(v, t, pts, k, domain, t_floor=t_floor)
+        one = trace_backward(v, t, pts, k, domain)
         cols = slice(i * n, (i + 1) * n)
         assert b.members[i] == cols
         # knot column i is the separate call's knots and path, unpadded
@@ -277,7 +284,7 @@ def test_stacked_starts_equal_separate_calls():
     dom = Domain(half_lengths=(2.0,), full_lengths=(1.0,))
     a, y = np.meshgrid(np.linspace(0.05, 1.5, 9), np.linspace(-0.95, 0.95, 7), indexing="ij")
     pts = np.column_stack([a.ravel(), y.ravel()])
-    b = _assert_stacked_equals_separate(v, dom, [0.35, 0.6, 0.85], [4, 8, 12], pts, t_floor=0.1)
+    b = _assert_stacked_equals_separate(v, dom, [0.35, 0.6, 0.85], [4, 8, 12], pts, floor=0.1)
     assert set(b.exit_face[b.exited]) == {0, -1}
 
     # two inflow faces and a truncation face

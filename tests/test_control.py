@@ -9,11 +9,10 @@ from renewalpde.control import (
     cost_peak_infection,
     optimize,
     piecewise_control,
-    profit,
     sihr_kappa_objective,
 )
 from renewalpde.domain import Grid
-from renewalpde.models import CompetitiveParams, SIHRParams, build_competitive, build_sihr
+from renewalpde.models import SIHRParams, build_sihr
 from renewalpde.picard import LocalExistenceError, PicardConfig, solve
 
 CFG = PicardConfig(slab_length=0.5)
@@ -62,29 +61,6 @@ def test_cost_peak_growth_at_final_knot():
     finals = float(np.max(traj.states[-1].values[:, 1]))
     assert peak == pytest.approx(finals, rel=1e-9)
     assert peak > float(np.max(traj.states[0].values[:, 1]))
-
-
-def test_profit_zero_effort_and_independence():
-    params = CompetitiveParams(mu1=0.3, mu2=0.4, f1=0.2, f2=0.1)
-    sys_ = build_competitive(params)
-    grid = Grid(sys_.domain, (96,))
-    traj = solve(sys_, grid, 1.5, CFG)
-    assert profit(traj, 0.0, 0.0) == 0.0
-    a = profit(traj, 0.2, 0.7, K1=1.0, K2=0.0)
-    b = profit(traj, 0.2, 0.3, K1=1.0, K2=0.0)
-    assert a == b
-
-
-def test_profit_closed_form():
-    mu1, f1, T = 0.3, 0.2, 1.5
-    params = CompetitiveParams(mu1=mu1, mu2=0.4, f1=f1, f2=0.0)
-    sys_ = build_competitive(params)
-    grid = Grid(sys_.domain, (128,))
-    traj = solve(sys_, grid, T, CFG)
-    m0 = traj.component_masses()[0, 0]
-    r = mu1 + f1
-    expected = f1 * m0 * (1.0 - np.exp(-r * T)) / r
-    assert profit(traj, f1, 0.0) == pytest.approx(expected, rel=0.03)
 
 
 def test_piecewise_control_lookup():

@@ -18,10 +18,6 @@ from renewalpde.models import (
 from renewalpde.picard import PicardConfig, solve
 
 CFG = PicardConfig(slab_length=0.5)
-# a constant velocity is traced on times relative to the slab start, which the
-# coefficients read shifted back; its callable twin is traced on absolute times.
-# The two match to this many times the largest value (measured up to 4.8e-13)
-SHIFT_RTOL = 1e-12
 
 
 def total_mass_series(traj):
@@ -160,15 +156,15 @@ def _constant(c):
 
 
 def test_cell_growth_spatial_callable_growth_equals_no_growth():
-    # age x 1-D trait: a growth callable of 0 steps the RK4 loop on the callbacks
-    # from absolute times; the built-in (1, 0) velocity sums its constant steps on
-    # times relative to each slab's start and shifts them, which rounds apart
+    # age x 1-D trait: a growth callable of 0 steps the RK4 loop on the callbacks;
+    # the built-in (1, 0) velocity sums its constant steps.  Both trace on the
+    # times of each slab less its start, so they agree bit for bit
     runs = []
     for growth in (None, lambda t, pts: np.zeros((len(pts), 1))):
         sys_ = build_cell_growth(CellGrowthParams(loss=0.2, birth_weight=0.5, n=1, growth=growth))
         assert (sys_.velocities[0].vec is None) == (growth is not None)
         runs.append(solve(sys_, Grid(sys_.domain, (24, 8)), 0.5, PicardConfig()).values)
-    assert np.max(np.abs(runs[1] - runs[0])) <= SHIFT_RTOL * np.max(np.abs(runs[0]))
+    assert np.array_equal(runs[1], runs[0])
     # growth returns one rate per trait axis, (P, n): a (P,) result does not broadcast
     with pytest.raises(ValueError, match="broadcast"):
         build_cell_growth(CellGrowthParams(n=1, growth=lambda t, pts: np.zeros(len(pts))))
@@ -196,7 +192,7 @@ def test_competitive_callable_kernels_equal_constant_ones():
 
 
 def test_competitive_callable_velocity_equals_constant_one():
-    # the same age velocity as a callback: stepped on absolute times, not shifted
+    # the same age velocity as a callback: stepped, not summed, on the same times
     sys_ = build_competitive(CompetitiveParams(mu1=0.2, mu2=0.3, c1=0.3, c2=0.2, beta1=0.4,
                                                beta2=0.3, f1=0.1, f2=0.05))
     v = sys_.velocities[0]
@@ -204,7 +200,7 @@ def test_competitive_callable_velocity_equals_constant_one():
     assert v.vec is not None and twin.vec is None
     runs = [solve(s, Grid(s.domain, (64,)), 2.0, PicardConfig()).values
             for s in (sys_, dataclasses.replace(sys_, velocities=(twin, twin)))]
-    assert np.max(np.abs(runs[1] - runs[0])) <= SHIFT_RTOL * np.max(np.abs(runs[0]))
+    assert np.array_equal(runs[1], runs[0])
 
 
 def test_competitive_decoupled_decay():

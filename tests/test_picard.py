@@ -504,6 +504,16 @@ def test_constant_velocity_traced_once_per_slab_shape(monkeypatch, cells, cfg, t
     assert (n, len(plans)) == (attempts, attempts)
 
 
+def test_solve_stops_at_its_slab_budget(monkeypatch):
+    # cellgrowth converges on every default slab of 0.25: with a budget of two
+    # slabs, solve stops at 0.5 and names the budget, not a blow-up
+    monkeypatch.setattr(picard, "_MAX_SLABS", 2)
+    sys_ = PRESETS["cellgrowth"].build({})[0]
+    with pytest.raises(LocalExistenceError, match="^slab budget exhausted before horizon") as err:
+        solve(sys_, Grid(sys_.domain, (48,)), 1.0, PicardConfig())
+    assert err.value.bracket == (0.5, 1.0)
+
+
 def test_slab_lengths_are_exact_halvings(monkeypatch):
     # 0.1 is not dyadic: t1 - t0 rounds away from the slab's length, which the
     # next slab used to double; every attempt is 0.1·2^-n, so its shape recurs
@@ -517,7 +527,8 @@ def test_slab_lengths_are_exact_halvings(monkeypatch):
 
 def test_kept_plan_from_another_start_equals_a_fresh_plan(monkeypatch):
     # an inflow face, a source and coefficients that depend on time: the kept traces
-    # are shifted to each start, and each plan gathers its own initial state
+    # serve every start, the coefficients read at the start plus their times, and
+    # each plan gathers its own initial state
     mass = WeightedMassKernel(1.0, comp=0)
     sys_ = SystemDef(k=1, domain=Domain(half_lengths=(3.0,)),
                      velocities=(VelocityField.constant([1.0]),),
@@ -539,17 +550,50 @@ def test_kept_plan_from_another_start_equals_a_fresh_plan(monkeypatch):
         assert len(traces) == n
         fresh = apply_T(sys_, w, SlabPlan(sys_, u_b, rel, t0))
         assert np.array_equal(reused.values, fresh.values)
-        # on absolute times the exits are bisected to 1e-12·|t|, not 1e-12·|t - t0|:
-        # near the inflow face the two sweeps differ by that times the slope in t
-        absolute = apply_T(sys_, w, SlabPlan(sys_, u_b, t0 + rel))
-        scale = np.max(np.abs(absolute.values))
-        assert np.max(np.abs(reused.values - absolute.values)) <= 1e-11 * scale
-    assert len(traces) == 5
+    assert len(traces) == 3  # the first plan's and each fresh plan's
 
     # the last two shapes stay: a third evicts the first, which is then traced again
     for h in (0.25, 0.125, 0.5):
         SlabPlan(sys_, u_a, np.linspace(0.0, h, 9), 0.0, kept)
-    assert len(kept) == picard._KEPT_SHAPES and len(traces) == 8
+    assert len(kept) == picard._KEPT_SHAPES and len(traces) == 6
+
+
+def test_callable_velocity_sweep_does_not_depend_on_the_slab_start():
+    # a callable velocity and P/Q/Ub that do not depend on time, on an inflow
+    # domain: every slab start traces the same characteristics on the slab's own
+    # times, so its exits and its sweep are the t0 = 0 slab's bit for bit.  Traced
+    # on absolute times, exits were bisected to 1e-12·t, which moved them by up
+    # to 1.6e-12 and the sweep by up to 3.8e-12 at t0 = 5
+    def fn(t, x):
+        return 1.0 + 0.3 * np.sin(2.0 * np.atleast_2d(x))
+
+    v = VelocityField(fn, lambda t, x: 0.6 * np.cos(2.0 * np.atleast_2d(x)[:, 0]), sup=1.3)
+    mass = WeightedMassKernel(1.0, comp=0)
+    sys_ = SystemDef(k=1, domain=Domain(half_lengths=(3.0,)), velocities=(v,),
+                     P=(lambda t, pts, eta: -0.3 * eta[:, 0] - pts[:, 0],),
+                     Q=(lambda t, pts, u, eta: 0.5 * u[:, 0] + pts[:, 0],),
+                     Ub=(lambda t, pts, eta: 0.2 * eta[:, 0] + 1.0,), Kp=(mass,),
+                     Ku=(mass,), u0=lambda pts: np.exp(-(pts - 1.0) ** 2))
+    grid = Grid(sys_.domain, (60,))
+    rel, u0 = np.linspace(0.0, 0.5, 9), sys_.initial_state(grid)
+    states = [u0 * (1.0 + 0.1 * j) for j in range(len(rel))]
+
+    def sweep(t0):
+        plan = SlabPlan(sys_, u0, rel, t0)
+        batch = plan.sites[0].batch
+        return apply_T(sys_, knot_trajectory(t0 + rel, states), plan), batch
+
+    base, base_batch = sweep(0.0)
+    inflow = base_batch.exit_face >= 0
+    assert inflow.any() and not base_batch.exited.all()
+    for t0 in (0.25, 0.75, 1.3, 5.0):
+        u, batch = sweep(t0)
+        assert np.array_equal(batch.exit_face, base_batch.exit_face)
+        assert np.array_equal(batch.exit_time[inflow], base_batch.exit_time[inflow])
+        assert np.array_equal(u.values, base.values)
+    # the knots are the slab's own times, from 0; its start is t0
+    with pytest.raises(ValueError, match="start at 0"):
+        SlabPlan(sys_, u0, 0.25 + rel, 0.25)
 
 
 def contact_sihr(fn=None):
@@ -577,7 +621,6 @@ def test_plan_sweep_equals_planless_coefficients():
     w = knot_trajectory(times, states)
     plan = SlabPlan(sys_, states[0], times)
 
-    t0 = float(times[0])
     frozen = FrozenCoefficients(sys_, w)
     for h in range(sys_.k):
         site = plan.sites[h]
@@ -591,13 +634,14 @@ def test_plan_sweep_equals_planless_coefficients():
         assert np.array_equal(frozen.ub(h, T, X, site.exits), frozen.ub(h, T, X))
 
     # knot j of the sweep is the column block (j-1)N : jN of one stacked
-    # evaluate; it equals the planless evaluate at that knot with its own trace
+    # evaluate; it equals the planless evaluate at that knot with its own trace.
+    # The slab starts at 0, so the planless problems' clock is the plan's
     swept = apply_T(sys_, w, plan)
     planless = [frozen.linear_problem(h) for h in range(sys_.k)]
     for j in range(1, len(times)):
         for h in range(sys_.k):
             substeps = picard._SUBSTEPS_PER_INTERVAL * j
-            u = evaluate(planless[h], float(times[j]), grid, substeps=substeps, t0=t0)
+            u = evaluate(planless[h], float(times[j]), grid, substeps=substeps)
             assert np.array_equal(swept.states[j].values[:, h], u.values[:, 0])
 
 

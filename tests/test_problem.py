@@ -320,6 +320,21 @@ def test_system_refuses_a_wrong_declaration(case, match):
         _sourced_pair(**kwargs)
 
 
+def test_system_refuses_a_velocity_not_inward_on_an_inflow_face():
+    def outward_at_1(t, x):
+        return np.full((len(np.atleast_2d(x)), 1), -1.0 if t == 1.0 else 1.0)
+
+    # a velocity is sampled on each inflow face at t = 0, 0.5 and 1: outward at any
+    # of them is refused when the system is built
+    for v in (VelocityField.constant([-1.0]),
+              VelocityField(outward_at_1, lambda t, x: np.zeros(len(np.atleast_2d(x))), 1.0)):
+        with pytest.raises(ValueError, match=r"^component 0: velocity not strictly inward on "
+                                             r"inflow face 0"):
+            SystemDef(k=1, domain=Domain(half_lengths=(2.0,)), velocities=(v,),
+                      P=(lambda t, pts, eta: np.zeros(len(pts)),), Q=(None,), Ub=(None,),
+                      u0=lambda pts: np.ones((len(pts), 1)))
+
+
 def test_sihr_refuses_a_source_reading_an_undeclared_column():
     sihr = build_sihr(SIHRParams(rho=0.08, kappa=0.3))
 
