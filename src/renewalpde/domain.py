@@ -94,7 +94,9 @@ class Stencil(NamedTuple):
     """Multilinear interpolation weights of some points on a grid.
 
     ``flat[c]`` and ``weight[c]`` are the node index and weight of corner
-    c of every point's cell; ``inside`` marks the points in the box.
+    c of every point's cell; ``inside`` marks the points in the box.  There
+    are ``2^m`` corners, m the number of axes on which the points are not
+    all on a node.
     """
 
     flat: np.ndarray
@@ -151,32 +153,33 @@ class Grid:
 
         Inside the box the coordinates are clamped to the node hull, which
         extends the outermost cells as constants over the half-cell margin.
+        An axis on which every point sits exactly on a node (the clamped
+        cell coordinate an integer) keeps that node alone: the other corner
+        weighs exactly 0 there.  The kept corners come in the order of the
+        full ``2^d`` product, each with the full stencil's weight, so a
+        gather sums the same nonzero terms in the same order.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = self.dim
-        idx0 = []
-        frac = []
-        for ax in range(d):
-            centers = self.axes[ax]
-            nc = len(centers)
-            if nc == 1:
-                idx0.append(np.zeros(pts.shape[0], dtype=int))
-                frac.append(np.zeros(pts.shape[0]))
-                continue
-            u = (pts[:, ax] - centers[0]) / self.dx[ax]
-            u = np.clip(u, 0.0, nc - 1.0)
-            i0 = np.minimum(u.astype(int), nc - 2)
-            idx0.append(i0)
-            frac.append(u - i0)
-
-        strides = np.array([int(np.prod(self.shape[ax + 1:], dtype=np.int64)) for ax in range(d)])
-        corners = list(itertools.product((0, 1), repeat=d))
-        flat = np.zeros((len(corners), pts.shape[0]), dtype=np.int64)
-        weight = np.ones((len(corners), pts.shape[0]))
+        P = pts.shape[0]
+        options = []  # per axis, its kept corners: (node offset, weight factor or None)
+        for ax, nc in enumerate(self.shape):
+            stride = int(np.prod(self.shape[ax + 1:], dtype=np.int64))
+            u = np.clip((pts[:, ax] - self.axes[ax][0]) / self.dx[ax], 0.0, nc - 1.0)
+            on = np.rint(u)
+            if np.array_equal(on, u):
+                options.append([(on.astype(np.int64) * stride, None)])
+            else:
+                i0 = np.minimum(u.astype(np.int64), nc - 2)
+                frac = u - i0
+                options.append([(i0 * stride, 1.0 - frac), ((i0 + 1) * stride, frac)])
+        corners = list(itertools.product(*options))
+        flat = np.zeros((len(corners), P), dtype=np.int64)
+        weight = np.ones((len(corners), P))
         for n, corner in enumerate(corners):
-            for ax, c in enumerate(corner):
-                weight[n] = weight[n] * (frac[ax] if c else 1.0 - frac[ax])
-                flat[n] = flat[n] + (idx0[ax] + c) * strides[ax]
+            for offset, factor in corner:
+                flat[n] += offset
+                if factor is not None:
+                    weight[n] *= factor
         return Stencil(flat, weight, self.domain.contains(pts))
 
     def face_grid(self, axis: int) -> "FaceGrid":
@@ -280,6 +283,7 @@ def linf_norm(f: GridFn) -> float:
 def interp_gather(stencil: Stencil, values: np.ndarray, lam=None, rows=None) -> np.ndarray:
     """Node values interpolated with a :meth:`Grid.stencil`; 0 outside the box.
 
+    It sums whatever corners the stencil holds, in their order.
     ``values`` is (N,) or (N, k); the result matches.  Given ``lam``, ``values`` is the
     ``(K + 1, N, k)`` knot states read at rows ``j·N + n`` of each point's knot interval j,
     and corner c weighs ``values[:-1]`` by ``w_c·(1 - lam)`` and ``values[1:]`` by ``w_c·lam``

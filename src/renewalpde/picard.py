@@ -171,8 +171,9 @@ def dist_X(a: Trajectory, b: Trajectory) -> float:
 class _Knots:
     """Query points with the knot interval ``j`` and weight ``lam`` of each one's time.
 
-    ``stencil``, made on first use, reads node n of interval j at row ``j·N + n``: the
-    points' :meth:`Grid.stencil` with its node indices shifted in place."""
+    ``stencil``, made on first use (by :class:`SlabPlan` for a site that a sweep
+    gathers through), reads node n of interval j at row ``j·N + n``: the points'
+    :meth:`Grid.stencil` with its node indices shifted in place."""
 
     def __init__(self, times: np.ndarray, t, pts: np.ndarray, grid: Grid):
         self.j, self.lam = _bracket(times, np.broadcast_to(t, pts.shape[:1]))
@@ -230,6 +231,8 @@ class SlabPlan:
     per velocity, :meth:`~VelocityField.shifted` by the slab start t0.  A
     constant velocity's traces do not depend on t0: ``kept`` (kept by
     :func:`solve`) holds them for the last ``_KEPT_SHAPES`` knot sets ``times``.
+    A site's live-knot stencil is built here when a sweep gathers through it:
+    a source there reads state columns, or a grid-mode kernel field is sampled.
     """
 
     def __init__(self, sys: SystemDef, u0: GridFn, times: np.ndarray, t0: float = 0.0,
@@ -252,6 +255,11 @@ class SlabPlan:
             if len(kept) > _KEPT_SHAPES:
                 del kept[next(iter(kept))]
         self.sites = [by_velocity[id(v)] for v in sys.velocities]
+        on_grid = lambda kern: kern is not None and not kern.x_independent
+        for h, site in enumerate(self.sites):
+            # a sweep gathers through the site's stencil: build it here, so w_at only gathers
+            if on_grid(sys.Kp[h]) or sys.has_q[h] and (sys.q_reads[h] or on_grid(sys.Kq[h])):
+                site.knots.stencil
 
 
 class FrozenCoefficients:

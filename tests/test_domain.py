@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from renewalpde.domain import (
     Domain,
     Grid,
     GridFn,
+    Stencil,
     interp_gather,
     interp_values,
     l1_norm,
@@ -119,9 +122,92 @@ def test_interp_on_a_one_cell_axis_equals_the_axis_dropped():
     values = rng.normal(size=(8, 2))
     pts = np.column_stack([rng.uniform(0.0, 2.0, 50), rng.uniform(-1.0, 1.0, 50)])
     pts[:2, 0] = [0.0, 2.0]  # the half-cell margins of the first axis
-    st = flat.stencil(pts)  # corners (0, 1) and (1, 1) step off the one node: weight 0
-    assert st.flat.min() >= 0 and not st.weight[[1, 3]].any()
+    st = flat.stencil(pts)  # the one node is every point's: no corner steps off it
+    assert st.flat.shape == st.weight.shape == (2, len(pts)) and st.flat.min() >= 0
     assert np.array_equal(interp_values(flat, values, pts), interp_values(line, values, pts[:, :1]))
+
+
+def full_stencil(grid, pts):
+    """:meth:`Grid.stencil` with all 2^d corners of every point's cell, the zero
+    weights included: multilinear interpolation written out, the second implementation."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    idx0, frac = [], []
+    for ax, (centers, dx) in enumerate(zip(grid.axes, grid.dx)):
+        nc = len(centers)
+        u = np.clip((pts[:, ax] - centers[0]) / dx, 0.0, nc - 1.0)
+        i0 = np.minimum(u.astype(int), max(nc - 2, 0))
+        idx0.append(i0)
+        frac.append(u - i0)
+    strides = [int(np.prod(grid.shape[ax + 1:])) for ax in range(grid.dim)]
+    corners = list(itertools.product((0, 1), repeat=grid.dim))
+    flat = np.zeros((len(corners), len(pts)), dtype=np.int64)
+    weight = np.ones((len(corners), len(pts)))
+    for n, corner in enumerate(corners):
+        for ax, c in enumerate(corner):
+            weight[n] = weight[n] * (frac[ax] if c else 1.0 - frac[ax])
+            flat[n] = flat[n] + (idx0[ax] + c) * strides[ax]
+    return Stencil(flat, weight, grid.domain.contains(pts))
+
+
+def assert_gathers_equal(grid, stencil, ref, rng):
+    """The two stencils gather random node values to the same bits, plain and with
+    three knot states, each point reading the knot interval j and weight lam."""
+    assert np.array_equal(stencil.inside, ref.inside)
+    values = rng.normal(size=(grid.n_nodes, 3))
+    assert np.array_equal(interp_gather(stencil, values), interp_gather(ref, values))
+    knots, lam = rng.normal(size=(3, grid.n_nodes, 3)), rng.uniform(0.0, 1.0, len(ref.inside))
+    shift = rng.integers(0, 2, len(ref.inside)) * grid.n_nodes
+    folded = [s._replace(flat=s.flat + shift) for s in (stencil, ref)]
+    assert np.array_equal(*(interp_gather(s, knots, lam) for s in folded))
+
+
+def test_stencil_keeps_one_corner_on_an_axis_where_every_point_is_on_a_node():
+    # on a grid whose nodes all sit at integer cell coordinates, each axis on which
+    # every point is on a node (or clamped to one, in the half-cell margins and
+    # outside the box) keeps one corner; the dropped ones weigh exactly 0, so the
+    # gathers keep the full stencil's bits
+    dom = Domain(half_lengths=(2.0,), full_lengths=(1.0, 1.0))
+    grid = Grid(dom, (8, 8, 4))
+    rng = np.random.default_rng(27)
+    (lo, hi), dx, n = np.array(dom.bounds()).T, np.array(grid.dx), 400
+    nodes = grid.points[rng.integers(0, grid.n_nodes, n)]
+    off = nodes + rng.uniform(-0.5, 0.5, nodes.shape) * dx
+    for moving in [[], [0], [0, 1], [0, 1, 2]]:
+        pts = nodes.copy()
+        pts[:, moving] = off[:, moving]
+        cases = [(pts, False)]
+        for ax in sorted(set(range(3)) - set(moving)):
+            for at, out in [(lo[ax] + 0.45 * dx[ax] * rng.uniform(0, 1, n), False),
+                            (hi[ax] - 0.45 * dx[ax] * rng.uniform(0, 1, n), False),
+                            (lo[ax] - 0.3, True), (hi[ax] + 0.3, True)]:
+                clamped = pts.copy()
+                clamped[:, ax] = at
+                cases.append((clamped, out))
+        for c, out in cases:
+            stencil = grid.stencil(c)
+            assert stencil.flat.shape == stencil.weight.shape == (2 ** len(moving), n)
+            assert_gathers_equal(grid, stencil, full_stencil(grid, c), rng)
+            assert (~stencil.inside).all() if out else stencil.inside.all()
+            assert not interp_gather(stencil, rng.normal(size=grid.n_nodes))[~stencil.inside].any()
+
+
+def test_stencil_keeps_both_corners_at_a_node_off_an_integer_cell_coordinate():
+    # on 40 x 20 cells over [0, 4] x [-1, 1] some nodes give a cell coordinate
+    # (x - x_0)/dx that is not an integer: points there keep both corners of that
+    # axis, with the full stencil's indices and weights, whatever else is gathered
+    grid = Grid(Domain(half_lengths=(4.0,), full_lengths=(1.0,)), (40, 20))
+    rng = np.random.default_rng(40)
+    index = np.indices(grid.shape).reshape(2, -1).T
+    exact = [(a - a[0]) / dx == np.rint((a - a[0]) / dx) for a, dx in zip(grid.axes, grid.dx)]
+    assert not exact[0].all() and not exact[1].all()
+    for ax in range(2):  # the nodes off an integer on this axis, on one on the other
+        pts = grid.points[~exact[ax][index[:, ax]] & exact[1 - ax][index[:, 1 - ax]]]
+        stencil = grid.stencil(pts)
+        assert stencil.flat.shape == (2, len(pts)) and len(pts) and (stencil.weight > 0).all()
+        assert_gathers_equal(grid, stencil, full_stencil(grid, pts), rng)
+    stencil = grid.stencil(grid.points)
+    assert np.array_equal(stencil.flat, full_stencil(grid, grid.points).flat)
+    assert np.array_equal(stencil.weight, full_stencil(grid, grid.points).weight)
 
 
 def test_face_grid_nodes_and_weights():

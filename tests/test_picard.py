@@ -27,6 +27,8 @@ from renewalpde.picard import (
 from renewalpde.problem import SystemDef
 from renewalpde.transport import LinearProblem, evaluate
 
+from test_domain import full_stencil
+
 # a grid-mode frozen field (the state, a dense kernel's integral) folds the time
 # blend into its stencil weights; it matches blending two gathers of the knots
 # to this many times the largest reference value
@@ -611,6 +613,49 @@ def contact_sihr(fn=None):
     return build_sihr(params)
 
 
+@pytest.mark.parametrize("shape, counts", [((8, 8, 4), {2, 4}), ((8, 8, 5), {4, 8})])
+def test_reduced_stencils_solve_to_the_full_stencils_bits(monkeypatch, shape, counts):
+    # every stencil of the solve (live knots, the contact field frozen on the grid,
+    # feet, inflow exits) against a second Grid.stencil that keeps all 2^d corners:
+    # the callable drift (1, 0.3, 0) is exactly 0 on the last axis and H's aging
+    # (1, 0, 0) is constant, so the reduced stencils hold 2 and 4 corners where
+    # every node sits at an integer cell coordinate; on 5 cells over [-2, 2] some
+    # do not, and points there keep both corners of that axis
+    sys_ = contact_sihr()
+    grid = Grid(sys_.domain, shape)
+    cfg = PicardConfig(slab_length=0.25, min_knots=4)
+    corners, stencil = [], Grid.stencil
+    monkeypatch.setattr(Grid, "stencil",
+                        lambda self, pts: corners.append(len((s := stencil(self, pts)).flat)) or s)
+    reduced = solve(sys_, grid, 0.5, cfg)
+    assert set(corners) == counts
+    monkeypatch.setattr(Grid, "stencil", full_stencil)
+    full = solve(sys_, grid, 0.5, cfg)
+    assert np.array_equal(reduced.times, full.times)
+    assert np.array_equal(reduced.values, full.values)
+
+
+@pytest.mark.parametrize("name", ["contact", "sihr", "cellgrowth", "competitive",
+                                  "blowup-ode", "blowup-transport"])
+def test_plan_builds_the_stencils_a_sweep_gathers_through(monkeypatch, name):
+    # the live-knot stencil of a site is built with the plan when a sweep reads
+    # through it: a source there reads state columns (every sihr component but S),
+    # or a grid-mode kernel is sampled there (S's contact); the sweeps only gather.
+    # Nothing reads one on cellgrowth, competitive or either blow-up preset
+    if name == "contact":
+        sys_ = contact_sihr()
+        grid = Grid(sys_.domain, (6, 4, 4))
+    else:
+        sys_ = PRESETS[name].build({})[0]
+        grid = Grid(sys_.domain, (40,) * sys_.domain.dim)
+    times = np.linspace(0.0, 0.25, 5)
+    plan = SlabPlan(sys_, sys_.initial_state(grid), times)
+    built = [site for site in plan.sites if "stencil" in vars(site.knots)]
+    assert len(built) == (4 if name in ("contact", "sihr") else 0)
+    monkeypatch.setattr(Grid, "stencil", lambda *a: pytest.fail("a sweep built a stencil"))
+    apply_T(sys_, constant_trajectory(sys_, grid, times), plan)
+
+
 def test_plan_sweep_equals_planless_coefficients():
     # 756 nodes: the kernel matrix spans two row blocks
     sys_ = contact_sihr()
@@ -945,24 +990,28 @@ def test_folded_gather_equals_two_gathers_blended(case):
 
 def test_knot_stencil_holds_one_index_and_one_weight_array(monkeypatch):
     # a site's stencil is the grid's own, its node indices shifted to each knot
-    # interval in place: no shifted copy, and no folded weights kept after a sweep
+    # interval in place: no shifted copy, and no folded weights kept after a sweep.
+    # Its corners span the axes the site's velocity moves on (age and the drift's
+    # first space axis for I, h = 1; age alone for H, h = 2) and the axes whose
+    # nodes do not all sit at an integer cell coordinate: 2 of the 5 on [-2, 2]
     sys_ = contact_sihr()
-    grid = Grid(sys_.domain, (6, 5, 4))
     times = np.linspace(0.0, 0.25, 5)
     built, stencil = [], Grid.stencil
     monkeypatch.setattr(Grid, "stencil",
                         lambda self, pts: built.append(stencil(self, pts)) or built[-1])
-    plan = SlabPlan(sys_, sys_.initial_state(grid), times)
-    apply_T(sys_, constant_trajectory(sys_, grid, times), plan)
-    knots = plan.sites[1].knots
-    s, P = knots.stencil, len(knots.j)
-    assert any(b is s for b in built)
-    assert s.flat.shape == s.weight.shape == (2 ** grid.dim, P)
-    assert s.flat.dtype.kind == "i" and s.weight.dtype.kind == "f"
-    assert s.flat.base is None and s.weight.base is None
-    assert np.array_equal(s.flat, stencil(grid, knots.pts).flat + knots.j * grid.n_nodes)
-    arrays = [a for a in (*vars(knots).values(), *s) if isinstance(a, np.ndarray)]
-    assert [a.shape for a in arrays if a.size > grid.dim * P] == [s.flat.shape] * 2
+    for shape, h, corners in [((6, 5, 4), 1, 4), ((6, 5, 4), 2, 4), ((6, 4, 4), 2, 2)]:
+        grid = Grid(sys_.domain, shape)
+        plan = SlabPlan(sys_, sys_.initial_state(grid), times)
+        apply_T(sys_, constant_trajectory(sys_, grid, times), plan)
+        knots = plan.sites[h].knots
+        s, P = knots.stencil, len(knots.j)
+        assert any(b is s for b in built)
+        assert s.flat.shape == s.weight.shape == (corners, P)
+        assert s.flat.dtype.kind == "i" and s.weight.dtype.kind == "f"
+        assert s.flat.base is None and s.weight.base is None
+        assert np.array_equal(s.flat, stencil(grid, knots.pts).flat + knots.j * grid.n_nodes)
+        arrays = [a for a in (*vars(knots).values(), *s) if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays if a.size > P and a is not knots.pts] == [s.flat.shape] * 2
 
 
 def _zero(t, pts, *rest):
